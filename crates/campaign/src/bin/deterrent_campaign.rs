@@ -37,27 +37,22 @@
 //! `cmp`s clean against an untraced one.
 //!
 //! The exit code is `0` only when every cell recovered (outcome `ok` or
-//! `retried:N`); any `timeout`/`failed` row exits `1`, flag errors exit `2`.
+//! `retried:N`); any `timeout`/`failed` row exits `1`, flag errors exit `2`
+//! before any stage runs. The grid flags parse into a `campaign::PlanSpec`,
+//! so an unknown netlist, an empty axis, or a θ outside `(0, 0.5]` is a flag
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use campaign::{
-    profile_by_name, CampaignPlan, NetlistSpec, RunPolicy, SilentProgress, StderrTraceSink,
-};
+use campaign::{CampaignPlan, PlanSpec, RunPolicy, SilentProgress, StderrTraceSink};
 use deterrent_core::{parse_bytes, ArtifactStore, FaultPlan};
 use exec::Exec;
 use telemetry::{JsonlSink, Telemetry, TraceSink, TRACE_OUT_ENV_VAR};
 
 struct Args {
-    netlists: Vec<String>,
-    scale: usize,
-    thetas: Vec<f64>,
-    seeds: Vec<u64>,
-    episodes: usize,
     threads: usize,
-    cell_threads: usize,
     cache_dir: Option<String>,
     cache_max_bytes: Option<u64>,
     per_stage_max: Option<u64>,
@@ -78,13 +73,7 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Self {
-            netlists: vec!["c2670".into(), "c5315".into()],
-            scale: 20,
-            thetas: vec![0.15, 0.2],
-            seeds: vec![1, 2],
-            episodes: 40,
             threads: 0,
-            cell_threads: 1,
             cache_dir: None,
             cache_max_bytes: None,
             per_stage_max: None,
@@ -112,8 +101,9 @@ fn parse_list<T, F: Fn(&str) -> Option<T>>(raw: &str, parse: F) -> Option<Vec<T>
         .filter(|v| !v.is_empty())
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<(Args, CampaignPlan), String> {
     let mut args = Args::default();
+    let mut spec = PlanSpec::default();
     let argv: Vec<String> = std::env::args().collect();
     let mut i = 1;
     let value = |i: &mut usize| -> Result<String, String> {
@@ -125,24 +115,24 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--netlists" => {
-                args.netlists = parse_list(&value(&mut i)?, |s| {
-                    profile_by_name(s).map(|_| s.to_string())
-                })
-                .ok_or("unknown netlist name (see `campaign::profile_by_name`)")?;
+                spec.netlists = parse_list(&value(&mut i)?, |s| Some(s.to_string()))
+                    .ok_or("bad --netlists (comma-separated benchmark names)")?;
             }
-            "--scale" => args.scale = value(&mut i)?.parse().map_err(|_| "bad --scale")?,
+            "--scale" => spec.scale = value(&mut i)?.parse().map_err(|_| "bad --scale")?,
             "--thetas" => {
-                args.thetas = parse_list(&value(&mut i)?, |s| s.parse().ok())
+                spec.thetas = parse_list(&value(&mut i)?, |s| s.parse().ok())
                     .ok_or("bad --thetas (comma-separated floats)")?;
             }
             "--seeds" => {
-                args.seeds = parse_list(&value(&mut i)?, |s| s.parse().ok())
+                spec.seeds = parse_list(&value(&mut i)?, |s| s.parse().ok())
                     .ok_or("bad --seeds (comma-separated integers)")?;
             }
-            "--episodes" => args.episodes = value(&mut i)?.parse().map_err(|_| "bad --episodes")?,
+            "--episodes" => {
+                spec.episodes = value(&mut i)?.parse().map_err(|_| "bad --episodes")?;
+            }
             "--threads" => args.threads = value(&mut i)?.parse().map_err(|_| "bad --threads")?,
             "--cell-threads" => {
-                args.cell_threads = value(&mut i)?.parse().map_err(|_| "bad --cell-threads")?;
+                spec.cell_threads = value(&mut i)?.parse().map_err(|_| "bad --cell-threads")?;
             }
             "--cache-dir" => args.cache_dir = Some(value(&mut i)?),
             "--cache-max-bytes" => {
@@ -197,24 +187,25 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    Ok(args)
+    let plan = spec.to_plan()?;
+    Ok((args, plan))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let (args, mut plan) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("deterrent-campaign: {message}");
             return ExitCode::from(2);
         }
     };
 
-    let mut base = campaign::base_config_for(args.scale, args.episodes);
+    let base = &mut plan.base;
     if let Some(dir) = &args.cache_dir {
-        base = base.with_cache_dir(dir);
+        base.cache_dir = Some(dir.into());
     }
     if let Some(max_bytes) = args.cache_max_bytes {
-        base = base.with_cache_max_bytes(max_bytes);
+        base.cache_policy.max_bytes = Some(max_bytes);
     }
     base.cache_policy.per_stage_max = args.per_stage_max;
     base.cache_policy.slim_policy = args.slim_policy;
@@ -231,20 +222,6 @@ fn main() -> ExitCode {
         None => ArtifactStore::new(),
     };
 
-    let plan = CampaignPlan {
-        netlists: args
-            .netlists
-            .iter()
-            .map(|name| {
-                let profile = profile_by_name(name).expect("validated at parse time");
-                NetlistSpec::new(profile, args.scale, 3)
-            })
-            .collect(),
-        thetas: args.thetas.clone(),
-        seeds: args.seeds.clone(),
-        base,
-        cell_threads: args.cell_threads,
-    };
     eprintln!(
         "[campaign] {} cells ({} netlists × {} θ × {} seeds)",
         plan.len(),
@@ -284,7 +261,6 @@ fn main() -> ExitCode {
         faults: args.fault_plan.clone(),
         checkpoint: args.checkpoint.clone(),
         telemetry: tele.clone(),
-        span_parent: None,
     };
     let mut exec = Exec::new(args.threads);
     exec.set_telemetry(tele.clone(), None);

@@ -70,21 +70,20 @@ mod trace;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use deterrent_core::{
     ArtifactStore, CacheEvents, DeterrentConfig, DeterrentResult, DeterrentSession, FaultKind,
     FaultPlan, RunObserver, Stage, StageMetrics, StoreCounters, QUIET_ENV_VAR,
 };
-use exec::{catch_task, split_seed, CancelToken, Exec, ExecPool, ExecStats};
+use exec::{catch_task, split_seed, CancelToken, Exec, ExecStats};
 use netlist::synth::BenchmarkProfile;
 use netlist::Netlist;
 use telemetry::{Counter, Span, SpanContext, Telemetry};
 
 pub use checkpoint::{Checkpoint, SavedRow};
 pub use spec::{base_config_for, PlanSpec};
-pub use trace::{render_trace_line, StderrTraceSink};
+pub use trace::StderrTraceSink;
 
 /// Marker substring of the panic a [`RunPolicy::cell_deadline`] expiry
 /// raises inside a cell's failure domain — how the retry loop tells a
@@ -269,7 +268,11 @@ impl CampaignPlan {
         let cancel = CancelToken::new();
         let failures = AtomicUsize::new(0);
         let tele = &policy.telemetry;
-        let run_span = open_run_span(self, cells.len(), policy);
+        let mut run_span = tele.span("campaign");
+        run_span.attr_u64("cells", cells.len() as u64);
+        run_span.attr_u64("netlists", self.netlists.len() as u64);
+        run_span.attr_u64("thetas", self.thetas.len() as u64);
+        run_span.attr_u64("seeds", self.seeds.len() as u64);
         let run_ctx = run_span.context();
         let counters_before = store.counters();
         let events_before = store.cache_events();
@@ -300,64 +303,6 @@ impl CampaignPlan {
             &events_before,
             exec_before,
             exec.stats(),
-        );
-        report
-    }
-
-    /// Like [`CampaignPlan::run_with_policy`], but scheduled on a
-    /// persistent [`ExecPool`] instead of per-run scoped threads — the
-    /// runner a resident service (the `deterrent-serve` daemon) uses so
-    /// sequential campaigns reuse one set of workers.
-    ///
-    /// The pool splits the cell list with the same static chunk rule as
-    /// the scoped executor and merges rows in plan order, so for any given
-    /// plan the report is **bit-identical** to [`CampaignPlan::run_with_policy`]
-    /// at any thread count. In-flight cells are bounded by the pool's
-    /// worker count. The progress sink is shared (`Arc`) rather than
-    /// borrowed because pool tasks outlive the caller's stack frame.
-    #[must_use]
-    pub fn run_on_pool(
-        &self,
-        store: &ArtifactStore,
-        pool: &ExecPool,
-        sink: Arc<dyn ProgressSink + Send + Sync>,
-        policy: &RunPolicy,
-    ) -> CampaignReport {
-        let cells = Arc::new(self.cells());
-        let tele = &policy.telemetry;
-        let run_span = open_run_span(self, cells.len(), policy);
-        let counters_before = store.counters();
-        let events_before = store.cache_events();
-        let exec_before = pool.stats();
-        let shared = Arc::new(PoolCellEnv {
-            plan: self.clone(),
-            netlists: self.netlists.iter().map(NetlistSpec::build).collect(),
-            store: store.clone(),
-            sink,
-            policy: policy.clone(),
-            checkpoint: policy.checkpoint.as_ref().map(Checkpoint::open),
-            // A fresh token per run: cancellation never leaks across runs.
-            cancel: CancelToken::new(),
-            failures: AtomicUsize::new(0),
-            run_ctx: run_span.context(),
-            checkpoint_writes: tele.counter("campaign.checkpoint_writes"),
-            checkpoint_write_failures: tele.counter("campaign.checkpoint_write_failures"),
-        });
-        let results = {
-            let shared = Arc::clone(&shared);
-            let cells = Arc::clone(&cells);
-            pool.par_index_map(cells.len(), move |i| shared.env().execute(&cells[i]))
-        };
-        let report = CampaignReport { cells: results };
-        finish_run_span(
-            run_span,
-            tele.is_enabled(),
-            &report,
-            store,
-            &counters_before,
-            &events_before,
-            exec_before,
-            pool.stats(),
         );
         report
     }
@@ -549,11 +494,6 @@ pub struct RunPolicy {
     /// telemetry is out-of-band: the [`CampaignReport`] is byte-identical
     /// with or without it, at any thread count.
     pub telemetry: Telemetry,
-    /// Parent span context for the root `campaign` span. `None` (the
-    /// default) makes it a root span; the serve daemon sets this to its
-    /// per-job `serve.job` span so streamed traces nest the whole campaign
-    /// under the job that requested it.
-    pub span_parent: Option<SpanContext>,
 }
 
 impl Default for RunPolicy {
@@ -566,7 +506,6 @@ impl Default for RunPolicy {
             faults: None,
             checkpoint: None,
             telemetry: Telemetry::disabled(),
-            span_parent: None,
         }
     }
 }
@@ -578,12 +517,9 @@ fn quiet_requested() -> bool {
     std::env::var(QUIET_ENV_VAR).is_ok_and(|v| v.trim() == "1")
 }
 
-/// Everything one cell's failure domain reads, borrowed from whichever
-/// runner owns the storage — [`CampaignPlan::run_with_policy`] borrows
-/// straight from its stack frame, [`CampaignPlan::run_on_pool`] from an
-/// [`Arc`]-shared [`PoolCellEnv`]. Keeping a single `execute` body is what
-/// guarantees the two runners produce identical rows, spans, checkpoint
-/// writes, and cancellation behavior.
+/// Everything one cell's failure domain reads, borrowed from
+/// [`CampaignPlan::run_with_policy`]'s stack frame and shared by every
+/// worker of the run.
 struct CellEnv<'a> {
     plan: &'a CampaignPlan,
     netlists: &'a [Netlist],
@@ -668,58 +604,6 @@ impl CellEnv<'_> {
         self.sink.cell_finished(&row);
         row
     }
-}
-
-/// The owned (`'static`) storage behind [`CellEnv`] for pool scheduling:
-/// pool tasks outlive the caller's stack frame, so everything a cell
-/// touches lives in one [`Arc`]-shared bundle for the duration of the run.
-struct PoolCellEnv {
-    plan: CampaignPlan,
-    netlists: Vec<Netlist>,
-    store: ArtifactStore,
-    sink: Arc<dyn ProgressSink + Send + Sync>,
-    policy: RunPolicy,
-    checkpoint: Option<Checkpoint>,
-    cancel: CancelToken,
-    failures: AtomicUsize,
-    run_ctx: SpanContext,
-    checkpoint_writes: Counter,
-    checkpoint_write_failures: Counter,
-}
-
-impl PoolCellEnv {
-    /// Borrows the bundle as the shared per-cell environment.
-    fn env(&self) -> CellEnv<'_> {
-        CellEnv {
-            plan: &self.plan,
-            netlists: &self.netlists,
-            store: &self.store,
-            sink: self.sink.as_ref(),
-            policy: &self.policy,
-            checkpoint: self.checkpoint.as_ref(),
-            cancel: &self.cancel,
-            failures: &self.failures,
-            run_ctx: &self.run_ctx,
-            checkpoint_writes: &self.checkpoint_writes,
-            checkpoint_write_failures: &self.checkpoint_write_failures,
-        }
-    }
-}
-
-/// Opens the root `campaign` span with the grid-shape attrs — parented
-/// under [`RunPolicy::span_parent`] when set (the serve daemon parents
-/// campaigns under its per-job `serve.job` span), a root span otherwise.
-fn open_run_span(plan: &CampaignPlan, cells: usize, policy: &RunPolicy) -> Span {
-    let tele = &policy.telemetry;
-    let mut run_span = match &policy.span_parent {
-        Some(parent) => tele.child_span(parent, "campaign"),
-        None => tele.span("campaign"),
-    };
-    run_span.attr_u64("cells", cells as u64);
-    run_span.attr_u64("netlists", plan.netlists.len() as u64);
-    run_span.attr_u64("thetas", plan.thetas.len() as u64);
-    run_span.attr_u64("seeds", plan.seeds.len() as u64);
-    run_span
 }
 
 /// Closes the root `campaign` span with the outcome tally in `attrs` and

@@ -1,15 +1,11 @@
-//! The wire-format campaign specification shared by every front end.
+//! The campaign grid as plain data.
 //!
-//! [`PlanSpec`] is the *one* description of "which sweep to run" — the
-//! `deterrent-campaign` CLI flags, the serve daemon's submit frames, and
-//! tests all build a [`crate::CampaignPlan`] through it, so a job
-//! submitted over a socket reconstructs byte-for-byte the same base
-//! configuration as the one-shot CLI and the resulting TSV reports `cmp`
-//! clean. The JSON codec is hand-rolled on [`telemetry::Value`] (no serde
-//! in this workspace).
+//! [`PlanSpec`] is the *one* description of "which sweep to run": the
+//! `deterrent-campaign` CLI flags parse into it and tests build from it,
+//! and both turn it into a [`crate::CampaignPlan`] through
+//! [`PlanSpec::to_plan`], so its [`Default`] is the only default grid.
 
 use deterrent_core::DeterrentConfig;
-use telemetry::{obj, Value};
 
 use crate::{profile_by_name, CampaignPlan, NetlistSpec};
 
@@ -17,9 +13,6 @@ use crate::{profile_by_name, CampaignPlan, NetlistSpec};
 /// divisor and an episode count: paper-sized presets at `scale <= 1`,
 /// otherwise the fast preset widened back toward paper fidelity
 /// (4096 probability patterns, 16 eval rollouts, k=8 pattern sets).
-///
-/// Centralizing this here is what makes daemon-run reports byte-identical
-/// to CLI runs: both sides call this one function.
 #[must_use]
 pub fn base_config_for(scale: usize, episodes: usize) -> DeterrentConfig {
     if scale <= 1 {
@@ -80,15 +73,15 @@ impl PlanSpec {
     ///
     /// # Errors
     ///
-    /// Rejects unknown benchmark names, empty grid axes, and non-finite θ
-    /// values with a human-readable message (the daemon forwards it to the
-    /// submitting client verbatim).
+    /// Rejects unknown benchmark names, empty grid axes, and any θ outside
+    /// `(0, 0.5]` (NaN and ∞ included) — the range rare-net analysis
+    /// accepts — with a human-readable message naming the bad value.
     pub fn to_plan(&self) -> Result<CampaignPlan, String> {
         if self.netlists.is_empty() || self.thetas.is_empty() || self.seeds.is_empty() {
             return Err("empty plan axis (netlists, thetas, and seeds must be non-empty)".into());
         }
-        if let Some(theta) = self.thetas.iter().find(|t| !t.is_finite()) {
-            return Err(format!("non-finite theta {theta}"));
+        if let Some(theta) = self.thetas.iter().find(|&&t| !(t > 0.0 && t <= 0.5)) {
+            return Err(format!("theta {theta} outside (0, 0.5]"));
         }
         let netlists = self
             .netlists
@@ -105,93 +98,6 @@ impl PlanSpec {
             seeds: self.seeds.clone(),
             base: base_config_for(self.scale, self.episodes),
             cell_threads: self.cell_threads,
-        })
-    }
-
-    /// Encodes the spec as a JSON object (the `plan` field of a submit
-    /// frame). θ values keep their shortest round-tripping decimal form,
-    /// so decoding yields bit-identical floats.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        obj([
-            (
-                "netlists",
-                Value::Arr(self.netlists.iter().map(Value::str).collect()),
-            ),
-            ("scale", Value::u64(self.scale as u64)),
-            (
-                "thetas",
-                Value::Arr(self.thetas.iter().map(|&t| Value::f64(t)).collect()),
-            ),
-            (
-                "seeds",
-                Value::Arr(self.seeds.iter().map(|&s| Value::u64(s)).collect()),
-            ),
-            ("episodes", Value::u64(self.episodes as u64)),
-            ("cell_threads", Value::u64(self.cell_threads as u64)),
-            ("netlist_seed", Value::u64(self.netlist_seed)),
-        ])
-    }
-
-    /// Decodes a spec from the JSON object produced by
-    /// [`PlanSpec::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// Reports the first missing or mistyped field by name.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let object = value.as_obj().ok_or("plan must be a JSON object")?;
-        let field = |name: &str| -> Result<&Value, String> {
-            object.get(name).ok_or_else(|| format!("missing {name}"))
-        };
-        let as_usize = |name: &str| -> Result<usize, String> {
-            field(name)?
-                .as_u64()
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("{name} must be an unsigned integer"))
-        };
-        let netlists = match field("netlists")? {
-            Value::Arr(items) => items
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "netlists entries must be strings".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("netlists must be an array".into()),
-        };
-        let thetas = match field("thetas")? {
-            Value::Arr(items) => items
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .filter(|t| t.is_finite())
-                        .ok_or_else(|| "thetas entries must be finite numbers".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("thetas must be an array".into()),
-        };
-        let seeds = match field("seeds")? {
-            Value::Arr(items) => items
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| "seeds entries must be unsigned integers".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("seeds must be an array".into()),
-        };
-        Ok(Self {
-            netlists,
-            scale: as_usize("scale")?,
-            thetas,
-            seeds,
-            episodes: as_usize("episodes")?,
-            cell_threads: as_usize("cell_threads")?,
-            netlist_seed: field("netlist_seed")?
-                .as_u64()
-                .ok_or("netlist_seed must be an unsigned integer")?,
         })
     }
 }
@@ -211,21 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_thetas_bitwise() {
-        let spec = PlanSpec {
-            thetas: vec![0.15, 0.2, 0.125, 1.0 / 3.0],
-            seeds: vec![1, 2, u64::MAX],
-            ..PlanSpec::default()
-        };
-        let encoded = spec.to_value().to_json();
-        let decoded = PlanSpec::from_value(&telemetry::json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded, spec);
-        for (a, b) in spec.thetas.iter().zip(&decoded.thetas) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn rejects_unknown_netlists_and_empty_axes() {
         let mut spec = PlanSpec {
             netlists: vec!["nonesuch".into()],
@@ -235,14 +126,18 @@ mod tests {
         spec.netlists = vec!["c2670".into()];
         spec.thetas.clear();
         assert!(spec.to_plan().unwrap_err().contains("empty plan axis"));
-    }
-
-    #[test]
-    fn from_value_names_the_bad_field() {
-        let mut value = PlanSpec::default().to_value();
-        if let Value::Obj(map) = &mut value {
-            map.remove("seeds");
+        for (bad, shown) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (0.0, "0"),
+            (-0.1, "-0.1"),
+            (0.9, "0.9"),
+        ] {
+            spec.thetas = vec![0.15, bad];
+            let err = spec.to_plan().unwrap_err();
+            assert!(err.contains(&format!("theta {shown} ")), "{err}");
         }
-        assert_eq!(PlanSpec::from_value(&value).unwrap_err(), "missing seeds");
+        spec.thetas = vec![0.5];
+        assert!(spec.to_plan().is_ok());
     }
 }

@@ -86,13 +86,7 @@ impl TraceSink for StderrTraceSink {
 
 /// Renders one trace event as its stderr progress line, or `None` for
 /// events the progress stream does not report.
-///
-/// This is the single source of the `[campaign] …` formats: the local
-/// [`StderrTraceSink`] prints these strings, and `deterrent-submit`
-/// renders the *same* strings from events streamed over the daemon
-/// socket — so client-side progress is byte-identical to a local run's.
-#[must_use]
-pub fn render_trace_line(event: &TraceEvent) -> Option<String> {
+fn render_trace_line(event: &TraceEvent) -> Option<String> {
     match event.kind {
         EventKind::Mark if event.name == "cell_start" => {
             let theta = match event.attrs.get("theta") {

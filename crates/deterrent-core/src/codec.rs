@@ -2036,7 +2036,7 @@ mod tests {
     fn generation_counter_invalidates_other_stores_indexes() {
         let root = temp_root("index-cross-store");
         let policy = crate::CachePolicy::default().with_max_bytes(200);
-        // Two stores sharing one directory, as two daemon processes would.
+        // Two stores sharing one directory, as two CLI processes would.
         let a = DiskStore::with_faults(root.clone(), policy, None);
         let b = DiskStore::with_faults(root.clone(), policy, None);
 

@@ -26,11 +26,9 @@
 //! [`std::thread::available_parallelism`]. Every parallel call records task
 //! and timing counters in an [`ExecStats`] surface for speedup reporting.
 //!
-//! Two executors share that contract: [`Exec`] spawns scoped threads per
-//! call (zero setup cost to hold, ~20–100 µs to dispatch), while
-//! [`ExecPool`] keeps persistent workers fed over channels for resident
-//! services that dispatch continuously. Both split work with the same
-//! static chunk rule, so their results are interchangeable byte-for-byte.
+//! [`Exec`] is the one executor: it spawns scoped threads per call (nothing
+//! to hold between calls, ~20–100 µs to dispatch) and splits work with one
+//! static chunk rule, so a caller's results depend only on the inputs.
 //!
 //! # Fault containment
 //!
@@ -64,13 +62,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod exec_pool;
 mod pool;
 mod seed;
 mod stats;
 mod task;
 
-pub use exec_pool::ExecPool;
 pub use pool::Exec;
 pub use seed::{split_seed, SeedStream};
 pub use stats::ExecStats;

@@ -9,12 +9,9 @@ use crate::stats::StatsCell;
 use crate::task::{catch_task, payload_message, CancelToken, TaskError};
 use crate::{ExecStats, THREADS_ENV_VAR};
 
-/// The one chunk-splitting rule shared by [`Exec`] and
-/// [`crate::ExecPool`]: `0..n` divides into contiguous ranges of this
-/// length (the last possibly shorter), one per worker. Keeping both
-/// executors on this single helper is what makes their outputs
-/// bit-identical by construction.
-pub(crate) fn chunk_size(n: usize, threads: usize) -> usize {
+/// The chunk-splitting rule of [`Exec`]: `0..n` divides into contiguous
+/// ranges of this length (the last possibly shorter), one per worker.
+fn chunk_size(n: usize, threads: usize) -> usize {
     n.div_ceil(threads.min(n))
 }
 

@@ -70,15 +70,6 @@ impl Value {
         }
     }
 
-    /// The value as an `f64`, if it is a number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(tok) => tok.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

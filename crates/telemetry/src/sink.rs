@@ -17,31 +17,19 @@ pub trait TraceSink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Writes each event as one JSON line to a buffered writer (the
+/// Writes each event as one JSON line to a buffered file (the
 /// `--trace-out FILE` / `DETERRENT_TRACE_OUT` format).
+#[derive(Debug)]
 pub struct JsonlSink {
-    out: Mutex<BufWriter<Box<dyn Write + Send>>>,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").finish_non_exhaustive()
-    }
+    out: Mutex<BufWriter<File>>,
 }
 
 impl JsonlSink {
     /// Creates (truncating) the JSONL file at `path`.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::to_writer(Box::new(file)))
-    }
-
-    /// Wraps an arbitrary writer (tests, future daemon streams).
-    #[must_use]
-    pub fn to_writer(writer: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: Mutex::new(BufWriter::new(writer)),
-        }
+        Ok(Self {
+            out: Mutex::new(BufWriter::new(File::create(path)?)),
+        })
     }
 }
 

@@ -18,9 +18,6 @@
 //! * [`baselines`] — Random, MERO, TARMAC, TGRL-like, and ATPG baselines.
 //! * [`campaign`] — netlists × θ × seeds sweep driver over one bounded
 //!   artifact cache, plus the `deterrent-campaign`/`deterrent-cache` CLIs.
-//! * [`serve`] — resident campaign daemon over a Unix-domain socket
-//!   (persistent worker pool, streamed progress), plus the
-//!   `deterrent-serve`/`deterrent-submit` CLIs.
 //!
 //! # Quick start
 //!
@@ -48,7 +45,6 @@ pub use exec;
 pub use netlist;
 pub use rl;
 pub use sat;
-pub use serve;
 pub use sim;
 pub use trojan;
 

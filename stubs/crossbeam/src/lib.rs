@@ -1,14 +1,9 @@
-//! Offline stand-in for the `crossbeam::thread` and `crossbeam::channel`
-//! APIs.
+//! Offline stand-in for the `crossbeam::thread` API.
 //!
-//! Since Rust 1.63 the standard library ships scoped threads, so the
-//! `thread` module is a thin adapter exposing the
-//! `crossbeam::thread::scope(|s| ...)` calling convention (spawned closures
-//! receive a `&Scope` argument, `scope` returns a `Result`) on top of
-//! [`std::thread::scope`]. The `channel` module is a small MPMC channel
-//! (`Mutex<VecDeque>` + `Condvar`) with crossbeam's disconnect semantics —
-//! enough for worker pools that share one job queue between many consumers,
-//! which [`std::sync::mpsc`] cannot express.
+//! Since Rust 1.63 the standard library ships scoped threads, so this crate
+//! is a thin adapter exposing the `crossbeam::thread::scope(|s| ...)`
+//! calling convention (spawned closures receive a `&Scope` argument, `scope`
+//! returns a `Result`) on top of [`std::thread::scope`].
 
 #![forbid(unsafe_code)]
 
@@ -67,240 +62,6 @@ pub mod thread {
     }
 }
 
-/// Multi-producer multi-consumer FIFO channels.
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    /// Error returned by [`Sender::send`] when every receiver has been
-    /// dropped; carries the unsent message back to the caller.
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender has been dropped.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty, disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty but senders remain.
-        Empty,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived before the deadline.
-        Timeout,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Shared<T> {
-        state: Mutex<State<T>>,
-        /// Bound on queued messages; `None` for unbounded channels.
-        capacity: Option<usize>,
-        /// Signalled when a message or disconnect makes `recv` progress.
-        on_recv: Condvar,
-        /// Signalled when a pop or disconnect makes a bounded `send` progress.
-        on_send: Condvar,
-    }
-
-    /// The sending half of a channel. Cloning adds a producer; the channel
-    /// disconnects for receivers once every clone is dropped.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// The receiving half of a channel. Cloning adds a consumer; every clone
-    /// drains the same queue (each message is delivered to exactly one).
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            let mut state = self.shared.state.lock().unwrap();
-            state.senders += 1;
-            drop(state);
-            Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            let mut state = self.shared.state.lock().unwrap();
-            state.receivers += 1;
-            drop(state);
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.state.lock().unwrap();
-            state.senders -= 1;
-            if state.senders == 0 {
-                self.shared.on_recv.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.state.lock().unwrap();
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                self.shared.on_send.notify_all();
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a message, blocking while a bounded channel is full.
-        /// Fails only when every receiver has been dropped.
-        pub fn send(&self, message: T) -> Result<(), SendError<T>> {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(message));
-                }
-                match self.shared.capacity {
-                    Some(cap) if state.queue.len() >= cap => {
-                        state = self.shared.on_send.wait(state).unwrap();
-                    }
-                    _ => break,
-                }
-            }
-            state.queue.push_back(message);
-            drop(state);
-            self.shared.on_recv.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Receives a message, blocking until one arrives or every sender
-        /// has been dropped and the queue is drained.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if let Some(message) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.on_send.notify_one();
-                    return Ok(message);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state = self.shared.on_recv.wait(state).unwrap();
-            }
-        }
-
-        /// Receives a message if one is already queued.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.state.lock().unwrap();
-            if let Some(message) = state.queue.pop_front() {
-                drop(state);
-                self.shared.on_send.notify_one();
-                Ok(message)
-            } else if state.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Receives a message, giving up after `timeout`.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut state = self.shared.state.lock().unwrap();
-            loop {
-                if let Some(message) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.on_send.notify_one();
-                    return Ok(message);
-                }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (next, result) = self.shared.on_recv.wait_timeout(state, remaining).unwrap();
-                state = next;
-                if result.timed_out() && state.queue.is_empty() && state.senders > 0 {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-            }
-        }
-    }
-
-    fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            capacity,
-            on_recv: Condvar::new(),
-            on_send: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    /// Creates a channel with no bound on queued messages.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        channel(None)
-    }
-
-    /// Creates a channel holding at most `capacity` queued messages;
-    /// `send` blocks while full. A zero capacity is rounded up to one
-    /// (this stub has no rendezvous mode).
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        channel(Some(capacity.max(1)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::thread;
@@ -328,82 +89,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(r, 42);
-    }
-
-    mod channel {
-        use super::super::channel::{bounded, unbounded, RecvTimeoutError, TryRecvError};
-        use std::time::Duration;
-
-        #[test]
-        fn fifo_order_single_consumer() {
-            let (tx, rx) = unbounded();
-            for i in 0..10 {
-                tx.send(i).unwrap();
-            }
-            let got: Vec<i32> = (0..10).map(|_| rx.recv().unwrap()).collect();
-            assert_eq!(got, (0..10).collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn mpmc_delivers_each_message_once() {
-            let (tx, rx) = unbounded::<u64>();
-            let consumers: Vec<_> = (0..4)
-                .map(|_| {
-                    let rx = rx.clone();
-                    std::thread::spawn(move || {
-                        let mut sum = 0u64;
-                        while let Ok(v) = rx.recv() {
-                            sum += v;
-                        }
-                        sum
-                    })
-                })
-                .collect();
-            drop(rx);
-            for v in 1..=100u64 {
-                tx.send(v).unwrap();
-            }
-            drop(tx);
-            let total: u64 = consumers.into_iter().map(|h| h.join().unwrap()).sum();
-            assert_eq!(total, 5050);
-        }
-
-        #[test]
-        fn recv_errors_after_senders_drop() {
-            let (tx, rx) = unbounded();
-            tx.send(7).unwrap();
-            drop(tx);
-            assert_eq!(rx.recv(), Ok(7));
-            assert!(rx.recv().is_err());
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        }
-
-        #[test]
-        fn send_errors_after_receivers_drop() {
-            let (tx, rx) = unbounded();
-            drop(rx);
-            assert!(tx.send(1).is_err());
-        }
-
-        #[test]
-        fn bounded_send_blocks_until_popped() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            let producer = std::thread::spawn(move || tx.send(2).unwrap());
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Ok(2));
-            producer.join().unwrap();
-        }
-
-        #[test]
-        fn recv_timeout_times_out_then_delivers() {
-            let (tx, rx) = unbounded();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(5)),
-                Err(RecvTimeoutError::Timeout)
-            );
-            tx.send(9).unwrap();
-            assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(9));
-        }
     }
 }
