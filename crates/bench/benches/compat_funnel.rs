@@ -2,7 +2,8 @@
 //! the all-SAT baseline vs the three-tier simulation-first funnel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use deterrent_core::{CompatBuildOptions, CompatStrategy, CompatibilityGraph, FunnelOptions};
+use deterrent_core::{CompatStrategy, CompatibilityGraph};
+use exec::Exec;
 use netlist::synth::BenchmarkProfile;
 use sim::rare::RareNetAnalysis;
 
@@ -14,55 +15,17 @@ fn setup() -> (netlist::Netlist, RareNetAnalysis) {
 
 fn bench_strategies(c: &mut Criterion) {
     let (nl, analysis) = setup();
+    let serial = Exec::new(1);
+    let parallel = Exec::new(4);
     c.bench_function("compat/all_sat_serial", |b| {
-        b.iter(|| {
-            CompatibilityGraph::build_with(
-                &nl,
-                &analysis,
-                &CompatBuildOptions {
-                    threads: 1,
-                    strategy: CompatStrategy::AllSat,
-                },
-            )
-        })
+        b.iter(|| CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &serial))
     });
     c.bench_function("compat/funnel_serial", |b| {
-        b.iter(|| {
-            CompatibilityGraph::build_with(
-                &nl,
-                &analysis,
-                &CompatBuildOptions {
-                    threads: 1,
-                    strategy: CompatStrategy::Funnel(FunnelOptions::default()),
-                },
-            )
-        })
+        b.iter(|| CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::default(), &serial))
     });
     c.bench_function("compat/funnel_4_threads", |b| {
         b.iter(|| {
-            CompatibilityGraph::build_with(
-                &nl,
-                &analysis,
-                &CompatBuildOptions {
-                    threads: 4,
-                    strategy: CompatStrategy::Funnel(FunnelOptions::default()),
-                },
-            )
-        })
-    });
-    c.bench_function("compat/funnel_no_cone_sat", |b| {
-        b.iter(|| {
-            CompatibilityGraph::build_with(
-                &nl,
-                &analysis,
-                &CompatBuildOptions {
-                    threads: 1,
-                    strategy: CompatStrategy::Funnel(FunnelOptions {
-                        cone_sat: false,
-                        ..FunnelOptions::default()
-                    }),
-                },
-            )
+            CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::default(), &parallel)
         })
     });
 }

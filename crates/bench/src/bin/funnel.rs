@@ -16,12 +16,13 @@
 //! [--cap-min N]`
 //! (defaults match the
 //! acceptance profile: c2670 at scale 20, θ = 0.2, and the paper's 100k
-//! random-pattern budget). The enumeration tier defaults to the self-tuning
-//! per-pair cost model; `--limit K` overrides it with the legacy fixed
-//! support cutoff (`--limit 0` disables enumeration). `--threads 0` resolves
-//! via `DETERRENT_THREADS`/available cores. A non-zero `--min-speedup` turns
-//! the speedup report into a gate, skipped when the host has fewer cores
-//! than workers (a 1-core box cannot exhibit wall-clock speedup).
+//! random-pattern budget). The enumeration tier runs the per-pair cost model
+//! up to a union support of 26 scan inputs; `--limit K` lowers that ceiling
+//! to K (`--limit 0` disables enumeration, K > 26 is a usage error).
+//! `--threads 0` resolves via `DETERRENT_THREADS`/available cores. A
+//! non-zero `--min-speedup` turns the speedup report into a gate, skipped
+//! when the host has fewer cores than workers (a 1-core box cannot exhibit
+//! wall-clock speedup).
 //! `--cache-dir DIR` persists the (untimed) all-SAT reference graph in the
 //! artifact cache at DIR, so repeat invocations skip the most expensive
 //! untimed step; the timed funnel phases always recompute — they are the
@@ -41,8 +42,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use deterrent_core::{
-    ArtifactStore, CompatBuildOptions, CompatStrategy, CompatibilityGraph, DeterrentConfig,
-    DeterrentSession, EnumerationBudget, FunnelOptions,
+    ArtifactStore, CompatStrategy, CompatibilityGraph, DeterrentConfig, DeterrentSession,
+    FunnelOptions, MAX_ENUMERATION_SUPPORT,
 };
 use exec::Exec;
 use netlist::synth::BenchmarkProfile;
@@ -56,8 +57,8 @@ struct Args {
     theta: f64,
     patterns: usize,
     threads: usize,
-    /// `None` = adaptive cost model; `Some(k)` = legacy fixed support limit.
-    limit: Option<u32>,
+    /// Enumeration support ceiling of the cost model (0 = off).
+    max_support: u32,
     min_speedup: f64,
     /// Persistent artifact-cache directory for the all-SAT reference graph.
     cache_dir: Option<PathBuf>,
@@ -75,14 +76,6 @@ struct Args {
 }
 
 impl Args {
-    fn enumeration(&self) -> EnumerationBudget {
-        match self.limit {
-            None => EnumerationBudget::self_tuning(),
-            Some(0) => EnumerationBudget::Disabled,
-            Some(k) => EnumerationBudget::FixedSupportLimit(k),
-        }
-    }
-
     fn solver(&self) -> SolverConfig {
         let mut config = if self.solver_legacy {
             SolverConfig::legacy()
@@ -104,7 +97,7 @@ fn parse_args() -> Args {
         theta: 0.2,
         patterns: 100_000,
         threads: 1,
-        limit: None,
+        max_support: MAX_ENUMERATION_SUPPORT,
         min_speedup: 0.0,
         cache_dir: None,
         solver_legacy: false,
@@ -130,7 +123,7 @@ fn parse_args() -> Args {
             ("--theta", Some(v)) => args.theta = parse_or_die("--theta", v),
             ("--patterns", Some(v)) => args.patterns = parse_or_die("--patterns", v),
             ("--threads", Some(v)) => args.threads = parse_or_die("--threads", v),
-            ("--limit", Some(v)) => args.limit = Some(parse_or_die("--limit", v)),
+            ("--limit", Some(v)) => args.max_support = parse_or_die("--limit", v),
             ("--min-speedup", Some(v)) => args.min_speedup = parse_or_die("--min-speedup", v),
             ("--cache-dir", Some(v)) => args.cache_dir = Some(PathBuf::from(v)),
             ("--solver", Some(v)) => {
@@ -169,6 +162,13 @@ fn parse_args() -> Args {
         eprintln!("error: --patterns must be at least 1");
         std::process::exit(2);
     }
+    if args.max_support > MAX_ENUMERATION_SUPPORT {
+        eprintln!(
+            "error: --limit must be at most {MAX_ENUMERATION_SUPPORT}, got {}",
+            args.max_support
+        );
+        std::process::exit(2);
+    }
     args
 }
 
@@ -183,18 +183,12 @@ fn offline_phase(
     let exec = Exec::new(threads.max(1));
     let analysis =
         RareNetAnalysis::estimate_with(netlist, args.theta, args.patterns, args.seed, &exec);
-    let graph = CompatibilityGraph::build_with(
-        netlist,
-        &analysis,
-        &CompatBuildOptions {
-            threads: threads.max(1),
-            strategy: CompatStrategy::Funnel(FunnelOptions {
-                enumeration: args.enumeration(),
-                solver: args.solver(),
-                ..FunnelOptions::default()
-            }),
-        },
-    );
+    let strategy = CompatStrategy::Funnel(FunnelOptions {
+        max_support: args.max_support,
+        solver: args.solver(),
+        ..FunnelOptions::default()
+    });
+    let graph = CompatibilityGraph::build_on(netlist, &analysis, strategy, &exec);
     (analysis, graph, start.elapsed())
 }
 
@@ -234,19 +228,9 @@ fn main() {
         netlist.num_scan_inputs(),
         threads,
     );
-    match args.enumeration() {
-        EnumerationBudget::SelfTuning { probe_pairs, .. } => {
-            println!(
-                "enumeration budget: self-tuning per-pair cost model, {probe_pairs} probes (default)"
-            );
-        }
-        EnumerationBudget::Adaptive { .. } => {
-            println!("enumeration budget: adaptive per-pair cost model");
-        }
-        EnumerationBudget::FixedSupportLimit(k) => {
-            println!("enumeration budget: fixed support limit {k} (--limit override)");
-        }
-        EnumerationBudget::Disabled => println!("enumeration budget: disabled (--limit 0)"),
+    match args.max_support {
+        0 => println!("enumeration: disabled (--limit 0)"),
+        k => println!("enumeration: per-pair cost model, max support {k}"),
     }
     println!(
         "solver: {}",
@@ -302,13 +286,11 @@ fn main() {
         }
         artifact.graph().clone()
     } else {
-        CompatibilityGraph::build_with(
+        CompatibilityGraph::build_on(
             &netlist,
             &analysis,
-            &CompatBuildOptions {
-                threads,
-                strategy: CompatStrategy::AllSat,
-            },
+            CompatStrategy::AllSat,
+            &Exec::new(threads),
         )
     };
 
@@ -404,12 +386,6 @@ fn main() {
         "learned clauses: learned={} deleted={} reduces={} peak_live={}",
         sv.learned_clauses, sv.deleted_clauses, sv.reduces, sv.peak_learnts
     );
-    if fs.budget_self_tuned {
-        println!(
-            "budget self-tuned: base={} per_gate={} word ops from {} probe(s)",
-            fs.budget_sat_base_word_ops, fs.budget_sat_per_gate_word_ops, fs.budget_probe_queries
-        );
-    }
 
     let mut failed = false;
     if args.expect_reduction {
@@ -435,7 +411,7 @@ fn main() {
             theta: args.theta,
             patterns: args.patterns,
             threads: args.threads,
-            limit: args.limit,
+            max_support: args.max_support,
             min_speedup: 0.0,
             cache_dir: None,
             solver_legacy: true,

@@ -46,8 +46,8 @@ use crate::cache::{CacheError, CacheErrorKind, CacheEvents};
 use crate::codec::{self, DiskLookup, DiskStage, DiskStore};
 use crate::fault::FaultPlan;
 use crate::{
-    AnalysisConfig, CachePolicy, CompatConfig, CompatibilityGraph, EnumerationBudget,
-    PatternGenStats, RareNetSet, SelectConfig, Stage, TrainConfig,
+    AnalysisConfig, CachePolicy, CompatConfig, CompatibilityGraph, PatternGenStats, RareNetSet,
+    SelectConfig, Stage, TrainConfig,
 };
 
 // ───────────────────────── fingerprinting ─────────────────────────
@@ -120,29 +120,6 @@ fn fp_ppo(fp: Fp, ppo: &PpoConfig) -> Fp {
     fp
 }
 
-fn fp_budget(fp: Fp, budget: &EnumerationBudget) -> Fp {
-    match *budget {
-        EnumerationBudget::Disabled => fp.u64(0),
-        EnumerationBudget::FixedSupportLimit(limit) => fp.u64(1).u64(u64::from(limit)),
-        EnumerationBudget::Adaptive {
-            sat_base_word_ops,
-            sat_per_gate_word_ops,
-            max_support,
-        } => fp
-            .u64(2)
-            .u64(sat_base_word_ops)
-            .u64(sat_per_gate_word_ops)
-            .u64(u64::from(max_support)),
-        EnumerationBudget::SelfTuning {
-            probe_pairs,
-            max_support,
-        } => fp
-            .u64(3)
-            .u64(probe_pairs as u64)
-            .u64(u64::from(max_support)),
-    }
-}
-
 fn fp_solver(fp: Fp, config: &sat::SolverConfig) -> Fp {
     let fp = match config.restarts {
         sat::RestartPolicy::Luby { unit } => fp.u64(0).u64(unit),
@@ -158,13 +135,10 @@ fn fp_compat(fp: Fp, config: &CompatConfig) -> Fp {
     match config.strategy {
         crate::CompatStrategy::AllSat => fp.u64(0),
         crate::CompatStrategy::Funnel(f) => fp_solver(
-            fp_budget(
-                fp.u64(1)
-                    .bool(f.sim_witnesses)
-                    .bool(f.structural_pruning)
-                    .bool(f.cone_sat),
-                &f.enumeration,
-            ),
+            fp.u64(1)
+                .bool(f.sim_witnesses)
+                .bool(f.structural_pruning)
+                .u64(u64::from(f.max_support)),
             &f.solver,
         ),
     }

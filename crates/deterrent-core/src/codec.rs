@@ -106,8 +106,9 @@ const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 /// train-stage payload variant tag (full vs slim); version 3 split the
 /// fused analyze artifact into estimate (stage tag 6) + re-keyed
 /// threshold payloads; version 4 extended `CompatStats` with SAT solver
-/// counters and self-tuned enumeration-budget fields.
-pub(crate) const FORMAT_VERSION: u32 = 4;
+/// counters and self-tuned enumeration-budget fields; version 5 dropped the
+/// budget fields again with the single fixed enumeration cost model.
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 40;
 
@@ -645,10 +646,6 @@ fn w_stats(w: &mut Writer, stats: &CompatStats) {
     w.u64(stats.solver.reduces);
     w.u64(stats.solver.deleted_clauses);
     w.u64(stats.solver.peak_learnts);
-    w.u64(stats.budget_sat_base_word_ops);
-    w.u64(stats.budget_sat_per_gate_word_ops);
-    w.u64(stats.budget_probe_queries);
-    w.bool(stats.budget_self_tuned);
 }
 
 fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
@@ -676,10 +673,6 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
             deleted_clauses: r.u64()?,
             peak_learnts: r.u64()?,
         },
-        budget_sat_base_word_ops: r.u64()?,
-        budget_sat_per_gate_word_ops: r.u64()?,
-        budget_probe_queries: r.u64()?,
-        budget_self_tuned: r.bool()?,
     })
 }
 

@@ -38,231 +38,56 @@ use sim::{ConeSimulator, TestPattern, WitnessBank};
 /// cost more than the sweep itself. Results are identical either way.
 const TIER1_PARALLEL_MIN_PAIRS: usize = 4096;
 
-/// How tier 2 decides, per pair, whether bounded exhaustive cone enumeration
-/// is worth running instead of falling through to SAT.
+/// Largest union support bounded cone enumeration sweeps (`2^26` packed
+/// assignments); [`FunnelOptions::max_support`] is clamped to it.
+pub const MAX_ENUMERATION_SUPPORT: u32 = 26;
+
+/// Word-op-equivalent fixed cost of one cone-restricted SAT query (encoding
+/// and solver setup) in the enumeration cost model.
+const SAT_BASE_WORD_OPS: u64 = 1 << 18;
+
+/// Word-op-equivalent marginal SAT cost per union-cone gate.
+const SAT_PER_GATE_WORD_OPS: u64 = 256;
+
+/// The enumeration cost model of tier 2: whether a query whose union cone
+/// reads `support` scan inputs and spans `cone` gates should be decided by
+/// bounded exhaustive enumeration instead of SAT.
 ///
-/// Enumerating a pair costs `2^k / 64 · cone` word operations, where `k` is
-/// the union cone's scan-input support and `cone` its gate count — both known
-/// before committing. A SAT query on the same cone has a roughly affine cost
-/// in the cone size. Comparing the two per pair (the default,
-/// [`EnumerationBudget::adaptive`]) lets small-support/large-cone pairs
-/// enumerate deeper than any fixed support cutoff would dare while stopping
-/// early on the cones where a fixed cutoff would burn milliseconds per pair.
-/// The verdict itself is exact either way — the budget only chooses *where*
-/// the exact answer comes from, never *what* it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnumerationBudget {
-    /// Never enumerate (every unresolved pair goes to SAT).
-    Disabled,
-    /// The legacy fixed knob, kept as an override: enumerate exactly the
-    /// pairs whose union support has at most this many scan inputs
-    /// (clamped to 26).
-    FixedSupportLimit(u32),
-    /// The per-pair cost model: enumerate iff
-    /// `2^support / 64 · cone ≤ sat_base_word_ops + sat_per_gate_word_ops · cone`,
-    /// with `max_support` as a hard ceiling (clamped to 26).
-    Adaptive {
-        /// Fixed word-op-equivalent overhead of one SAT query (encoding,
-        /// solver setup).
-        sat_base_word_ops: u64,
-        /// Marginal word-op-equivalent SAT cost per cone gate.
-        sat_per_gate_word_ops: u64,
-        /// Hard support ceiling regardless of the model's verdict.
-        max_support: u32,
-    },
-    /// The default: fit the [`EnumerationBudget::Adaptive`] constants online,
-    /// per netlist, instead of shipping calibrated ones. After tier 1 and
-    /// structural pruning, the first `probe_pairs` unresolved pairs that the
-    /// *calibrated* model would send to SAT anyway are resolved by SAT on
-    /// the calling thread (so the fit — and therefore the enumerate/SAT
-    /// split — is identical at every thread count), measuring the solver's
-    /// decision/propagation counters per query against the pair's union
-    /// cone size; a clamped least-squares affine fit of those samples
-    /// becomes the `Adaptive` model for the remaining pairs. The clamp
-    /// floor is the calibrated model itself, so self-tuning only ever
-    /// grants *more* enumeration — which is why probing calibrated-SAT-bound
-    /// pairs costs zero extra queries: each probe verdict replaces a tier-3
-    /// query that was coming regardless. The singleton stage, which runs
-    /// before any pair exists to probe, uses the calibrated
-    /// [`EnumerationBudget::adaptive`] constants.
-    SelfTuning {
-        /// How many SAT-bound pairs to spend on probe SAT queries. The
-        /// probes are not wasted: their verdicts land in the adjacency like
-        /// any tier-3 pair.
-        probe_pairs: u32,
-        /// Hard support ceiling regardless of the fitted model's verdict.
-        max_support: u32,
-    },
-}
-
-impl EnumerationBudget {
-    /// The default adaptive cost model. The constants are calibrated against
-    /// this repo's CDCL solver on the synthetic ISCAS profiles: a
-    /// cone-restricted query costs a fixed overhead (encode + solver setup,
-    /// `2^18` word-op equivalents) plus a few hundred word ops per cone gate,
-    /// deliberately weighted a little toward enumeration because packed
-    /// sweeps are branch-free, cache-friendly, and parallelize perfectly.
-    ///
-    /// The model dominates any fixed support cutoff in both directions: a
-    /// support-19 pair over a 25-net cone enumerates (declined by the old
-    /// fixed-18 knob), while a support-16 pair over a 50 000-net cone goes to
-    /// SAT (the fixed knob would burn ~50M word ops enumerating it).
-    #[must_use]
-    pub fn adaptive() -> Self {
-        Self::Adaptive {
-            sat_base_word_ops: 1 << 18,
-            sat_per_gate_word_ops: 256,
-            max_support: 26,
-        }
+/// Enumerating costs `2^support / 64 · cone` word operations, both known
+/// before committing; a SAT query on the same cone costs roughly
+/// `SAT_BASE_WORD_OPS + SAT_PER_GATE_WORD_OPS · cone`. The constants are
+/// calibrated against this repo's CDCL solver on the synthetic ISCAS
+/// profiles, weighted a little toward enumeration because packed sweeps are
+/// branch-free and parallelize perfectly. Comparing the two per pair lets a
+/// support-19 pair over a 25-gate cone enumerate while a support-16 pair
+/// over a 50 000-gate cone goes to SAT, which no fixed support cutoff does.
+/// The verdict is exact either way: the model only chooses *where* the
+/// answer comes from, never *what* it is.
+fn admits(max_support: u32, support: u32, cone: usize) -> bool {
+    if support > max_support.min(MAX_ENUMERATION_SUPPORT) {
+        return false;
     }
-
-    /// The default self-tuning cost model: probe 8 unresolved pairs with SAT
-    /// and fit the `Adaptive` constants from the measured solver counters.
-    /// See [`EnumerationBudget::SelfTuning`].
-    #[must_use]
-    pub fn self_tuning() -> Self {
-        Self::SelfTuning {
-            probe_pairs: 8,
-            max_support: 26,
-        }
-    }
-
-    /// Whether enumeration is enabled at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        !matches!(
-            self,
-            Self::Disabled
-                | Self::FixedSupportLimit(0)
-                | Self::Adaptive { max_support: 0, .. }
-                | Self::SelfTuning { max_support: 0, .. }
-        )
-    }
-
-    /// The hard support ceiling a [`ConeSimulator`] must be sized for.
-    #[must_use]
-    pub fn support_ceiling(&self) -> u32 {
-        match *self {
-            Self::Disabled => 0,
-            Self::FixedSupportLimit(limit) => limit.min(26),
-            Self::Adaptive { max_support, .. } | Self::SelfTuning { max_support, .. } => {
-                max_support.min(26)
-            }
-        }
-    }
-
-    /// Whether a query with the given union support and cone size should be
-    /// enumerated. For [`EnumerationBudget::SelfTuning`] this applies the
-    /// calibrated [`EnumerationBudget::adaptive`] constants — the fitted
-    /// constants only exist inside a build, which resolves the variant to
-    /// `Adaptive` after probing (this fallback is what the singleton stage
-    /// uses).
-    #[must_use]
-    pub fn admits(&self, support: u32, cone_size: usize) -> bool {
-        match *self {
-            Self::Disabled => false,
-            Self::FixedSupportLimit(limit) => support <= limit.min(26),
-            Self::SelfTuning { max_support, .. } => {
-                let Self::Adaptive {
-                    sat_base_word_ops,
-                    sat_per_gate_word_ops,
-                    ..
-                } = Self::adaptive()
-                else {
-                    unreachable!()
-                };
-                Self::Adaptive {
-                    sat_base_word_ops,
-                    sat_per_gate_word_ops,
-                    max_support,
-                }
-                .admits(support, cone_size)
-            }
-            Self::Adaptive {
-                sat_base_word_ops,
-                sat_per_gate_word_ops,
-                max_support,
-            } => {
-                if support > max_support.min(26) {
-                    return false;
-                }
-                let chunks = (1u64 << support).div_ceil(64);
-                let enum_word_ops = chunks.saturating_mul(cone_size as u64);
-                let sat_word_ops = sat_base_word_ops
-                    .saturating_add(sat_per_gate_word_ops.saturating_mul(cone_size as u64));
-                enum_word_ops <= sat_word_ops
-            }
-        }
-    }
-}
-
-/// Word-op-equivalent cost proxy of one probe SAT query, from the solver's
-/// own counters. The flat term stands in for encode/setup work the counters
-/// cannot see; the weights are scaled so the proxy lives on the same axis as
-/// the enumeration cost (`2^support / 64 · cone` word ops).
-fn probe_cost_word_ops(decisions: u64, propagations: u64) -> u64 {
-    (1u64 << 16)
-        .saturating_add(decisions.saturating_mul(768))
-        .saturating_add(propagations.saturating_mul(24))
-}
-
-/// Clamped least-squares affine fit `cost ≈ base + per_gate · cone` over the
-/// probe samples `(cone_gates, cost_word_ops)`. Falls back to the calibrated
-/// [`EnumerationBudget::adaptive`] constants when the samples are too few or
-/// degenerate (all probes on equal-sized cones).
-///
-/// The calibrated constants are the clamp *floor*, not the midpoint:
-/// self-tuning only ever grants *more* enumeration than the calibrated
-/// model, never less. The cost proxy cannot see the oracle's encode/setup
-/// overhead (the flat term is a stand-in), so a downward fit would trade
-/// SAT queries — the quantity the funnel exists to minimize — against an
-/// understated estimate. Fitting upward is safe: it means the probes proved
-/// real SAT queries cost more than the calibrated model assumed.
-fn fit_enumeration_budget(samples: &[(u64, u64)]) -> (u64, u64) {
-    const DEFAULT_BASE: u64 = 1 << 18;
-    const DEFAULT_PER_GATE: u64 = 256;
-    const BASE_RANGE: (f64, f64) = (DEFAULT_BASE as f64, (1u64 << 22) as f64);
-    const PER_GATE_RANGE: (f64, f64) = (DEFAULT_PER_GATE as f64, 4096.0);
-    if samples.len() < 2 {
-        return (DEFAULT_BASE, DEFAULT_PER_GATE);
-    }
-    let n = samples.len() as f64;
-    let mean_g = samples.iter().map(|&(g, _)| g as f64).sum::<f64>() / n;
-    let mean_c = samples.iter().map(|&(_, c)| c as f64).sum::<f64>() / n;
-    let var_g = samples
-        .iter()
-        .map(|&(g, _)| (g as f64 - mean_g).powi(2))
-        .sum::<f64>();
-    let per_gate = if var_g > 0.0 {
-        let cov = samples
-            .iter()
-            .map(|&(g, c)| (g as f64 - mean_g) * (c as f64 - mean_c))
-            .sum::<f64>();
-        (cov / var_g).clamp(PER_GATE_RANGE.0, PER_GATE_RANGE.1)
-    } else {
-        DEFAULT_PER_GATE as f64
-    };
-    let base = (mean_c - per_gate * mean_g).clamp(BASE_RANGE.0, BASE_RANGE.1);
-    (base as u64, per_gate as u64)
+    let enum_word_ops = (1u64 << support).div_ceil(64).saturating_mul(cone as u64);
+    let sat_word_ops =
+        SAT_BASE_WORD_OPS.saturating_add(SAT_PER_GATE_WORD_OPS.saturating_mul(cone as u64));
+    enum_word_ops <= sat_word_ops
 }
 
 /// Per-tier toggles of the compatibility funnel. Disabling a tier pushes its
-/// pairs down to the next one; with everything off the funnel degenerates to
-/// the all-SAT baseline (on whole-netlist oracles).
+/// pairs down to the next one; tier 3 always runs on cone-restricted
+/// oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunnelOptions {
     /// Tier 1: resolve pairs from retained simulation witnesses.
     pub sim_witnesses: bool,
     /// Tier 2: resolve pairs whose cone supports are disjoint.
     pub structural_pruning: bool,
-    /// Tier 2: when bounded exhaustive cone enumeration runs (the only
-    /// SAT-free tier that can prove a pair *incompatible*). Defaults to the
-    /// self-tuning per-pair cost model.
-    pub enumeration: EnumerationBudget,
-    /// Tier 3 flavour: `true` uses lazy cone-restricted incremental oracles,
-    /// `false` uses whole-netlist oracles (one per worker, as the paper
-    /// does).
-    pub cone_sat: bool,
+    /// Tier 2: the union-support ceiling of bounded exhaustive cone
+    /// enumeration (the only SAT-free tier that can prove a pair
+    /// *incompatible*), clamped to [`MAX_ENUMERATION_SUPPORT`]. Below it a
+    /// fixed per-pair cost model decides between enumeration and SAT. `0`
+    /// turns enumeration off.
+    pub max_support: u32,
     /// Configuration of every CDCL solver the build creates (restart policy,
     /// clause deletion). Verdicts — and therefore the adjacency — are
     /// solver-configuration-independent; only the work to reach them
@@ -276,8 +101,7 @@ impl Default for FunnelOptions {
         Self {
             sim_witnesses: true,
             structural_pruning: true,
-            enumeration: EnumerationBudget::self_tuning(),
-            cone_sat: true,
+            max_support: MAX_ENUMERATION_SUPPORT,
             solver: SolverConfig::default(),
         }
     }
@@ -286,7 +110,9 @@ impl Default for FunnelOptions {
 /// How the compatibility graph is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompatStrategy {
-    /// One SAT justification per pair (the paper's offline phase).
+    /// One SAT justification per pair on whole-netlist oracles (the
+    /// paper's offline phase, and the reference the funnel is checked
+    /// against).
     AllSat,
     /// The three-tier simulation-first funnel.
     Funnel(FunnelOptions),
@@ -295,27 +121,6 @@ pub enum CompatStrategy {
 impl Default for CompatStrategy {
     fn default() -> Self {
         CompatStrategy::Funnel(FunnelOptions::default())
-    }
-}
-
-/// Options for [`CompatibilityGraph::build_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompatBuildOptions {
-    /// Worker threads for the parallel tiers (witness sweep, cone
-    /// enumeration, SAT). `0` resolves through [`exec::Exec::new`]: the
-    /// `DETERRENT_THREADS` environment variable, else all available cores.
-    /// The adjacency matrix is bit-identical at any thread count.
-    pub threads: usize,
-    /// Resolution strategy.
-    pub strategy: CompatStrategy,
-}
-
-impl Default for CompatBuildOptions {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            strategy: CompatStrategy::default(),
-        }
     }
 }
 
@@ -345,30 +150,17 @@ pub struct CompatStats {
     pub threads_used: usize,
     /// Wall nanoseconds spent in tier 1 (joint-witness sweep).
     pub tier1_nanos: u64,
-    /// Wall nanoseconds spent in tier 2 (structural pruning + budget probe +
-    /// bounded cone enumeration).
+    /// Wall nanoseconds spent in tier 2 (structural pruning + bounded cone
+    /// enumeration).
     pub tier2_nanos: u64,
     /// Wall nanoseconds spent in tier 3 (SAT on the survivors).
     pub tier3_nanos: u64,
     /// Aggregate CDCL statistics over every solver the build created
-    /// (singleton/probe oracle + per-worker tier-3 oracles). Totals depend
-    /// on how tier 3 was chunked across workers, so they are
+    /// (singleton oracle + per-worker tier-3 oracles). Totals depend on how
+    /// tier 3 was chunked across workers, so they are
     /// scheduling-dependent — unlike the adjacency and the tier pair
     /// counts.
     pub solver: SolverStats,
-    /// Effective `sat_base_word_ops` of the enumeration cost model (fitted
-    /// when `budget_self_tuned`, configured for `Adaptive`, 0 otherwise).
-    /// The probe runs sequentially on deterministically-ordered pairs, so
-    /// fitted constants are identical at every thread count.
-    pub budget_sat_base_word_ops: u64,
-    /// Effective `sat_per_gate_word_ops` of the enumeration cost model.
-    pub budget_sat_per_gate_word_ops: u64,
-    /// Pairwise SAT queries spent probing for the self-tuning fit (also
-    /// counted in `pairs_sat_resolved` — probe verdicts land in the
-    /// adjacency like any tier-3 pair).
-    pub budget_probe_queries: u64,
-    /// Whether the enumeration cost model was fitted online.
-    pub budget_self_tuned: bool,
 }
 
 impl CompatStats {
@@ -400,18 +192,22 @@ impl CompatStats {
     }
 }
 
-/// Either flavour of tier-3 oracle, so workers share one code path.
+/// The SAT oracle a strategy resolves singletons and pairs with, so both
+/// strategies share one code path: the funnel uses lazy cone-restricted
+/// oracles, all-SAT uses whole-netlist oracles (one per worker, as the paper
+/// does).
 enum PairOracle<'a> {
     Cone(Box<ConeOracle<'a>>),
     Full(Box<CircuitOracle>),
 }
 
 impl<'a> PairOracle<'a> {
-    fn new(netlist: &'a Netlist, cone: bool, solver: SolverConfig) -> Self {
-        if cone {
-            PairOracle::Cone(Box::new(ConeOracle::with_config(netlist, solver)))
-        } else {
-            PairOracle::Full(Box::new(CircuitOracle::with_config(netlist, solver)))
+    fn new(netlist: &'a Netlist, strategy: CompatStrategy) -> Self {
+        match strategy {
+            CompatStrategy::Funnel(f) => {
+                PairOracle::Cone(Box::new(ConeOracle::with_config(netlist, f.solver)))
+            }
+            CompatStrategy::AllSat => PairOracle::Full(Box::new(CircuitOracle::new(netlist))),
         }
     }
 
@@ -456,7 +252,9 @@ pub struct CompatibilityGraph {
 
 impl CompatibilityGraph {
     /// Computes the graph with the default (funnel) strategy and `threads`
-    /// worker threads for the SAT tier.
+    /// worker threads for the parallel tiers. `0` resolves through
+    /// [`Exec::new`]: the `DETERRENT_THREADS` environment variable, else all
+    /// available cores.
     ///
     /// Rare nets whose rare value is individually unjustifiable (possible
     /// when Monte-Carlo probability estimation reports ≈0 for a value the
@@ -465,34 +263,19 @@ impl CompatibilityGraph {
     /// any use for them.
     #[must_use]
     pub fn build(netlist: &Netlist, analysis: &RareNetAnalysis, threads: usize) -> Self {
-        Self::build_with(
+        Self::build_on(
             netlist,
             analysis,
-            &CompatBuildOptions {
-                threads,
-                strategy: CompatStrategy::default(),
-            },
+            CompatStrategy::default(),
+            &Exec::new(threads),
         )
     }
 
-    /// Computes the graph with explicit strategy options. Every strategy
-    /// produces the identical adjacency matrix; they differ only in how much
+    /// Computes the graph with an explicit strategy on a caller-provided
+    /// executor — the build's task and timing counters then land in that
+    /// executor's [`exec::ExecStats`]. Every strategy produces the identical
+    /// adjacency matrix at any thread count; they differ only in how much
     /// SAT work is spent reaching it.
-    #[must_use]
-    pub fn build_with(
-        netlist: &Netlist,
-        analysis: &RareNetAnalysis,
-        options: &CompatBuildOptions,
-    ) -> Self {
-        let exec = Exec::new(options.threads);
-        Self::build_on(netlist, analysis, options.strategy, &exec)
-    }
-
-    /// Like [`CompatibilityGraph::build_with`], but runs on a caller-provided
-    /// executor instead of spawning its own — the build's task and timing
-    /// counters then land in that executor's [`exec::ExecStats`]. This is
-    /// what a [`crate::DeterrentSession`] uses so one `Exec` serves every
-    /// stage.
     #[must_use]
     pub fn build_on(
         netlist: &Netlist,
@@ -504,8 +287,7 @@ impl CompatibilityGraph {
             CompatStrategy::AllSat => FunnelOptions {
                 sim_witnesses: false,
                 structural_pruning: false,
-                enumeration: EnumerationBudget::Disabled,
-                cone_sat: false,
+                max_support: 0,
                 solver: SolverConfig::default(),
             },
             CompatStrategy::Funnel(f) => f,
@@ -523,14 +305,8 @@ impl CompatibilityGraph {
             None
         };
 
-        // The configured budget drives the singleton stage (for SelfTuning:
-        // with calibrated fallback constants — there is nothing to probe
-        // before pairs exist); the pairwise budget is resolved after the
-        // probe below.
-        let configured_budget = funnel.enumeration;
-        let mut cone_sim = configured_budget
-            .is_enabled()
-            .then(|| ConeSimulator::new(netlist, configured_budget.support_ceiling()));
+        let max_support = funnel.max_support.min(MAX_ENUMERATION_SUPPORT);
+        let mut cone_sim = (max_support > 0).then(|| ConeSimulator::new(netlist, max_support));
 
         // ── Singleton stage: keep only individually justifiable nets. ──────
         // The oracle is created on first SAT need; with witnesses attached it
@@ -545,14 +321,14 @@ impl CompatibilityGraph {
                 true
             } else if let Some(verdict) = cone_sim
                 .as_mut()
-                .and_then(|d| d.decide_if(&target, |k, cone| configured_budget.admits(k, cone)))
+                .and_then(|d| d.decide_if(&target, |k, cone| admits(max_support, k, cone)))
             {
                 stats.singleton_sim_resolved += 1;
                 verdict
             } else {
                 stats.singleton_sat_queries += 1;
                 singleton_oracle
-                    .get_or_insert_with(|| PairOracle::new(netlist, funnel.cone_sat, funnel.solver))
+                    .get_or_insert_with(|| PairOracle::new(netlist, strategy))
                     .is_compatible(&target)
             };
             if justifiable {
@@ -638,137 +414,21 @@ impl CompatibilityGraph {
                 }
             });
         }
-        // ── Self-tuning probe: resolve a deterministic prefix of the
-        // unresolved pairs by SAT on the calling thread, measuring the
-        // solver's counters against each pair's union cone size, and fit the
-        // adaptive cost model from the samples. Sequential by design — the
-        // fitted constants (and with them the enumerate/SAT split) must be
-        // identical at every thread count.
-        let budget = if let EnumerationBudget::SelfTuning {
-            probe_pairs,
-            max_support,
-        } = configured_budget
-        {
-            // Only pairs the *calibrated* model already sends to SAT are
-            // probed. Because the fitted constants are clamped at or above
-            // the calibrated ones (see `fit_enumeration_budget`), any pair
-            // the calibrated model admits for enumeration is also admitted
-            // by the fitted model — probing it would spend a SAT query on a
-            // pair enumeration resolves for free. Probing only SAT-bound
-            // pairs makes self-tuning free in query count: every probe
-            // verdict replaces a tier-3 query that was coming anyway. The
-            // scan prefix is bounded so an all-enumerable workload does not
-            // pay a full extra cone-sizing sweep.
-            let calibrated = match EnumerationBudget::adaptive() {
-                EnumerationBudget::Adaptive {
-                    sat_base_word_ops,
-                    sat_per_gate_word_ops,
-                    ..
-                } => EnumerationBudget::Adaptive {
-                    sat_base_word_ops,
-                    sat_per_gate_word_ops,
-                    max_support,
-                },
-                _ => unreachable!("adaptive() is the Adaptive variant"),
-            };
-            let scan_cap = (probe_pairs as usize).saturating_mul(32).max(256);
-            let mut samples: Vec<(u64, u64)> = Vec::with_capacity(probe_pairs as usize);
-            let mut probed = vec![false; unresolved.len()];
-            let mut num_probed = 0usize;
-            if probe_pairs > 0 && !unresolved.is_empty() {
-                let oracle = singleton_oracle.get_or_insert_with(|| {
-                    PairOracle::new(netlist, funnel.cone_sat, funnel.solver)
-                });
-                for (idx, &(i, j)) in unresolved.iter().enumerate().take(scan_cap) {
-                    if num_probed >= probe_pairs as usize {
-                        break;
-                    }
-                    let targets = [
-                        (rare_nets[i].net, rare_nets[i].rare_value),
-                        (rare_nets[j].net, rare_nets[j].rare_value),
-                    ];
-                    // Measure the union cone without enumerating it (the
-                    // admit closure declines the query after recording).
-                    // The closure is not called when the union support
-                    // exceeds the simulator ceiling — such pairs are
-                    // SAT-bound under any fitted constants (no cone sample,
-                    // but the verdict still counts).
-                    let mut measured: Option<(u32, usize)> = None;
-                    if let Some(cs) = cone_sim.as_mut() {
-                        let _ = cs.decide_if(&targets, |support, cone| {
-                            measured = Some((support, cone));
-                            false
-                        });
-                    }
-                    if let Some((support, cone)) = measured {
-                        if calibrated.admits(support, cone) {
-                            continue; // enumeration resolves this pair for free
-                        }
-                    }
-                    let before = oracle.solver_stats();
-                    let compatible = oracle.is_compatible(&targets);
-                    let after = oracle.solver_stats();
-                    adjacency[i * n + j] = compatible;
-                    adjacency[j * n + i] = compatible;
-                    stats.pairs_sat_resolved += 1;
-                    stats.budget_probe_queries += 1;
-                    probed[idx] = true;
-                    num_probed += 1;
-                    if let Some((_, cone)) = measured {
-                        samples.push((
-                            cone as u64,
-                            probe_cost_word_ops(
-                                after.decisions - before.decisions,
-                                after.propagations - before.propagations,
-                            ),
-                        ));
-                    }
-                }
-                if num_probed > 0 {
-                    let mut idx = 0;
-                    unresolved.retain(|_| {
-                        let keep = !probed[idx];
-                        idx += 1;
-                        keep
-                    });
-                }
-            }
-            let (base, per_gate) = fit_enumeration_budget(&samples);
-            stats.budget_self_tuned = true;
-            EnumerationBudget::Adaptive {
-                sat_base_word_ops: base,
-                sat_per_gate_word_ops: per_gate,
-                max_support,
-            }
-        } else {
-            configured_budget
-        };
-        if let EnumerationBudget::Adaptive {
-            sat_base_word_ops,
-            sat_per_gate_word_ops,
-            ..
-        } = budget
-        {
-            stats.budget_sat_base_word_ops = sat_base_word_ops;
-            stats.budget_sat_per_gate_word_ops = sat_per_gate_word_ops;
-        }
-
         if cone_sim.is_some() && !unresolved.is_empty() {
             // Enumeration is the funnel's dominant SAT-free cost (up to
             // `2^ceiling` packed assignments per pair), so it fans out across
             // pair chunks with one scratch ConeSimulator per worker. Each
             // verdict depends only on its pair — the merge is order-exact.
-            let ceiling = budget.support_ceiling();
             let verdicts: Vec<Option<bool>> = exec.par_map_with(
                 &unresolved,
-                || ConeSimulator::new(netlist, ceiling),
+                || ConeSimulator::new(netlist, max_support),
                 |cone_sim, _, &(i, j)| {
                     cone_sim.decide_if(
                         &[
                             (rare_nets[i].net, rare_nets[i].rare_value),
                             (rare_nets[j].net, rare_nets[j].rare_value),
                         ],
-                        |k, cone| budget.admits(k, cone),
+                        |k, cone| admits(max_support, k, cone),
                     )
                 },
             );
@@ -793,11 +453,10 @@ impl CompatibilityGraph {
         let results: Vec<(usize, usize, bool)> = if unresolved.is_empty() {
             Vec::new()
         } else if exec.threads() <= 1 || unresolved.len() < 64 {
-            // Reuse the singleton/probe-stage oracle when one was built: its
+            // Reuse the singleton-stage oracle when one was built: its
             // encoding work and learned clauses carry over into the pairwise
             // queries.
-            let oracle = singleton_oracle
-                .get_or_insert_with(|| PairOracle::new(netlist, funnel.cone_sat, funnel.solver));
+            let oracle = singleton_oracle.get_or_insert_with(|| PairOracle::new(netlist, strategy));
             unresolved
                 .iter()
                 .map(|&(i, j)| {
@@ -815,7 +474,7 @@ impl CompatibilityGraph {
             let rare_nets = &rare_nets;
             let unresolved = &unresolved;
             let per_range: Vec<RangeVerdicts> = exec.par_ranges(unresolved.len(), move |range| {
-                let mut oracle = PairOracle::new(netlist, funnel.cone_sat, funnel.solver);
+                let mut oracle = PairOracle::new(netlist, strategy);
                 let verdicts = range
                     .map(|idx| {
                         let (i, j) = unresolved[idx];
@@ -1042,14 +701,8 @@ mod tests {
         ] {
             let nl = profile.generate(seed);
             let analysis = RareNetAnalysis::estimate(&nl, 0.2, 2048, 5);
-            let reference = CompatibilityGraph::build_with(
-                &nl,
-                &analysis,
-                &CompatBuildOptions {
-                    threads: 1,
-                    strategy: CompatStrategy::AllSat,
-                },
-            );
+            let reference =
+                CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
             let variants = [
                 FunnelOptions::default(),
                 FunnelOptions {
@@ -1061,20 +714,11 @@ mod tests {
                     ..FunnelOptions::default()
                 },
                 FunnelOptions {
-                    cone_sat: false,
+                    max_support: 18,
                     ..FunnelOptions::default()
                 },
                 FunnelOptions {
-                    enumeration: EnumerationBudget::FixedSupportLimit(18),
-                    ..FunnelOptions::default()
-                },
-                FunnelOptions {
-                    enumeration: EnumerationBudget::Disabled,
-                    ..FunnelOptions::default()
-                },
-                // Pre-self-tuning default: fixed calibrated adaptive budget.
-                FunnelOptions {
-                    enumeration: EnumerationBudget::adaptive(),
+                    max_support: 0,
                     ..FunnelOptions::default()
                 },
                 // Legacy solver: geometric restarts, no clause deletion.
@@ -1082,25 +726,14 @@ mod tests {
                     solver: SolverConfig::legacy(),
                     ..FunnelOptions::default()
                 },
-                // Self-tuning with a different probe count, on the legacy
-                // solver: fitted constants differ, verdicts must not.
-                FunnelOptions {
-                    enumeration: EnumerationBudget::SelfTuning {
-                        probe_pairs: 3,
-                        max_support: 26,
-                    },
-                    solver: SolverConfig::legacy(),
-                    ..FunnelOptions::default()
-                },
             ];
+            let exec = Exec::new(2);
             for (v, funnel) in variants.into_iter().enumerate() {
-                let graph = CompatibilityGraph::build_with(
+                let graph = CompatibilityGraph::build_on(
                     &nl,
                     &analysis,
-                    &CompatBuildOptions {
-                        threads: 2,
-                        strategy: CompatStrategy::Funnel(funnel),
-                    },
+                    CompatStrategy::Funnel(funnel),
+                    &exec,
                 );
                 assert_eq!(
                     graph.adjacency,
@@ -1114,81 +747,32 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_budget_scales_with_cone_size() {
-        let budget = EnumerationBudget::adaptive();
+    fn cost_model_scales_with_cone_size() {
+        let max = MAX_ENUMERATION_SUPPORT;
         // A tiny cone affords deep enumeration…
-        assert!(budget.admits(16, 20));
+        assert!(admits(max, 16, 20));
         // …but the same support is declined on a cone three orders larger,
         // where 2^16/64 · cone word ops dwarf one SAT query.
-        assert!(!budget.admits(16, 50_000));
+        assert!(!admits(max, 16, 50_000));
         // Small supports are always worth enumerating (≤ one chunk).
-        assert!(budget.admits(6, 50_000));
-        // The hard ceiling binds regardless of cone size.
-        assert!(!budget.admits(27, 1));
-        assert!(!EnumerationBudget::Disabled.admits(1, 1));
-        assert!(EnumerationBudget::FixedSupportLimit(18).admits(18, usize::MAX));
-        assert!(!EnumerationBudget::FixedSupportLimit(18).admits(19, 1));
-        // The fixed knob dominates neither direction: adaptive enumerates
-        // deeper than fixed-18 on small cones (2^19/64 · 25 ≈ 205k word ops,
-        // under the SAT estimate)…
-        assert!(budget.admits(19, 25));
-        assert!(!EnumerationBudget::FixedSupportLimit(18).admits(19, 25));
-        // …and declines within the fixed knob's range on big cones.
-        assert!(!budget.admits(16, 50_000));
-        assert!(EnumerationBudget::FixedSupportLimit(18).admits(16, 50_000));
-    }
-
-    #[test]
-    fn budget_fit_recovers_affine_model_and_clamps() {
-        // Exact affine samples: cost = 300_000 + 600·cone.
-        let samples: Vec<(u64, u64)> = [100u64, 500, 2_000, 10_000]
-            .iter()
-            .map(|&g| (g, 300_000 + 600 * g))
-            .collect();
-        let (base, per_gate) = fit_enumeration_budget(&samples);
-        assert!((299_000..=301_000).contains(&base), "base {base}");
-        assert!((598..=602).contains(&per_gate), "per_gate {per_gate}");
-
-        // Too few samples → calibrated defaults.
-        assert_eq!(fit_enumeration_budget(&[]), (1 << 18, 256));
-        assert_eq!(fit_enumeration_budget(&[(50, 1 << 20)]), (1 << 18, 256));
-
-        // Degenerate (all cones equal) → default slope, fitted intercept.
-        let (base, per_gate) = fit_enumeration_budget(&[(400, 1 << 19), (400, 1 << 19)]);
-        assert_eq!(per_gate, 256);
-        assert!((1 << 17..=1 << 22).contains(&base));
-
-        // Wild slopes and intercepts clamp into the safe band — and the
-        // floor is the calibrated default, so self-tuning can never grant
-        // *less* enumeration than the calibrated model.
-        let (base, per_gate) = fit_enumeration_budget(&[(1, 1 << 10), (2, 1 << 10)]);
-        assert_eq!((base, per_gate), (1 << 18, 256));
-        let (base, per_gate) =
-            fit_enumeration_budget(&[(1, u64::from(u32::MAX)), (1_000_000, u64::MAX / 2)]);
-        assert_eq!((base, per_gate), (1 << 22, 4096));
-    }
-
-    #[test]
-    fn probe_cost_has_flat_floor_and_counter_terms() {
-        assert_eq!(probe_cost_word_ops(0, 0), 1 << 16);
-        assert_eq!(probe_cost_word_ops(10, 100), (1 << 16) + 7_680 + 2_400);
-        // Saturates instead of overflowing.
-        assert_eq!(probe_cost_word_ops(u64::MAX, u64::MAX), u64::MAX);
+        assert!(admits(max, 6, 50_000));
+        // Deeper than any fixed cutoff of 18 on small cones (2^19/64 · 25 ≈
+        // 205k word ops, under the SAT estimate).
+        assert!(admits(max, 19, 25));
+        // The support ceiling binds regardless of cone size, and is clamped.
+        assert!(!admits(max, 27, 1));
+        assert!(!admits(40, 27, 1));
+        assert!(admits(18, 18, 1));
+        assert!(!admits(18, 19, 1));
     }
 
     #[test]
     fn funnel_spends_fewer_sat_queries_than_all_sat() {
         let nl = BenchmarkProfile::c2670().scaled(20).generate(7);
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 8192, 5);
-        let all_sat = CompatibilityGraph::build_with(
-            &nl,
-            &analysis,
-            &CompatBuildOptions {
-                threads: 1,
-                strategy: CompatStrategy::AllSat,
-            },
-        );
-        let funnel = CompatibilityGraph::build_with(&nl, &analysis, &CompatBuildOptions::default());
+        let all_sat =
+            CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
+        let funnel = CompatibilityGraph::build(&nl, &analysis, 1);
         assert_eq!(funnel.adjacency, all_sat.adjacency);
         assert!(
             funnel.sat_queries() < all_sat.sat_queries(),

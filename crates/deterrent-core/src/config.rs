@@ -80,10 +80,8 @@ impl AnalysisConfig {
 pub struct CompatConfig {
     /// How the graph is computed: the simulation-first funnel (default) or
     /// one SAT query per pair (the paper's offline phase). Both yield
-    /// bit-identical graphs. The funnel's enumeration tier defaults to the
-    /// adaptive per-pair cost model; pin
-    /// [`crate::EnumerationBudget::FixedSupportLimit`] inside the strategy to
-    /// override it with the legacy fixed knob.
+    /// bit-identical graphs. The funnel's enumeration tier runs a fixed
+    /// per-pair cost model up to [`crate::FunnelOptions::max_support`].
     pub strategy: CompatStrategy,
 }
 

@@ -92,8 +92,7 @@ pub use cache::{
 };
 pub use codec::{decode_record, encode_record, QUIET_ENV_VAR, SLIM_LOSS_KEEP};
 pub use compat::{
-    CompatBuildOptions, CompatStats, CompatStrategy, CompatibilityGraph, EnumerationBudget,
-    FunnelOptions,
+    CompatStats, CompatStrategy, CompatibilityGraph, FunnelOptions, MAX_ENUMERATION_SUPPORT,
 };
 pub use config::{
     AnalysisConfig, CompatCheck, CompatConfig, DeterrentConfig, RewardMode, SelectConfig,

@@ -43,23 +43,8 @@ pub struct TrainingMetrics {
     pub compat_pairs_enumerated: u64,
     /// Pairs that needed a SAT query (tier 3).
     pub compat_pairs_sat: u64,
-    /// Effective enumeration-budget base cost (word ops) the graph build
-    /// used — self-tuned from probe queries when
-    /// [`crate::EnumerationBudget::SelfTuning`] is configured (the default),
-    /// otherwise the configured constant; zero when enumeration ran with a
-    /// fixed support limit or was disabled.
-    pub compat_budget_sat_base_word_ops: u64,
-    /// Effective enumeration-budget per-gate cost (word ops); see
-    /// [`TrainingMetrics::compat_budget_sat_base_word_ops`].
-    pub compat_budget_sat_per_gate_word_ops: u64,
-    /// SAT probe queries spent fitting the self-tuned budget (their verdicts
-    /// land in the adjacency, so the work is not wasted).
-    pub compat_budget_probe_queries: u64,
-    /// Whether the effective budget constants were fitted online rather
-    /// than configured.
-    pub compat_budget_self_tuned: bool,
     /// Aggregate CDCL solver counters across every solver the graph build
-    /// created (singleton oracle, probes, and tier-3 workers).
+    /// created (singleton oracle and tier-3 workers).
     pub compat_solver: sat::SolverStats,
     /// Exact SAT checks performed inside the environment (non-zero only for
     /// the naive all-SAT formulation).

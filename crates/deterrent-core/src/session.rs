@@ -426,21 +426,11 @@ impl<'a> DeterrentSession<'a> {
             items: artifact.graph().stats().pairs_total,
         };
         if let Some(trace) = trace.as_mut() {
-            // The effective enumeration-budget constants are fitted from a
-            // *sequential* probe over deterministically-ordered pairs, so
-            // they are thread-count-independent → attrs. The aggregate
-            // solver counters depend on how tier-3 work was chunked across
-            // workers (each worker owns an incremental solver whose learned
-            // clauses carry across its chunk) → vary.
+            // The aggregate solver counters depend on how tier-3 work was
+            // chunked across workers (each worker owns an incremental solver
+            // whose learned clauses carry across its chunk) → vary.
             let s = artifact.graph().stats();
             let span = &mut trace.span;
-            span.attr_u64("budget_sat_base_word_ops", s.budget_sat_base_word_ops);
-            span.attr_u64(
-                "budget_sat_per_gate_word_ops",
-                s.budget_sat_per_gate_word_ops,
-            );
-            span.attr_u64("budget_probe_queries", s.budget_probe_queries);
-            span.attr_bool("budget_self_tuned", s.budget_self_tuned);
             span.vary_u64("sat_decisions", s.solver.decisions);
             span.vary_u64("sat_conflicts", s.solver.conflicts);
             span.vary_u64("sat_propagations", s.solver.propagations);
@@ -662,10 +652,6 @@ impl<'a> DeterrentSession<'a> {
             compat_pairs_pruned: stats.pairs_structurally_pruned,
             compat_pairs_enumerated: stats.pairs_cone_enumerated,
             compat_pairs_sat: stats.pairs_sat_resolved,
-            compat_budget_sat_base_word_ops: stats.budget_sat_base_word_ops,
-            compat_budget_sat_per_gate_word_ops: stats.budget_sat_per_gate_word_ops,
-            compat_budget_probe_queries: stats.budget_probe_queries,
-            compat_budget_self_tuned: stats.budget_self_tuned,
             compat_solver: stats.solver,
             env_sat_checks: trained.env_sat_checks + selected.eval_env_sat_checks,
             threads_used: self.exec.threads(),

@@ -6,9 +6,7 @@
 //! and generated pattern sets (which exercise parallel PPO rollout
 //! collection).
 
-use deterrent_repro::deterrent_core::{
-    CompatBuildOptions, CompatStrategy, CompatibilityGraph, Deterrent, DeterrentConfig,
-};
+use deterrent_repro::deterrent_core::{CompatibilityGraph, Deterrent, DeterrentConfig};
 use deterrent_repro::exec::Exec;
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::sim::rare::RareNetAnalysis;
@@ -114,16 +112,8 @@ proptest! {
         let nl = BenchmarkProfile::c2670().scaled(scale).generate(seed);
         let theta = f64::from(theta_percent) / 100.0;
         let analysis = RareNetAnalysis::estimate(&nl, theta, 1usize << patterns_exp, seed ^ 1);
-        let serial = CompatibilityGraph::build_with(
-            &nl,
-            &analysis,
-            &CompatBuildOptions { threads: 1, strategy: CompatStrategy::default() },
-        );
-        let parallel = CompatibilityGraph::build_with(
-            &nl,
-            &analysis,
-            &CompatBuildOptions { threads: 3, strategy: CompatStrategy::default() },
-        );
+        let serial = CompatibilityGraph::build(&nl, &analysis, 1);
+        let parallel = CompatibilityGraph::build(&nl, &analysis, 3);
         prop_assert_eq!(serial.adjacency(), parallel.adjacency());
     }
 }

@@ -1,11 +1,10 @@
 //! Funnel equivalence under solver-configuration changes.
 //!
-//! The raw-speed SAT core (Luby restarts, learned-clause deletion,
-//! self-tuned enumeration budgets) is a pure performance layer: every
-//! verdict it returns must match the legacy pre-deletion solver exactly.
-//! This suite builds the compatibility graph on a scaled c2670 and on a
-//! planted-Trojan variant of it, with the modern and the legacy solver, at
-//! one and at four worker threads, and demands:
+//! The raw-speed SAT core (Luby restarts, learned-clause deletion) is a pure
+//! performance layer: every verdict it returns must match the legacy
+//! pre-deletion solver exactly. This suite builds the compatibility graph on
+//! a scaled c2670 and on a planted-Trojan variant of it, with the modern and
+//! the legacy solver, at one and at four worker threads, and demands:
 //!
 //! - bit-identical adjacency matrices (and identical kept rare-net lists)
 //!   across every solver × thread combination;
@@ -13,10 +12,14 @@
 //!   cone-enumerated / SAT-resolved pair totals and the singleton split) —
 //!   the funnel's routing is solver-independent; only timings and raw CDCL
 //!   work counters may differ between configurations.
+//!
+//! The default funnel resolves both workloads without a single SAT query,
+//! so its tier verdicts are pinned (any routing drift fails) and a second
+//! pass turns off witnesses and enumeration to force every singleton and
+//! every pair through the solvers under comparison.
 
-use deterrent_repro::deterrent_core::{
-    CompatBuildOptions, CompatStrategy, CompatibilityGraph, FunnelOptions,
-};
+use deterrent_repro::deterrent_core::{CompatStrategy, CompatibilityGraph, FunnelOptions};
+use deterrent_repro::exec::Exec;
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::netlist::Netlist;
 use deterrent_repro::sat::SolverConfig;
@@ -26,19 +29,14 @@ use deterrent_repro::trojan::TrojanGenerator;
 fn build(
     netlist: &Netlist,
     analysis: &RareNetAnalysis,
-    solver: SolverConfig,
+    funnel: FunnelOptions,
     threads: usize,
 ) -> CompatibilityGraph {
-    CompatibilityGraph::build_with(
+    CompatibilityGraph::build_on(
         netlist,
         analysis,
-        &CompatBuildOptions {
-            threads,
-            strategy: CompatStrategy::Funnel(FunnelOptions {
-                solver,
-                ..FunnelOptions::default()
-            }),
-        },
+        CompatStrategy::Funnel(funnel),
+        &Exec::new(threads),
     )
 }
 
@@ -58,20 +56,28 @@ fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 8] {
     ]
 }
 
-fn assert_equivalent_on(netlist: &Netlist, label: &str) {
-    let analysis = RareNetAnalysis::estimate(netlist, 0.2, 8192, 17);
-    let reference = build(netlist, &analysis, SolverConfig::default(), 1);
-    assert!(
-        reference.stats().pairs_total > 0,
-        "{label}: workload too small to be meaningful"
-    );
-
+/// Builds `funnel` with both solvers at 1 and 4 threads and checks each
+/// build against `reference`: same kept rare nets, same adjacency, and the
+/// same tier verdicts as the modern solver on one thread.
+fn assert_solver_and_thread_independent(
+    netlist: &Netlist,
+    analysis: &RareNetAnalysis,
+    funnel: FunnelOptions,
+    reference: &CompatibilityGraph,
+    label: &str,
+) {
+    let verdicts = tier_verdicts(&build(netlist, analysis, funnel, 1));
     for threads in [1usize, 4] {
         for (solver_name, solver) in [
             ("modern", SolverConfig::default()),
             ("legacy", SolverConfig::legacy()),
         ] {
-            let g = build(netlist, &analysis, solver, threads);
+            let g = build(
+                netlist,
+                analysis,
+                FunnelOptions { solver, ..funnel },
+                threads,
+            );
             assert_eq!(
                 g.rare_nets(),
                 reference.rare_nets(),
@@ -84,17 +90,70 @@ fn assert_equivalent_on(netlist: &Netlist, label: &str) {
             );
             assert_eq!(
                 tier_verdicts(&g),
-                tier_verdicts(&reference),
+                verdicts,
                 "{label}: tier verdict counts differ ({solver_name}, {threads} threads)"
             );
         }
     }
 }
 
+/// `default_verdicts` pins the default funnel's tier verdicts;
+/// `forced_queries` pins the (singleton, pair) SAT queries of the forced pass.
+fn assert_equivalent_on(
+    netlist: &Netlist,
+    label: &str,
+    default_verdicts: [u64; 8],
+    forced_queries: (u64, u64),
+) {
+    let analysis = RareNetAnalysis::estimate(netlist, 0.2, 8192, 17);
+    let reference = build(netlist, &analysis, FunnelOptions::default(), 1);
+    assert_eq!(
+        tier_verdicts(&reference),
+        default_verdicts,
+        "{label}: default funnel routing drifted"
+    );
+    assert_solver_and_thread_independent(
+        netlist,
+        &analysis,
+        FunnelOptions::default(),
+        &reference,
+        label,
+    );
+
+    // Without witnesses or enumeration every singleton and every pair is a
+    // SAT query, so the solvers under comparison decide the whole graph.
+    let forced = FunnelOptions {
+        sim_witnesses: false,
+        max_support: 0,
+        ..FunnelOptions::default()
+    };
+    let sat_label = format!("{label}, forced SAT");
+    assert_solver_and_thread_independent(netlist, &analysis, forced, &reference, &sat_label);
+    let s = *build(netlist, &analysis, forced, 1).stats();
+    assert_eq!(
+        (s.singleton_sat_queries, s.pairs_sat_resolved),
+        forced_queries,
+        "{sat_label}: SAT query counts drifted"
+    );
+    assert_eq!(
+        s.singleton_sat_queries, s.candidate_rare_nets as u64,
+        "{sat_label}: a singleton bypassed SAT"
+    );
+    assert_eq!(
+        s.pairs_sat_resolved, s.pairs_total,
+        "{sat_label}: a pair bypassed SAT"
+    );
+}
+
 #[test]
 fn clean_netlist_adjacency_is_solver_and_thread_independent() {
     let netlist = BenchmarkProfile::c2670().scaled(20).generate(100);
-    assert_equivalent_on(&netlist, "clean c2670@20");
+    assert_equivalent_on(
+        &netlist,
+        "clean c2670@20",
+        [19, 17, 19, 0, 50, 0, 86, 0],
+        (19, 136),
+    );
 }
 
 #[test]
@@ -106,5 +165,10 @@ fn infected_netlist_adjacency_is_solver_and_thread_independent() {
         .sample(&analysis, 2)
         .expect("scaled c2670 admits a 2-trigger Trojan");
     let infected = deterrent_repro::trojan::infect(&netlist, &trojan).expect("infect");
-    assert_equivalent_on(&infected, "infected c2670@20");
+    assert_equivalent_on(
+        &infected,
+        "infected c2670@20",
+        [21, 18, 21, 0, 57, 0, 96, 0],
+        (21, 153),
+    );
 }

@@ -1,6 +1,7 @@
 //! Repository-level property-based tests spanning multiple crates.
 
-use deterrent_repro::deterrent_core::{CompatBuildOptions, CompatStrategy, CompatibilityGraph};
+use deterrent_repro::deterrent_core::{CompatStrategy, CompatibilityGraph};
+use deterrent_repro::exec::Exec;
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::netlist::{bench, samples, GateKind, InputSupports, Netlist, NetlistBuilder};
 use deterrent_repro::sat::{CircuitOracle, Cnf, Lit, Solver, Var};
@@ -151,11 +152,9 @@ proptest! {
         }
 
         // End to end: the funnel graph equals the all-SAT graph bit for bit.
-        let all_sat = CompatibilityGraph::build_with(&nl, &analysis, &CompatBuildOptions {
-            threads: 1,
-            strategy: CompatStrategy::AllSat,
-        });
-        let funnel = CompatibilityGraph::build_with(&nl, &analysis, &CompatBuildOptions::default());
+        let all_sat =
+            CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
+        let funnel = CompatibilityGraph::build(&nl, &analysis, 1);
         prop_assert_eq!(funnel.adjacency(), all_sat.adjacency());
         prop_assert_eq!(funnel.rare_nets(), all_sat.rare_nets());
     }
