@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use deterrent_core::CompatibilityGraph;
+use exec::Exec;
 use netlist::synth::BenchmarkProfile;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rl::{PpoConfig, PpoTrainer, Transition};
 use sat::CircuitOracle;
 use sim::rare::RareNetAnalysis;
@@ -56,36 +57,65 @@ fn bench_compat_graph(c: &mut Criterion) {
     });
 }
 
+/// A paper-shaped PPO batch: 256 transitions over 315 rare nets, each state
+/// a 0/1 membership vector and each mask the nets still compatible with the
+/// set, so masks shrink as the set grows (about 60% of pairs compatible,
+/// as at c2670).
+fn ppo_batch(config: &PpoConfig) -> PpoTrainer {
+    const NETS: usize = 315;
+    let mut rng = StdRng::seed_from_u64(5);
+    let compatible: Vec<Vec<bool>> = (0..NETS)
+        .map(|_| (0..NETS).map(|_| rng.gen_bool(0.6)).collect())
+        .collect();
+    let mut trainer = PpoTrainer::new(NETS, NETS, config, 3);
+    while trainer.pending_transitions() < 256 {
+        let mut state = vec![0.0; NETS];
+        let mut mask = vec![true; NETS];
+        loop {
+            let (action, log_prob, value) = trainer.select_action(&state, &mask);
+            let mut next_state = state.clone();
+            next_state[action] = 1.0;
+            let next_mask: Vec<bool> = (0..NETS)
+                .map(|n| mask[n] && n != action && compatible[action.min(n)][action.max(n)])
+                .collect();
+            let done = !next_mask.contains(&true) || trainer.pending_transitions() == 255;
+            let size = next_state.iter().sum::<f64>();
+            trainer.record(Transition {
+                state,
+                mask,
+                action,
+                reward: size * size,
+                done,
+                log_prob,
+                value,
+            });
+            if done {
+                break;
+            }
+            (state, mask) = (next_state, next_mask);
+        }
+    }
+    trainer
+}
+
 fn bench_ppo(c: &mut Criterion) {
     let config = PpoConfig {
-        batch_size: 128,
+        batch_size: 256,
         hidden_sizes: vec![64, 64],
         ..PpoConfig::boosted_exploration()
     };
-    c.bench_function("rl/ppo_update_128x32", |b| {
+    c.bench_function("rl/ppo_update_315x256", |b| {
         b.iter_batched(
-            || {
-                let mut trainer = PpoTrainer::new(32, 32, &config, 3);
-                let mut rng = StdRng::seed_from_u64(5);
-                for _ in 0..128 {
-                    let state = TestPattern::random(32, &mut rng)
-                        .iter()
-                        .map(f64::from)
-                        .collect::<Vec<_>>();
-                    let (action, log_prob, value) = trainer.select_action(&state, &[]);
-                    trainer.record(Transition {
-                        state,
-                        mask: vec![],
-                        action,
-                        reward: 1.0,
-                        done: true,
-                        log_prob,
-                        value,
-                    });
-                }
-                trainer
-            },
+            || ppo_batch(&config),
             |mut trainer| trainer.update(),
+            BatchSize::SmallInput,
+        )
+    });
+    let exec = Exec::new(2);
+    c.bench_function("rl/ppo_update_315x256_2_threads", |b| {
+        b.iter_batched(
+            || ppo_batch(&config),
+            |mut trainer| trainer.update_on(&exec),
             BatchSize::SmallInput,
         )
     });

@@ -1,6 +1,7 @@
 //! The scoped-thread execution pool.
 
 use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use telemetry::{Counter, Histogram, SpanContext, Telemetry};
@@ -416,6 +417,53 @@ impl Exec {
             f(lo, &items[lo..hi])
         })
     }
+
+    /// Runs `a` and `b` as two tasks — concurrently when the executor has
+    /// more than one worker, one after the other otherwise — and returns
+    /// both results. Each closure may hold its own `&mut` borrows, so two
+    /// computations over disjoint state (a policy network and a value
+    /// network, say) can proceed side by side. When each task's result
+    /// depends only on its own inputs, neither depends on the thread count.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside either task propagates like [`Exec::par_index_map`]'s,
+    /// naming task 0 (`a`) or task 1 (`b`).
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        enum Either<L, R> {
+            Left(L),
+            Right(R),
+        }
+        // `par_index_map` wants a shared `Fn`; each cell hands its `FnOnce`
+        // to the one task that runs it.
+        fn take<F>(cell: &Mutex<Option<F>>) -> F {
+            cell.lock()
+                .expect("a join cell is locked only to take its task")
+                .take()
+                .expect("each join task runs once")
+        }
+        let a = Mutex::new(Some(a));
+        let b = Mutex::new(Some(b));
+        let mut results = self
+            .par_index_map(2, |i| {
+                if i == 0 {
+                    Either::Left(take(&a)())
+                } else {
+                    Either::Right(take(&b)())
+                }
+            })
+            .into_iter();
+        match (results.next(), results.next()) {
+            (Some(Either::Left(ra)), Some(Either::Right(rb))) => (ra, rb),
+            _ => unreachable!("par_index_map returns results in index order"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -481,6 +529,33 @@ mod tests {
         );
         assert_eq!(out, (1..=100).collect::<Vec<_>>());
         assert!(inits.load(Ordering::Relaxed) <= 4, "at most one per worker");
+    }
+
+    #[test]
+    fn join_runs_both_tasks_with_mutable_borrows() {
+        for threads in [1, 2, 4] {
+            let exec = Exec::new(threads);
+            let (mut left, mut right) = (vec![1u64, 2], vec![3u64]);
+            let (a, b) = exec.join(
+                || {
+                    left.push(10);
+                    left.iter().sum::<u64>()
+                },
+                || {
+                    right.push(20);
+                    right.len()
+                },
+            );
+            assert_eq!((a, b), (13, 2), "{threads} threads");
+            assert_eq!((left.len(), right.len()), (3, 2));
+            assert_eq!(exec.stats().tasks, 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1")]
+    fn join_reports_the_panicking_task() {
+        let _ = Exec::new(2).join(|| 0, || -> u32 { panic!("right side") });
     }
 
     #[test]

@@ -104,8 +104,9 @@ impl MaskedCategorical {
         -self
             .probs
             .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| p * p.ln())
+            .zip(&self.log_probs)
+            .filter(|&(&p, _)| p > 0.0)
+            .map(|(&p, &ln_p)| p * ln_p)
             .sum::<f64>()
     }
 
@@ -149,10 +150,8 @@ impl MaskedCategorical {
             self.probs[action] > 0.0,
             "cannot take gradient of a masked action"
         );
-        self.probs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| if i == action { 1.0 - p } else { -p })
+        (0..self.len())
+            .map(|k| self.grad_log_prob_at(action, k))
             .collect()
     }
 
@@ -161,10 +160,30 @@ impl MaskedCategorical {
     #[must_use]
     pub fn grad_entropy(&self) -> Vec<f64> {
         let h = self.entropy();
-        self.probs
-            .iter()
-            .map(|&p| if p > 0.0 { -p * (p.ln() + h) } else { 0.0 })
+        (0..self.len())
+            .map(|k| self.grad_entropy_at(k, h))
             .collect()
+    }
+
+    /// Component `k` of [`MaskedCategorical::grad_log_prob`].
+    pub(crate) fn grad_log_prob_at(&self, action: usize, k: usize) -> f64 {
+        let p = self.probs[k];
+        if k == action {
+            1.0 - p
+        } else {
+            -p
+        }
+    }
+
+    /// Component `k` of [`MaskedCategorical::grad_entropy`], given the
+    /// entropy `h`.
+    pub(crate) fn grad_entropy_at(&self, k: usize, h: f64) -> f64 {
+        let p = self.probs[k];
+        if p > 0.0 {
+            -p * (self.log_probs[k] + h)
+        } else {
+            0.0
+        }
     }
 }
 

@@ -4,15 +4,21 @@
 //! (PPO) in PyTorch. No deep-learning framework is available to this
 //! reproduction, so this crate implements the required pieces directly:
 //!
-//! * [`Mlp`] — a dense multi-layer perceptron with tanh hidden activations
-//!   and manual backpropagation.
+//! * [`Mlp`] — a multi-layer perceptron with tanh hidden activations and
+//!   exact-sparse manual backpropagation: the first layer visits only the
+//!   input's nonzero columns, the output layer only the rows an action mask
+//!   allows, and backpropagation only rows with a nonzero gradient. Each
+//!   skipped term is an exact zero, so results are bit-identical to dense
+//!   loops (see [`Mlp`] for the argument).
 //! * [`Adam`] — the Adam optimizer.
 //! * [`MaskedCategorical`] — a categorical action distribution with invalid
 //!   actions masked out, as used by DETERRENT's action-masking architecture.
 //! * [`RolloutBuffer`] + GAE(λ) advantage estimation.
 //! * [`PpoTrainer`] — clipped-surrogate PPO with entropy and value losses,
 //!   exposing the knobs the paper tunes (entropy coefficient `c_ε`, value
-//!   coefficient `c_v`, smoothing parameter `λ`).
+//!   coefficient `c_v`, smoothing parameter `λ`). [`PpoTrainer::update_on`]
+//!   runs the policy and value networks' passes as two tasks on an
+//!   `exec::Exec`, bit-identical at any thread count.
 //! * [`Environment`] — the environment interface implemented by
 //!   `deterrent-core`'s compatible-set MDP, plus a generic [`train`] loop.
 //! * [`collect_episodes`] / [`train_parallel`] — deterministic parallel
@@ -55,7 +61,7 @@ mod rollout;
 pub use adam::Adam;
 pub use distribution::MaskedCategorical;
 pub use env::{train, Environment, StepOutcome, TrainOptions, TrainReport};
-pub use mlp::Mlp;
+pub use mlp::{Activations, Mlp};
 pub use ppo::{
     AdamSnapshot, PolicySnapshot, PpoConfig, PpoLosses, PpoTrainer, RolloutBuffer, Transition,
 };

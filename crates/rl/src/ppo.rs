@@ -1,9 +1,10 @@
 //! Proximal Policy Optimization with clipped surrogate objective.
 
+use exec::Exec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Adam, MaskedCategorical, Mlp};
+use crate::{Activations, Adam, MaskedCategorical, Mlp};
 
 /// Hyper-parameters of the PPO trainer.
 ///
@@ -444,28 +445,24 @@ impl PpoTrainer {
         mask: &[bool],
         rng: &mut R,
     ) -> (usize, f64, f64) {
-        let logits = self.policy.forward(state);
-        let dist = if mask.is_empty() {
-            MaskedCategorical::new(&logits, None)
-        } else {
-            MaskedCategorical::new(&logits, Some(mask))
-        };
+        let dist = self.distribution(state, mask);
         let action = dist.sample(rng);
         let log_prob = dist.log_prob(action);
-        let value = self.value.forward(state)[0];
+        let value = self.value.forward(state, &[])[0];
         (action, log_prob, value)
     }
 
     /// Greedy action (argmax of the masked policy), used after training.
     #[must_use]
     pub fn best_action(&self, state: &[f64], mask: &[bool]) -> usize {
-        let logits = self.policy.forward(state);
-        let dist = if mask.is_empty() {
-            MaskedCategorical::new(&logits, None)
-        } else {
-            MaskedCategorical::new(&logits, Some(mask))
-        };
-        dist.argmax()
+        self.distribution(state, mask).argmax()
+    }
+
+    /// The policy's action distribution at `state`, computing only the
+    /// logits `mask` allows.
+    fn distribution(&self, state: &[f64], mask: &[bool]) -> MaskedCategorical {
+        let logits = self.policy.forward(state, mask);
+        MaskedCategorical::new(&logits, (!mask.is_empty()).then_some(mask))
     }
 
     /// Stores a transition collected from the environment.
@@ -483,11 +480,15 @@ impl PpoTrainer {
     /// Runs a PPO update if enough transitions have been collected
     /// (see [`PpoConfig::batch_size`]). Call at episode boundaries.
     pub fn update_if_ready(&mut self) -> Option<PpoLosses> {
-        if self.buffer.len() >= self.config.batch_size {
-            Some(self.update())
-        } else {
-            None
-        }
+        self.update_if_ready_on(&Exec::serial())
+    }
+
+    /// [`PpoTrainer::update_if_ready`] with the policy and value passes run
+    /// as two tasks on `exec` (see [`PpoTrainer::update_on`]). An empty
+    /// buffer never updates, whatever the batch size.
+    pub fn update_if_ready_on(&mut self, exec: &Exec) -> Option<PpoLosses> {
+        (!self.buffer.is_empty() && self.buffer.len() >= self.config.batch_size)
+            .then(|| self.update_on(exec))
     }
 
     /// Runs a PPO update on whatever is currently in the buffer and clears it.
@@ -496,6 +497,19 @@ impl PpoTrainer {
     ///
     /// Panics if the buffer is empty.
     pub fn update(&mut self) -> PpoLosses {
+        self.update_on(&Exec::serial())
+    }
+
+    /// [`PpoTrainer::update`] with the policy network's epochs and the value
+    /// network's epochs run as two tasks on `exec`. The two share no state:
+    /// each reads the fixed advantages or returns and steps only its own
+    /// network and optimizer, in its own per-sample order, so the result is
+    /// bit-identical at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is empty.
+    pub fn update_on(&mut self, exec: &Exec) -> PpoLosses {
         assert!(
             !self.buffer.is_empty(),
             "cannot update from an empty buffer"
@@ -516,96 +530,131 @@ impl PpoTrainer {
             *a = (*a - mean) / std;
         }
 
-        let transitions = self.buffer.transitions().to_vec();
-        let n = transitions.len() as f64;
-        let mut last = PpoLosses::default();
-
-        for _ in 0..self.config.epochs {
-            self.policy.zero_grad();
-            self.value.zero_grad();
-            let mut policy_loss = 0.0;
-            let mut entropy_loss = 0.0;
-            let mut value_loss = 0.0;
-
-            for (i, t) in transitions.iter().enumerate() {
-                let adv = advantages[i];
-                let ret = returns[i];
-
-                // ---- policy ----
-                let acts = self.policy.forward_full(&t.state);
-                let logits = acts.last().expect("output layer").clone();
-                let dist = if t.mask.is_empty() {
-                    MaskedCategorical::new(&logits, None)
-                } else {
-                    MaskedCategorical::new(&logits, Some(&t.mask))
-                };
-                let new_log_prob = dist.log_prob(t.action);
-                let ratio = (new_log_prob - t.log_prob).exp();
-                let clipped = ratio.clamp(
-                    1.0 - self.config.clip_epsilon,
-                    1.0 + self.config.clip_epsilon,
-                );
-                let surr1 = ratio * adv;
-                let surr2 = clipped * adv;
-                policy_loss += -surr1.min(surr2);
-                let entropy = dist.entropy();
-                entropy_loss += -entropy;
-
-                // Gradient of the per-sample loss w.r.t. the logits.
-                let mut grad_logits = vec![0.0; self.num_actions];
-                if surr1 <= surr2 {
-                    // Unclipped branch is active: d(-ratio·adv)/dlogits.
-                    let glp = dist.grad_log_prob(t.action);
-                    for (g, d) in grad_logits.iter_mut().zip(glp.iter()) {
-                        *g += -ratio * adv * d;
-                    }
-                }
-                // Entropy term: c_ε · d(-H)/dlogits.
-                let ge = dist.grad_entropy();
-                for (g, d) in grad_logits.iter_mut().zip(ge.iter()) {
-                    *g += self.config.entropy_coef * (-d);
-                }
-                // Scale by 1/n for the batch mean.
-                for g in &mut grad_logits {
-                    *g /= n;
-                }
-                self.policy.backward(&acts, &grad_logits);
-
-                // ---- value ----
-                let vacts = self.value.forward_full(&t.state);
-                let v = vacts.last().expect("output layer")[0];
-                let err = v - ret;
-                value_loss += 0.5 * err * err;
-                let grad_v = vec![self.config.value_coef * err / n];
-                self.value.backward(&vacts, &grad_v);
-            }
-
-            // Apply gradients.
-            let mut pparams = self.policy.parameters();
-            self.policy_opt.step(&mut pparams, &self.policy.gradients());
-            self.policy.set_parameters(&pparams);
-            let mut vparams = self.value.parameters();
-            self.value_opt.step(&mut vparams, &self.value.gradients());
-            self.value.set_parameters(&vparams);
-
-            policy_loss /= n;
-            entropy_loss /= n;
-            value_loss /= n;
-            last = PpoLosses {
-                policy_loss,
-                entropy_loss,
-                value_loss,
-                total_loss: policy_loss
-                    + self.config.entropy_coef * entropy_loss
-                    + self.config.value_coef * value_loss,
-            };
-        }
+        let transitions = self.buffer.transitions();
+        let config = &self.config;
+        let ((policy_loss, entropy_loss), value_loss) = exec.join(
+            || {
+                policy_epochs(
+                    &mut self.policy,
+                    &mut self.policy_opt,
+                    transitions,
+                    &advantages,
+                    config,
+                )
+            },
+            || {
+                value_epochs(
+                    &mut self.value,
+                    &mut self.value_opt,
+                    transitions,
+                    &returns,
+                    config,
+                )
+            },
+        );
+        let last = PpoLosses {
+            policy_loss,
+            entropy_loss,
+            value_loss,
+            total_loss: policy_loss
+                + config.entropy_coef * entropy_loss
+                + config.value_coef * value_loss,
+        };
 
         self.buffer.clear();
         self.total_updates += 1;
         self.loss_history.push((self.total_steps, last));
         last
     }
+}
+
+/// Runs every epoch of one update on the policy network and returns the
+/// last epoch's `(policy_loss, entropy_loss)` (zeros for zero epochs).
+///
+/// Only the logits the transition's mask allows are computed and
+/// backpropagated: a masked action has probability zero, so its gradient
+/// is exactly zero and [`Mlp::backward`] would skip it anyway.
+fn policy_epochs(
+    net: &mut Mlp,
+    opt: &mut Adam,
+    transitions: &[Transition],
+    advantages: &[f64],
+    config: &PpoConfig,
+) -> (f64, f64) {
+    let n = transitions.len() as f64;
+    let mut acts = Activations::default();
+    let mut grad_logits = vec![0.0; net.output_dim()];
+    let mut last = (0.0, 0.0);
+    for _ in 0..config.epochs {
+        net.zero_grad();
+        let mut policy_loss = 0.0;
+        let mut entropy_loss = 0.0;
+        for (t, &adv) in transitions.iter().zip(advantages) {
+            net.forward_into(&t.state, &t.mask, &mut acts);
+            let mask = (!t.mask.is_empty()).then_some(&t.mask[..]);
+            let dist = MaskedCategorical::new(acts.output(), mask);
+            let new_log_prob = dist.log_prob(t.action);
+            let ratio = (new_log_prob - t.log_prob).exp();
+            let clipped = ratio.clamp(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon);
+            let surr1 = ratio * adv;
+            let surr2 = clipped * adv;
+            policy_loss += -surr1.min(surr2);
+            let entropy = dist.entropy();
+            entropy_loss += -entropy;
+
+            // Gradient of the per-sample loss w.r.t. the logits. Masked
+            // actions come out as exact zeros, which `backward` skips.
+            for (k, g) in grad_logits.iter_mut().enumerate() {
+                *g = 0.0;
+                if surr1 <= surr2 {
+                    // Unclipped branch is active: d(-ratio·adv)/dlogits.
+                    *g += -ratio * adv * dist.grad_log_prob_at(t.action, k);
+                }
+                // Entropy term: c_ε · d(-H)/dlogits.
+                *g += config.entropy_coef * (-dist.grad_entropy_at(k, entropy));
+                // Scale by 1/n for the batch mean.
+                *g /= n;
+            }
+            net.backward(&acts, &grad_logits);
+        }
+        adam_step(net, opt);
+        last = (policy_loss / n, entropy_loss / n);
+    }
+    last
+}
+
+/// Runs every epoch of one update on the value network and returns the last
+/// epoch's value loss (zero for zero epochs).
+fn value_epochs(
+    net: &mut Mlp,
+    opt: &mut Adam,
+    transitions: &[Transition],
+    returns: &[f64],
+    config: &PpoConfig,
+) -> f64 {
+    let n = transitions.len() as f64;
+    let mut acts = Activations::default();
+    let mut last = 0.0;
+    for _ in 0..config.epochs {
+        net.zero_grad();
+        let mut value_loss = 0.0;
+        for (t, &ret) in transitions.iter().zip(returns) {
+            net.forward_into(&t.state, &[], &mut acts);
+            let err = acts.output()[0] - ret;
+            value_loss += 0.5 * err * err;
+            net.backward(&acts, &[config.value_coef * err / n]);
+        }
+        adam_step(net, opt);
+        last = value_loss / n;
+    }
+    last
+}
+
+/// Applies one optimizer step with the network's accumulated gradients.
+fn adam_step(net: &mut Mlp, opt: &mut Adam) {
+    let mut params = net.parameters();
+    opt.step(&mut params, &net.gradients());
+    net.set_parameters(&params);
 }
 
 #[cfg(test)]

@@ -231,7 +231,7 @@ where
             for transition in episode.transitions {
                 trainer.record(transition);
             }
-            if let Some(losses) = trainer.update_if_ready() {
+            if let Some(losses) = trainer.update_if_ready_on(exec) {
                 report.losses.push((trainer.total_steps(), losses));
             }
             round_reward_sum += episode.total_reward;
@@ -288,6 +288,28 @@ mod tests {
         }
     }
 
+    /// Every action is always masked, so each episode ends before step 0.
+    #[derive(Clone)]
+    struct Stuck;
+
+    impl Environment for Stuck {
+        fn state_dim(&self) -> usize {
+            1
+        }
+        fn num_actions(&self) -> usize {
+            2
+        }
+        fn reset(&mut self) -> Vec<f64> {
+            vec![0.0]
+        }
+        fn step(&mut self, _action: usize) -> StepOutcome {
+            unreachable!("every action is masked")
+        }
+        fn action_mask(&self) -> Vec<bool> {
+            vec![false; 2]
+        }
+    }
+
     fn transitions_digest(outcomes: &[EpisodeOutcome<usize>]) -> Vec<(usize, f64, f64, usize)> {
         outcomes
             .iter()
@@ -326,6 +348,26 @@ mod tests {
         // The reseed hook ran: both arms appear as initial conditions.
         let arms: Vec<usize> = serial.iter().map(|e| e.harvest).collect();
         assert!(arms.contains(&0) && arms.contains(&1));
+    }
+
+    #[test]
+    fn zero_step_episodes_never_update_even_at_batch_size_zero() {
+        let config = PpoConfig {
+            batch_size: 0,
+            hidden_sizes: vec![4],
+            ..PpoConfig::default()
+        };
+        let mut trainer = PpoTrainer::new(1, 2, &config, 1);
+        let options = ParallelTrainOptions {
+            episodes: 3,
+            max_steps: 4,
+            round_episodes: 2,
+            seed: 1,
+        };
+        let outcome = train_parallel(&Stuck, &mut trainer, &options, &Exec::new(2), |_| ());
+        assert_eq!(outcome.report.episode_lengths, vec![0, 0, 0]);
+        assert!(outcome.report.losses.is_empty());
+        assert_eq!(trainer.total_updates(), 0);
     }
 
     #[test]
