@@ -4,7 +4,7 @@
 
 use baselines::{Atpg, RandomPatterns, Tarmac, TestGenerator, Tgrl};
 use criterion::{criterion_group, criterion_main, Criterion};
-use deterrent_core::{Deterrent, DeterrentConfig, RewardMode};
+use deterrent_core::{DeterrentConfig, DeterrentResult, DeterrentSession, RewardMode};
 use netlist::synth::BenchmarkProfile;
 use sim::rare::RareNetAnalysis;
 
@@ -12,6 +12,17 @@ fn setup() -> (netlist::Netlist, RareNetAnalysis) {
     let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
     let analysis = RareNetAnalysis::estimate(&nl, 0.2, 4096, 3);
     (nl, analysis)
+}
+
+/// One pipeline run over the shared analysis, on a fresh session.
+fn run_deterrent(
+    nl: &netlist::Netlist,
+    config: DeterrentConfig,
+    analysis: &RareNetAnalysis,
+) -> DeterrentResult {
+    let mut session = DeterrentSession::new(nl, config);
+    let rare = session.import_analysis(analysis.clone());
+    session.run_from(&rare)
 }
 
 fn small_config() -> DeterrentConfig {
@@ -24,18 +35,18 @@ fn small_config() -> DeterrentConfig {
 fn bench_deterrent(c: &mut Criterion) {
     let (nl, analysis) = setup();
     c.bench_function("pipeline/deterrent_allsteps_masked", |b| {
-        b.iter(|| Deterrent::new(&nl, small_config()).run_with_analysis(&analysis))
+        b.iter(|| run_deterrent(&nl, small_config(), &analysis))
     });
     c.bench_function("pipeline/deterrent_endofepisode", |b| {
         b.iter(|| {
             let config = small_config().with_ablation(RewardMode::EndOfEpisode, true);
-            Deterrent::new(&nl, config).run_with_analysis(&analysis)
+            run_deterrent(&nl, config, &analysis)
         })
     });
     c.bench_function("pipeline/deterrent_no_masking", |b| {
         b.iter(|| {
             let config = small_config().with_ablation(RewardMode::AllSteps, false);
-            Deterrent::new(&nl, config).run_with_analysis(&analysis)
+            run_deterrent(&nl, config, &analysis)
         })
     });
 }

@@ -46,7 +46,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use campaign::{CampaignPlan, PlanSpec, RunPolicy, SilentProgress, StderrTraceSink};
+use campaign::{CampaignPlan, PlanSpec, RunPolicy, StderrTraceSink};
 use deterrent_core::{parse_bytes, ArtifactStore, FaultPlan};
 use exec::Exec;
 use telemetry::{JsonlSink, Telemetry, TraceSink, TRACE_OUT_ENV_VAR};
@@ -264,7 +264,7 @@ fn main() -> ExitCode {
     };
     let mut exec = Exec::new(args.threads);
     exec.set_telemetry(tele.clone(), None);
-    let report = plan.run_with_policy(&store, &exec, &SilentProgress, &policy);
+    let report = plan.run_with_policy(&store, &exec, &policy);
     eprintln!("[campaign] outcomes: {}", report.outcome_summary());
     if let Some(faults) = &args.fault_plan {
         eprintln!("[campaign] injected faults: {:?}", faults.counts());

@@ -13,11 +13,13 @@
 //! * [`CampaignPlan::run`] — schedules every cell on the deterministic
 //!   parallel runtime ([`exec::Exec`]), one
 //!   [`deterrent_core::DeterrentSession`] per cell, all sharing one
-//!   (optionally disk-backed and size-bounded) [`ArtifactStore`]. Per-cell
-//!   stage progress streams through a [`ProgressSink`]. The resulting
-//!   [`CampaignReport`] contains only deterministic quantities, so its
-//!   TSV/Markdown rendering is **bit-identical at any thread count** and
-//!   across warm restarts from the cache.
+//!   (optionally disk-backed and size-bounded) [`ArtifactStore`]. Progress
+//!   leaves the run through one channel, [`RunPolicy::telemetry`]: cell,
+//!   attempt, and stage spans that [`StderrTraceSink`] renders as the
+//!   `[campaign] …` stderr lines. The resulting [`CampaignReport`]
+//!   contains only deterministic quantities, so its TSV/Markdown
+//!   rendering is **bit-identical at any thread count** and across warm
+//!   restarts from the cache.
 //! * Binaries: `deterrent-campaign` (run a sweep from the command line)
 //!   and `deterrent-cache` (`stats` / `gc` / `verify` maintenance of a
 //!   cache directory; see the binary sources for flag tables).
@@ -74,7 +76,7 @@ use std::time::{Duration, Instant};
 
 use deterrent_core::{
     ArtifactStore, CacheEvents, DeterrentConfig, DeterrentResult, DeterrentSession, FaultKind,
-    FaultPlan, RunObserver, Stage, StageMetrics, StoreCounters, QUIET_ENV_VAR,
+    FaultPlan, Stage, StoreCounters, QUIET_ENV_VAR,
 };
 use exec::{catch_task, split_seed, CancelToken, Exec, ExecStats};
 use netlist::synth::BenchmarkProfile;
@@ -223,19 +225,16 @@ impl CampaignPlan {
 
     /// Runs every cell of the grid on `exec` with the default
     /// [`RunPolicy`] (bounded retries, no deadline, no faults, no
-    /// checkpoint), sharing `store` across all sessions and streaming
-    /// progress to `sink`. The report rows are in [`CampaignPlan::cells`]
-    /// order regardless of which thread ran which cell, and contain only
-    /// deterministic quantities — rendering the report is bit-identical at
-    /// any thread count and across warm restarts from a persistent cache.
+    /// checkpoint), sharing `store` across all sessions. The report rows
+    /// are in [`CampaignPlan::cells`] order regardless of which thread ran
+    /// which cell, and contain only deterministic quantities — rendering
+    /// the report is bit-identical at any thread count and across warm
+    /// restarts from a persistent cache. Progress goes out only through
+    /// [`RunPolicy::telemetry`], so use [`CampaignPlan::run_with_policy`]
+    /// to watch it.
     #[must_use]
-    pub fn run(
-        &self,
-        store: &ArtifactStore,
-        exec: &Exec,
-        sink: &dyn ProgressSink,
-    ) -> CampaignReport {
-        self.run_with_policy(store, exec, sink, &RunPolicy::default())
+    pub fn run(&self, store: &ArtifactStore, exec: &Exec) -> CampaignReport {
+        self.run_with_policy(store, exec, &RunPolicy::default())
     }
 
     /// Like [`CampaignPlan::run`], but with explicit fault-tolerance
@@ -258,7 +257,6 @@ impl CampaignPlan {
         &self,
         store: &ArtifactStore,
         exec: &Exec,
-        sink: &dyn ProgressSink,
         policy: &RunPolicy,
     ) -> CampaignReport {
         let netlists: Vec<Netlist> = self.netlists.iter().map(NetlistSpec::build).collect();
@@ -283,7 +281,6 @@ impl CampaignPlan {
             plan: self,
             netlists: &netlists,
             store,
-            sink,
             policy,
             checkpoint: checkpoint.as_ref(),
             cancel: &cancel,
@@ -312,13 +309,11 @@ impl CampaignPlan {
     /// between attempts. Fault-plan timeouts consume an attempt without
     /// consuming wall clock; fault-plan panics unwind through the same
     /// containment as real ones.
-    #[allow(clippy::too_many_arguments)]
     fn run_cell(
         &self,
         cell: &CampaignCell,
         netlist: &Netlist,
         store: &ArtifactStore,
-        sink: &dyn ProgressSink,
         policy: &RunPolicy,
         key: u64,
         cell_ctx: &SpanContext,
@@ -363,14 +358,11 @@ impl CampaignPlan {
                     .with_threads(self.cell_threads.max(1));
                 let mut session = DeterrentSession::with_store(netlist, config, store.clone());
                 session.set_telemetry(attempt_tele, Some(attempt_ctx));
-                session.add_observer(Box::new(CellObserver { sink, cell }));
-                if let Some(limit) = policy.cell_deadline {
-                    session.add_observer(Box::new(DeadlineObserver::new(limit)));
-                }
-                session.run()
+                let result = run_stages(&mut session, policy.cell_deadline);
+                (result, session.exec_stats())
             });
             match attempt_result {
-                Ok(result) => {
+                Ok((result, exec_stats)) => {
                     let outcome = if attempt == 0 {
                         CellOutcome::Ok
                     } else {
@@ -379,10 +371,13 @@ impl CampaignPlan {
                     attempt_span.attr_str("result", "ok");
                     // Executor totals depend on which session computed the
                     // shared artifacts, so they are nondeterministic facts.
-                    attempt_span.vary_u64("exec_calls", result.metrics.exec_stats.calls);
-                    attempt_span.vary_u64("exec_tasks", result.metrics.exec_stats.tasks);
+                    attempt_span.vary_u64("exec_calls", exec_stats.calls);
+                    attempt_span.vary_u64("exec_tasks", exec_stats.tasks);
                     attempt_span.close();
-                    return CellResult::new(cell, netlist, &result, outcome);
+                    return match result {
+                        Some(result) => CellResult::new(cell, netlist, &result, outcome),
+                        None => CellResult::unrun(cell, netlist, outcome),
+                    };
                 }
                 Err(err) => {
                     let message = err
@@ -465,6 +460,43 @@ enum AttemptFailure {
     Panic(String),
 }
 
+/// Drives one attempt's session through analyze → build_graph → train →
+/// select → generate, checking `deadline` after each stage: the first stage
+/// to finish past it panics with [`DEADLINE_MARKER`], which the cell's
+/// failure domain contains and classifies as [`CellOutcome::TimedOut`].
+/// Checking at stage boundaries keeps the session free of cancellation
+/// plumbing while still bounding every attempt to roughly one stage past
+/// its budget. `None` when the graph is empty (no rare nets at this θ): the
+/// row's data columns are zero.
+fn run_stages(
+    session: &mut DeterrentSession<'_>,
+    deadline: Option<Duration>,
+) -> Option<DeterrentResult> {
+    let start = Instant::now();
+    let check = |stage: Stage| {
+        if let Some(limit) = deadline {
+            let elapsed = start.elapsed();
+            if elapsed > limit {
+                panic!("{DEADLINE_MARKER}: {elapsed:?} > {limit:?} after {stage}");
+            }
+        }
+    };
+    let rare = session.analyze();
+    check(Stage::Analyze);
+    let graph = session.build_graph(&rare);
+    check(Stage::BuildGraph);
+    if graph.graph().is_empty() {
+        return None;
+    }
+    let policy = session.train(&graph);
+    check(Stage::Train);
+    let sets = session.select(&graph, &policy);
+    check(Stage::Select);
+    let result = session.generate(&graph, &policy, &sets);
+    check(Stage::Generate);
+    Some(result)
+}
+
 /// Fault-tolerance knobs of [`CampaignPlan::run_with_policy`].
 #[derive(Debug, Clone)]
 pub struct RunPolicy {
@@ -472,8 +504,8 @@ pub struct RunPolicy {
     /// cell). Default 2 — enough to absorb one injected timeout *and* one
     /// injected panic on the same cell.
     pub max_retries: u32,
-    /// Wall-clock budget of one attempt, enforced at stage boundaries by
-    /// a [`RunObserver`] that panics with [`DEADLINE_MARKER`] (contained
+    /// Wall-clock budget of one attempt, checked by the attempt after each
+    /// stage; an attempt past it panics with [`DEADLINE_MARKER`] (contained
     /// and classified as [`CellOutcome::TimedOut`]). `None` = unlimited.
     pub cell_deadline: Option<Duration>,
     /// Cancel every not-yet-started cell after the first terminal
@@ -524,7 +556,6 @@ struct CellEnv<'a> {
     plan: &'a CampaignPlan,
     netlists: &'a [Netlist],
     store: &'a ArtifactStore,
-    sink: &'a dyn ProgressSink,
     policy: &'a RunPolicy,
     checkpoint: Option<&'a Checkpoint>,
     cancel: &'a CancelToken,
@@ -551,7 +582,6 @@ impl CellEnv<'_> {
             let row = CellResult::from_saved(cell, &saved);
             cell_span.attr_bool("restored", true);
             close_cell_span(cell_span, &row);
-            self.sink.cell_finished(&row);
             return row;
         }
         if self.cancel.is_cancelled() {
@@ -565,7 +595,6 @@ impl CellEnv<'_> {
             close_cell_span(cell_span, &row);
             return row;
         }
-        self.sink.cell_started(cell);
         let mut start_mark = cell_span.child("cell_start");
         start_mark.attr_u64("index", cell.index as u64);
         start_mark.attr_str("netlist", &cell.netlist);
@@ -576,7 +605,6 @@ impl CellEnv<'_> {
             cell,
             netlist,
             self.store,
-            self.sink,
             self.policy,
             key,
             &cell_span.context(),
@@ -601,7 +629,6 @@ impl CellEnv<'_> {
             }
         }
         close_cell_span(cell_span, &row);
-        self.sink.cell_finished(&row);
         row
     }
 }
@@ -725,40 +752,6 @@ fn close_cell_span(mut span: Span, row: &CellResult) {
     span.attr_u64("patterns", row.patterns as u64);
     span.attr_u64("max_compatible_set", row.max_compatible_set as u64);
     span.close();
-}
-
-/// A [`RunObserver`] that enforces a per-attempt wall-clock deadline at
-/// stage boundaries: the first stage to finish past the limit panics with
-/// [`DEADLINE_MARKER`], which the cell's failure domain contains and
-/// classifies as [`CellOutcome::TimedOut`]. Checking at stage boundaries
-/// keeps the session code free of cancellation plumbing while still
-/// bounding every cell to roughly one stage past its budget.
-struct DeadlineObserver {
-    start: Instant,
-    limit: Duration,
-}
-
-impl DeadlineObserver {
-    fn new(limit: Duration) -> Self {
-        Self {
-            start: Instant::now(),
-            limit,
-        }
-    }
-}
-
-impl RunObserver for DeadlineObserver {
-    fn stage_started(&mut self, _stage: Stage) {}
-
-    fn stage_finished(&mut self, metrics: &StageMetrics) {
-        let elapsed = self.start.elapsed();
-        if elapsed > self.limit {
-            panic!(
-                "{DEADLINE_MARKER}: {elapsed:?} > {:?} after {}",
-                self.limit, metrics.stage
-            );
-        }
-    }
 }
 
 /// How one cell's failure domain concluded.
@@ -987,90 +980,6 @@ impl CampaignReport {
     }
 }
 
-/// Receiver of campaign progress. Implementations must be [`Sync`]: cells
-/// run on worker threads and report concurrently (events from different
-/// cells interleave; events of one cell arrive in order). Progress is
-/// strictly passive — results are identical with any sink.
-pub trait ProgressSink: Sync {
-    /// A cell is about to run.
-    fn cell_started(&self, cell: &CampaignCell) {
-        let _ = cell;
-    }
-
-    /// A pipeline stage of `cell` finished (cache hits included).
-    fn stage_finished(&self, cell: &CampaignCell, metrics: &StageMetrics) {
-        let _ = (cell, metrics);
-    }
-
-    /// A cell finished with `result`.
-    fn cell_finished(&self, result: &CellResult) {
-        let _ = result;
-    }
-}
-
-/// A [`ProgressSink`] that reports nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SilentProgress;
-
-impl ProgressSink for SilentProgress {}
-
-/// A [`ProgressSink`] printing one stderr line per stage and per cell.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StderrProgress;
-
-impl ProgressSink for StderrProgress {
-    fn cell_started(&self, cell: &CampaignCell) {
-        eprintln!(
-            "{}",
-            trace::render_cell_start(
-                cell.index,
-                &cell.netlist,
-                &cell.theta.to_string(),
-                cell.seed
-            )
-        );
-    }
-
-    fn stage_finished(&self, cell: &CampaignCell, metrics: &StageMetrics) {
-        eprintln!(
-            "{}",
-            trace::render_stage_finished(
-                cell.index,
-                metrics.stage.name(),
-                metrics.cache_hit,
-                metrics.wall_seconds
-            )
-        );
-    }
-
-    fn cell_finished(&self, result: &CellResult) {
-        eprintln!(
-            "{}",
-            trace::render_cell_done(
-                result.cell.index,
-                result.rare_nets,
-                result.sets,
-                result.patterns
-            )
-        );
-    }
-}
-
-/// Forwards one session's [`RunObserver`] events to the campaign's
-/// [`ProgressSink`], tagged with the cell.
-struct CellObserver<'s> {
-    sink: &'s dyn ProgressSink,
-    cell: &'s CampaignCell,
-}
-
-impl RunObserver for CellObserver<'_> {
-    fn stage_started(&mut self, _stage: Stage) {}
-
-    fn stage_finished(&mut self, metrics: &StageMetrics) {
-        self.sink.stage_finished(self.cell, metrics);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1109,8 +1018,8 @@ mod tests {
     #[test]
     fn report_is_bit_identical_at_any_thread_count() {
         let plan = tiny_plan();
-        let serial = plan.run(&ArtifactStore::new(), &Exec::new(1), &SilentProgress);
-        let parallel = plan.run(&ArtifactStore::new(), &Exec::new(4), &SilentProgress);
+        let serial = plan.run(&ArtifactStore::new(), &Exec::new(1));
+        let parallel = plan.run(&ArtifactStore::new(), &Exec::new(4));
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_tsv(), parallel.to_tsv());
         assert_eq!(serial.to_markdown(), parallel.to_markdown());
@@ -1122,10 +1031,10 @@ mod tests {
         let plan = tiny_plan();
         let store = ArtifactStore::new();
         let exec = Exec::new(1);
-        let cold = plan.run(&store, &exec, &SilentProgress);
+        let cold = plan.run(&store, &exec);
         let misses_after_cold = store.counters().total_misses();
         assert!(misses_after_cold > 0);
-        let warm = plan.run(&store, &exec, &SilentProgress);
+        let warm = plan.run(&store, &exec);
         assert_eq!(cold, warm, "warm rerun must reproduce the report");
         assert_eq!(
             store.counters().total_misses(),
@@ -1135,37 +1044,34 @@ mod tests {
     }
 
     #[test]
-    fn progress_reaches_the_sink() {
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct Counting {
-            started: Mutex<usize>,
-            stages: Mutex<usize>,
-            finished: Mutex<usize>,
-        }
-        impl ProgressSink for Counting {
-            fn cell_started(&self, _cell: &CampaignCell) {
-                *self.started.lock().unwrap() += 1;
-            }
-            fn stage_finished(&self, _cell: &CampaignCell, _metrics: &StageMetrics) {
-                *self.stages.lock().unwrap() += 1;
-            }
-            fn cell_finished(&self, _result: &CellResult) {
-                *self.finished.lock().unwrap() += 1;
-            }
-        }
+    fn progress_renders_through_the_trace_sink() {
+        use telemetry::{MemorySink, Telemetry};
 
         let mut plan = tiny_plan();
         plan.netlists.truncate(1);
         plan.thetas.truncate(1);
-        let sink = Counting::default();
-        let _ = plan.run(&ArtifactStore::new(), &Exec::new(2), &sink);
-        assert_eq!(*sink.started.lock().unwrap(), 2);
-        assert_eq!(*sink.finished.lock().unwrap(), 2);
-        // Five stages per cell (empty-graph cells emit fewer; θ=0.18 on
-        // c2670/25 finds rare nets, so all five run).
-        assert!(*sink.stages.lock().unwrap() >= 2 * 2);
+        let sink = MemorySink::new();
+        let policy = RunPolicy {
+            telemetry: Telemetry::new(vec![Box::new(sink.clone())]),
+            ..RunPolicy::default()
+        };
+        let report = plan.run_with_policy(&ArtifactStore::new(), &Exec::new(2), &policy);
+        assert!(report.all_recovered());
+        let lines: Vec<String> = sink
+            .events()
+            .iter()
+            .filter_map(trace::render_trace_line)
+            .collect();
+        let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+        assert_eq!(count(" start: "), 2, "{lines:#?}");
+        assert_eq!(count(" done: "), 2, "{lines:#?}");
+        // Six stages per cell (θ=0.18 on c2670/25 finds rare nets, so every
+        // stage runs).
+        assert!(
+            count(": computed in ") + count(": warm in ") >= 2 * 2,
+            "{lines:#?}"
+        );
+        assert!(lines.iter().all(|l| l.starts_with("[campaign] cell ")));
     }
 
     /// A smaller grid for the fault-tolerance tests: two cells, one
@@ -1209,7 +1115,7 @@ mod tests {
         // Clean cold run populates the disk tier and fixes the expected
         // data bytes.
         let clean_store = ArtifactStore::with_disk(&cache);
-        let clean = plan.run(&clean_store, &Exec::new(1), &SilentProgress);
+        let clean = plan.run(&clean_store, &Exec::new(1));
         assert!(clean.all_recovered());
         let expected = data_projection(&clean.to_tsv());
 
@@ -1229,8 +1135,7 @@ mod tests {
                 faults: Some(faults.clone()),
                 ..RunPolicy::default()
             };
-            let report =
-                plan.run_with_policy(&store, &Exec::new(threads), &SilentProgress, &policy);
+            let report = plan.run_with_policy(&store, &Exec::new(threads), &policy);
             assert!(
                 report.all_recovered(),
                 "fire-once faults always heal (threads={threads}): {}",
@@ -1275,18 +1180,14 @@ mod tests {
             cell_deadline: Some(Duration::ZERO),
             ..RunPolicy::default()
         };
-        let a = plan.run_with_policy(
-            &ArtifactStore::new(),
-            &Exec::new(1),
-            &SilentProgress,
-            &policy,
-        );
-        let b = plan.run_with_policy(
-            &ArtifactStore::new(),
-            &Exec::new(4),
-            &SilentProgress,
-            &policy,
-        );
+        let store = ArtifactStore::new();
+        let a = plan.run_with_policy(&store, &Exec::new(1), &policy);
+        // Every attempt stops at the first stage boundary (after analyze):
+        // nothing from build_graph on ever ran.
+        let counters = store.counters();
+        assert_eq!(counters.build_graph.misses, 0);
+        assert_eq!(counters.train.misses, 0);
+        let b = plan.run_with_policy(&ArtifactStore::new(), &Exec::new(4), &policy);
         assert_eq!(a.to_tsv(), b.to_tsv(), "timeouts render identically");
         assert!(!a.all_recovered());
         for row in &a.cells {
@@ -1295,6 +1196,14 @@ mod tests {
             assert!(row.gates > 0, "gates are known without running");
         }
         assert_eq!(a.outcome_summary(), "ok=0 retried=0 timeout=2 failed=0");
+
+        // A generous deadline never fires.
+        let relaxed = RunPolicy {
+            cell_deadline: Some(Duration::from_secs(3600)),
+            ..policy
+        };
+        let c = plan.run_with_policy(&ArtifactStore::new(), &Exec::new(1), &relaxed);
+        assert!(c.cells.iter().all(|row| row.outcome == CellOutcome::Ok));
     }
 
     #[test]
@@ -1307,12 +1216,7 @@ mod tests {
             ..RunPolicy::default()
         };
         // Serial executor: the first cell times out, cancelling the rest.
-        let report = plan.run_with_policy(
-            &ArtifactStore::new(),
-            &Exec::serial(),
-            &SilentProgress,
-            &policy,
-        );
+        let report = plan.run_with_policy(&ArtifactStore::new(), &Exec::serial(), &policy);
         assert_eq!(report.cells[0].outcome, CellOutcome::TimedOut);
         assert_eq!(
             report.cells[1].outcome,
@@ -1331,13 +1235,13 @@ mod tests {
         };
 
         let store1 = ArtifactStore::new();
-        let first = plan.run_with_policy(&store1, &Exec::new(1), &SilentProgress, &policy);
+        let first = plan.run_with_policy(&store1, &Exec::new(1), &policy);
         assert!(first.all_recovered());
         assert!(store1.counters().total_misses() > 0);
 
         // Full resume: every cell restored, nothing recomputed.
         let store2 = ArtifactStore::new();
-        let resumed = plan.run_with_policy(&store2, &Exec::new(1), &SilentProgress, &policy);
+        let resumed = plan.run_with_policy(&store2, &Exec::new(1), &policy);
         assert_eq!(resumed, first, "restored rows reproduce the report");
         assert_eq!(
             store2.counters().total_misses(),
@@ -1349,7 +1253,7 @@ mod tests {
         let mut bigger = plan.clone();
         bigger.seeds.push(8);
         let store3 = ArtifactStore::new();
-        let grown = bigger.run_with_policy(&store3, &Exec::new(1), &SilentProgress, &policy);
+        let grown = bigger.run_with_policy(&store3, &Exec::new(1), &policy);
         assert!(grown.all_recovered());
         assert_eq!(grown.cells.len(), 4);
         assert_eq!(
@@ -1371,7 +1275,7 @@ mod tests {
         let mut changed = plan.clone();
         changed.base = changed.base.with_episodes(13);
         let store4 = ArtifactStore::new();
-        let rerun = changed.run_with_policy(&store4, &Exec::new(1), &SilentProgress, &policy);
+        let rerun = changed.run_with_policy(&store4, &Exec::new(1), &policy);
         assert!(rerun.all_recovered());
         assert!(
             store4.counters().total_misses() > 0,
@@ -1401,7 +1305,7 @@ mod tests {
             ..RunPolicy::default()
         };
         let store = ArtifactStore::new();
-        let report = plan.run_with_policy(&store, &Exec::new(2), &SilentProgress, &policy);
+        let report = plan.run_with_policy(&store, &Exec::new(2), &policy);
         assert!(report.all_recovered());
 
         let events = sink.events();
@@ -1497,12 +1401,7 @@ mod tests {
             telemetry: tele.clone(),
             ..RunPolicy::default()
         };
-        let report = plan.run_with_policy(
-            &ArtifactStore::new(),
-            &Exec::new(1),
-            &SilentProgress,
-            &policy,
-        );
+        let report = plan.run_with_policy(&ArtifactStore::new(), &Exec::new(1), &policy);
         assert!(report.all_recovered(), "write failures never fail cells");
         assert_eq!(
             tele.counter("campaign.checkpoint_write_failures").get(),

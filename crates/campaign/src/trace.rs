@@ -1,58 +1,15 @@
-//! Stderr rendering of campaign progress, shared between the legacy
-//! [`crate::StderrProgress`] sink and the telemetry-driven
-//! [`StderrTraceSink`].
+//! Stderr rendering of campaign progress from the run's telemetry.
 //!
-//! Both paths produce byte-identical `[campaign] …` lines: the render
-//! functions here are the single source of the formats, and
-//! [`StderrTraceSink`] reconstructs their inputs from trace-event
-//! attributes (the θ token is carried verbatim as the raw JSON number, so
-//! `θ=0.18` round-trips exactly).
+//! [`StderrTraceSink`] turns trace events into the `[campaign] …` progress
+//! lines the CLI prints. Every input of a line comes from event
+//! attributes; the θ token is carried verbatim as the raw JSON number, so
+//! `θ=0.18` round-trips exactly.
 
+use deterrent_core::Stage;
 use telemetry::{EventKind, TraceEvent, TraceSink, Value};
 
-/// Names of the pipeline-stage spans emitted by
-/// `deterrent_core::DeterrentSession` — the spans the stderr sink renders
-/// as per-stage progress lines.
-const STAGE_SPAN_NAMES: [&str; 6] = [
-    "estimate",
-    "analyze",
-    "build_graph",
-    "train",
-    "select",
-    "generate",
-];
-
-/// The `[campaign] cell N start: …` line.
-pub(crate) fn render_cell_start(index: usize, netlist: &str, theta: &str, seed: u64) -> String {
-    format!("[campaign] cell {index} start: {netlist} θ={theta} seed={seed}")
-}
-
-/// The `[campaign] cell N <stage>: …` line.
-pub(crate) fn render_stage_finished(
-    index: usize,
-    stage: &str,
-    cache_hit: bool,
-    wall_seconds: f64,
-) -> String {
-    format!(
-        "[campaign] cell {index} {stage}: {} in {wall_seconds:.3}s",
-        if cache_hit { "warm" } else { "computed" }
-    )
-}
-
-/// The `[campaign] cell N done: …` line.
-pub(crate) fn render_cell_done(
-    index: usize,
-    rare_nets: usize,
-    sets: usize,
-    patterns: usize,
-) -> String {
-    format!("[campaign] cell {index} done: {rare_nets} rare nets, {sets} sets, {patterns} patterns")
-}
-
-/// A [`TraceSink`] that renders campaign trace events as the classic
-/// `[campaign] …` stderr progress lines — the same bytes
-/// [`crate::StderrProgress`] prints, reconstructed from event attributes.
+/// A [`TraceSink`] that renders campaign trace events as the
+/// `[campaign] …` stderr progress lines.
 ///
 /// Rendering rules:
 ///
@@ -61,7 +18,7 @@ pub(crate) fn render_cell_done(
 ///   `cell N <stage>:` line (`warm`/`computed` from the `cache_hit` attr,
 ///   wall seconds from the span's `wall_ns`);
 /// * a closed `cell.N` span → the `cell N done:` line — except cancelled
-///   cells, which the legacy sink never reported either.
+///   cells, which never started.
 ///
 /// Everything else (attempt spans, `exec.call` dispatch spans, metric
 /// flushes) renders nothing.
@@ -86,40 +43,39 @@ impl TraceSink for StderrTraceSink {
 
 /// Renders one trace event as its stderr progress line, or `None` for
 /// events the progress stream does not report.
-fn render_trace_line(event: &TraceEvent) -> Option<String> {
+pub(crate) fn render_trace_line(event: &TraceEvent) -> Option<String> {
     match event.kind {
         EventKind::Mark if event.name == "cell_start" => {
-            let theta = match event.attrs.get("theta") {
-                Some(Value::Num(token)) => token.clone(),
-                _ => return None,
+            let Some(Value::Num(theta)) = event.attrs.get("theta") else {
+                return None;
             };
-            Some(render_cell_start(
-                event.attr_u64("index")? as usize,
+            Some(format!(
+                "[campaign] cell {} start: {} θ={theta} seed={}",
+                event.attr_u64("index")?,
                 event.attr_str("netlist")?,
-                &theta,
                 event.attr_u64("seed")?,
             ))
         }
-        EventKind::Span if STAGE_SPAN_NAMES.contains(&event.name.as_str()) => {
+        EventKind::Span if Stage::ALL.iter().any(|s| s.name() == event.name) => {
             let index = cell_index_of(&event.path)?;
             let wall_seconds = event.vary_u64("wall_ns")? as f64 / 1e9;
             let cache_hit = event.vary.get("cache_hit").and_then(Value::as_bool)?;
-            Some(render_stage_finished(
-                index,
-                &event.name,
-                cache_hit,
-                wall_seconds,
+            Some(format!(
+                "[campaign] cell {index} {}: {} in {wall_seconds:.3}s",
+                event.name,
+                if cache_hit { "warm" } else { "computed" }
             ))
         }
         EventKind::Span if event.name.starts_with("cell.") => {
             if event.attrs.contains_key("cancelled") {
                 return None;
             }
-            Some(render_cell_done(
-                event.attr_u64("index")? as usize,
-                event.attr_u64("rare_nets")? as usize,
-                event.attr_u64("sets")? as usize,
-                event.attr_u64("patterns")? as usize,
+            Some(format!(
+                "[campaign] cell {} done: {} rare nets, {} sets, {} patterns",
+                event.attr_u64("index")?,
+                event.attr_u64("rare_nets")?,
+                event.attr_u64("sets")?,
+                event.attr_u64("patterns")?,
             ))
         }
         _ => None,

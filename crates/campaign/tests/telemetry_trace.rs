@@ -11,7 +11,7 @@
 //! 4. Trace counters reconcile exactly with the runtime's own counters
 //!    ([`exec::ExecStats`], store tier counters, cache events).
 
-use campaign::{CampaignPlan, NetlistSpec, RunPolicy, SilentProgress};
+use campaign::{CampaignPlan, NetlistSpec, RunPolicy};
 use deterrent_core::{ArtifactStore, CachePolicy, DeterrentConfig, FaultKind, FaultPlan};
 use exec::Exec;
 use netlist::synth::BenchmarkProfile;
@@ -62,7 +62,7 @@ fn traced_faulted_campaign_is_valid_invariant_and_reconciled() {
     // Clean cold run (untraced) populates the disk tier and fixes the
     // expected report bytes.
     let clean_store = ArtifactStore::with_disk(&cache);
-    let clean = plan.run(&clean_store, &Exec::new(1), &SilentProgress);
+    let clean = plan.run(&clean_store, &Exec::new(1));
     assert!(clean.all_recovered());
     let untraced_tsv = clean.to_tsv();
 
@@ -83,7 +83,7 @@ fn traced_faulted_campaign_is_valid_invariant_and_reconciled() {
             ..RunPolicy::default()
         };
         let exec = Exec::new(threads);
-        let report = plan.run_with_policy(&store, &exec, &SilentProgress, &policy);
+        let report = plan.run_with_policy(&store, &exec, &policy);
         assert!(report.all_recovered(), "threads={threads}");
 
         // (2) Every event validates against the schema.

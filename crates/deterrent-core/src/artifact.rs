@@ -47,7 +47,7 @@ use crate::codec::{self, DiskLookup, DiskStage, DiskStore};
 use crate::fault::FaultPlan;
 use crate::{
     AnalysisConfig, CachePolicy, CompatConfig, CompatibilityGraph, PatternGenStats, RareNetSet,
-    SelectConfig, Stage, TrainConfig,
+    SelectConfig, TrainConfig,
 };
 
 // ───────────────────────── fingerprinting ─────────────────────────
@@ -540,6 +540,58 @@ impl PatternsArtifact {
 
 // ───────────────────────── the store ─────────────────────────
 
+/// The six stages of a [`crate::DeterrentSession`], in pipeline order —
+/// the axis of [`StoreCounters`] and the names of the session's telemetry
+/// spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// Monte-Carlo signal-probability estimation with single-pass
+    /// compacting witness harvest — the θ-independent half of rare-net
+    /// analysis, shared by every θ a sweep visits.
+    Estimate,
+    /// Rare-net thresholding at θ over the shared estimation artifact.
+    Analyze,
+    /// Pairwise-compatibility graph construction.
+    BuildGraph,
+    /// PPO training over the compatible-set MDP.
+    Train,
+    /// Harvest of greedy evaluation rollouts and `k`-largest set selection.
+    Select,
+    /// SAT/witness test-pattern generation.
+    Generate,
+}
+
+impl Stage {
+    /// All stages in pipeline order.
+    pub const ALL: [Stage; 6] = [
+        Stage::Estimate,
+        Stage::Analyze,
+        Stage::BuildGraph,
+        Stage::Train,
+        Stage::Select,
+        Stage::Generate,
+    ];
+
+    /// Human-readable stage name (also the stage's span name).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Estimate => "estimate",
+            Stage::Analyze => "analyze",
+            Stage::BuildGraph => "build_graph",
+            Stage::Train => "train",
+            Stage::Select => "select",
+            Stage::Generate => "generate",
+        }
+    }
+}
+
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Hit/miss counters of one cached stage, split by tier.
 ///
 /// With a disk tier attached, every lookup resolves to exactly one of
@@ -953,6 +1005,14 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use netlist::synth::BenchmarkProfile;
+
+    #[test]
+    fn stage_names_are_stable() {
+        assert_eq!(Stage::ALL.len(), 6);
+        assert_eq!(Stage::Estimate.to_string(), "estimate");
+        assert_eq!(Stage::Analyze.to_string(), "analyze");
+        assert_eq!(Stage::Generate.name(), "generate");
+    }
 
     #[test]
     fn fingerprints_are_stable_and_field_sensitive() {

@@ -41,8 +41,13 @@
 //! need: the Table 1 / Figure 2–3 ablations share one analysis and one
 //! graph across all cells, and threshold transfer shares one estimation
 //! across every θ.
-//! [`RunObserver`]s receive stage start/finish events ([`StageMetrics`]) and
-//! per-round training progress.
+//!
+//! A session reports progress through one channel, its
+//! [`telemetry::Telemetry`] handle ([`DeterrentSession::set_telemetry`]):
+//! every stage invocation closes one span named after its [`Stage`],
+//! carrying the stage's output cardinality (`items`), wall time
+//! (`wall_ns`), whether the artifact came from the cache (`cache_hit`), and
+//! the store and executor deltas.
 //!
 //! [`DeterrentConfig`] groups its knobs by stage ([`AnalysisConfig`],
 //! [`CompatConfig`], [`TrainConfig`], [`SelectConfig`]) with `with_*`
@@ -63,8 +68,7 @@
 //! assert!(!result.patterns.is_empty());
 //! ```
 //!
-//! The monolithic [`Deterrent::run`] wrapper remains for one-shot callers
-//! and produces bit-identical output.
+//! [`DeterrentSession::run`] runs all six stages in one call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,14 +80,13 @@ mod compat;
 mod config;
 mod env;
 mod fault;
-mod observer;
 mod pipeline;
 mod selection;
 mod session;
 
 pub use artifact::{
     ArtifactStore, GeneratedPatterns, GraphArtifact, PatternsArtifact, PolicyArtifact,
-    ProbArtifact, RareArtifact, SelectedSets, SetsArtifact, StageCounters, StoreCounters,
+    ProbArtifact, RareArtifact, SelectedSets, SetsArtifact, Stage, StageCounters, StoreCounters,
     TrainedPolicy,
 };
 pub use cache::{
@@ -100,8 +103,7 @@ pub use config::{
 };
 pub use env::CompatSetEnv;
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FAULT_PLAN_ENV_VAR};
-pub use observer::{RecordingObserver, RoundProgress, RunObserver, Stage, StageMetrics};
-pub use pipeline::{Deterrent, DeterrentResult, TrainingMetrics};
+pub use pipeline::{DeterrentResult, TrainingMetrics};
 pub use selection::{
     generate_patterns, generate_patterns_with, select_k_largest, PatternGenStats, RareNetSet,
 };

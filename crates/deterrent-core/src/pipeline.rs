@@ -1,18 +1,12 @@
-//! The end-to-end DETERRENT pipeline (Figure 4 of the paper), as a thin
-//! compatibility wrapper over the staged [`crate::DeterrentSession`].
-//!
-//! [`Deterrent::run`] produces bit-identical patterns, sets, and rare nets
-//! to driving the session stages explicitly — it simply runs all five with a
-//! private artifact store. New code that reruns shared prefixes (ablation
-//! grids, threshold sweeps, campaigns) should use the session API directly.
+//! The result types of a DETERRENT run (Figure 4 of the paper), as
+//! assembled by [`crate::DeterrentSession::generate`].
 
 use exec::ExecStats;
-use netlist::Netlist;
 use rl::PpoLosses;
-use sim::rare::{RareNet, RareNetAnalysis};
+use sim::rare::RareNet;
 use sim::TestPattern;
 
-use crate::{DeterrentConfig, DeterrentSession, RareNetSet};
+use crate::RareNetSet;
 
 /// Metrics of a full pipeline run, matching the quantities reported in
 /// Table 1 and Figures 2–3 of the paper.
@@ -94,54 +88,12 @@ impl DeterrentResult {
     }
 }
 
-/// The monolithic one-call pipeline, kept as a compatibility wrapper over
-/// [`DeterrentSession`].
-#[derive(Debug, Clone)]
-pub struct Deterrent<'a> {
-    netlist: &'a Netlist,
-    config: DeterrentConfig,
-}
-
-impl<'a> Deterrent<'a> {
-    /// Creates the pipeline for `netlist` with the given configuration.
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, config: DeterrentConfig) -> Self {
-        Self { netlist, config }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &DeterrentConfig {
-        &self.config
-    }
-
-    /// Runs the full pipeline: rare-net analysis, offline compatibility,
-    /// RL training, set selection, and SAT pattern generation — all five
-    /// session stages on one deterministic parallel runtime sized by
-    /// [`DeterrentConfig::threads`]. The result is bit-identical at any
-    /// thread count.
-    #[must_use]
-    pub fn run(&self) -> DeterrentResult {
-        DeterrentSession::new(self.netlist, self.config.clone()).run()
-    }
-
-    /// Runs the pipeline on a precomputed rare-net analysis. This is how the
-    /// paper's threshold-transfer experiment (train at θ = 0.14, evaluate at
-    /// θ = 0.10) was expressed before the session API; prefer one
-    /// [`DeterrentSession`] per θ with a shared [`crate::ArtifactStore`].
-    #[must_use]
-    pub fn run_with_analysis(&self, analysis: &RareNetAnalysis) -> DeterrentResult {
-        let mut session = DeterrentSession::new(self.netlist, self.config.clone());
-        let rare = session.import_analysis(analysis.clone());
-        session.run_from(&rare)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::RewardMode;
+    use crate::{DeterrentConfig, DeterrentSession, RewardMode};
     use netlist::synth::BenchmarkProfile;
+    use netlist::Netlist;
+    use sim::rare::RareNetAnalysis;
     use sim::Simulator;
     use trojan::{CoverageEvaluator, TrojanGenerator};
 
@@ -153,7 +105,7 @@ mod tests {
     fn full_pipeline_produces_patterns_that_hit_rare_nets() {
         let nl = small_netlist();
         let config = DeterrentConfig::fast_preset().with_threshold(0.2);
-        let result = Deterrent::new(&nl, config).run();
+        let result = DeterrentSession::new(&nl, config).run();
         assert!(!result.rare_nets.is_empty());
         assert!(!result.patterns.is_empty());
         assert!(result.test_length() <= 16);
@@ -177,7 +129,7 @@ mod tests {
         let config = DeterrentConfig::fast_preset()
             .with_threshold(0.2)
             .with_seed(5);
-        let result = Deterrent::new(&nl, config).run();
+        let result = DeterrentSession::new(&nl, config).run();
 
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 4096, 9);
         let mut gen = TrojanGenerator::new(&nl, 77);
@@ -200,7 +152,7 @@ mod tests {
             .with_threshold(0.2)
             .with_ablation(RewardMode::EndOfEpisode, true)
             .with_episodes(20);
-        let result = Deterrent::new(&nl, config).run();
+        let result = DeterrentSession::new(&nl, config).run();
         assert!(result.metrics.steps_per_minute > 0.0);
     }
 
@@ -209,7 +161,7 @@ mod tests {
         let nl = netlist::samples::c17();
         // Nothing in c17 is rare at θ = 0.01.
         let config = DeterrentConfig::fast_preset().with_threshold(0.01);
-        let result = Deterrent::new(&nl, config).run();
+        let result = DeterrentSession::new(&nl, config).run();
         assert!(result.patterns.is_empty());
         assert!(result.sets.is_empty());
     }
@@ -219,22 +171,9 @@ mod tests {
         let nl = small_netlist();
         let loose = RareNetAnalysis::estimate(&nl, 0.25, 4096, 2);
         let config = DeterrentConfig::fast_preset().with_episodes(20);
-        let result = Deterrent::new(&nl, config).run_with_analysis(&loose);
-        assert!((result.rareness_threshold - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wrapper_equals_explicit_session_with_imported_analysis() {
-        let nl = small_netlist();
-        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 4096, 7);
-        let config = DeterrentConfig::fast_preset().with_episodes(20);
-        let wrapped = Deterrent::new(&nl, config.clone()).run_with_analysis(&analysis);
-
         let mut session = DeterrentSession::new(&nl, config);
-        let rare = session.import_analysis(analysis);
-        let staged = session.run_from(&rare);
-        assert_eq!(wrapped.patterns, staged.patterns);
-        assert_eq!(wrapped.sets, staged.sets);
-        assert_eq!(wrapped.rare_nets, staged.rare_nets);
+        let rare = session.import_analysis(loose);
+        let result = session.run_from(&rare);
+        assert!((result.rareness_threshold - 0.25).abs() < 1e-12);
     }
 }

@@ -17,6 +17,9 @@ pub type RareNetSet = Vec<usize>;
 /// broken deterministically by lexicographic order.
 #[must_use]
 pub fn select_k_largest(sets: &[Vec<usize>], k: usize) -> Vec<RareNetSet> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut canonical: Vec<RareNetSet> = sets
         .iter()
         .filter(|s| !s.is_empty())
@@ -135,6 +138,10 @@ mod tests {
         assert_eq!(picked[0], vec![4, 6, 7, 8]);
         assert_eq!(picked[1], vec![2, 5, 9]);
         assert_eq!(picked[2], vec![1, 3]);
+        assert!(
+            select_k_largest(&sets, 0).is_empty(),
+            "k = 0 selects nothing"
+        );
     }
 
     #[test]

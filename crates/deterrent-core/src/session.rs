@@ -27,14 +27,14 @@
 //!
 //! All stages run on **one** shared deterministic executor, so estimation,
 //! graph construction, and rollout collection all contribute to the final
-//! [`crate::TrainingMetrics::exec_stats`]. Results are bit-identical to the
-//! monolithic [`crate::Deterrent::run`] wrapper at any thread count.
+//! [`crate::TrainingMetrics::exec_stats`]. Results are bit-identical at any
+//! thread count.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use exec::{Exec, ExecStats};
 use netlist::Netlist;
-use rl::{train_parallel_observed, CollectOptions, ParallelTrainOptions, PpoTrainer};
+use rl::{train_parallel, CollectOptions, ParallelTrainOptions, PpoTrainer};
 use sat::CircuitOracle;
 use sim::rare::RareNetAnalysis;
 use sim::RareNetEstimate;
@@ -47,7 +47,7 @@ use crate::artifact::{
 use crate::{
     generate_patterns_with, select_k_largest, ArtifactStore, CacheEvents, CompatSetEnv,
     CompatibilityGraph, DeterrentConfig, DeterrentResult, GraphArtifact, PolicyArtifact,
-    RareArtifact, RunObserver, SetsArtifact, Stage, StageCounters, StageMetrics, TrainingMetrics,
+    RareArtifact, SetsArtifact, Stage, StageCounters, TrainingMetrics,
 };
 
 /// In-flight telemetry for one stage invocation: the open span plus the
@@ -93,7 +93,6 @@ pub struct DeterrentSession<'a> {
     config: DeterrentConfig,
     exec: Exec,
     store: ArtifactStore,
-    observers: Vec<Box<dyn RunObserver + 'a>>,
     telemetry: Telemetry,
     trace_parent: Option<SpanContext>,
 }
@@ -105,7 +104,6 @@ impl std::fmt::Debug for DeterrentSession<'_> {
             .field("netlist_fp", &self.netlist_fp)
             .field("config", &self.config)
             .field("threads", &self.exec.threads())
-            .field("observers", &self.observers.len())
             .finish()
     }
 }
@@ -138,7 +136,6 @@ impl<'a> DeterrentSession<'a> {
             config,
             exec,
             store,
-            observers: Vec::new(),
             telemetry: Telemetry::disabled(),
             trace_parent: None,
         }
@@ -170,13 +167,15 @@ impl<'a> DeterrentSession<'a> {
         self.config = config;
     }
 
-    /// Attaches a telemetry handle. Every stage invocation then emits one
-    /// span named after the stage — a child of `parent` when given (the
-    /// campaign parents stage spans under the cell attempt) — carrying its
-    /// [`StageMetrics`] plus cache-tier and executor deltas, and the
-    /// session executor emits per-dispatch `exec.call` spans. Telemetry is
-    /// strictly out-of-band: artifacts, caching, and results are
-    /// unaffected. A disabled handle detaches.
+    /// Attaches a telemetry handle — the session's only progress channel.
+    /// Every stage invocation then emits one span named after the
+    /// [`Stage`] — a child of `parent` when given (the campaign parents
+    /// stage spans under the cell attempt) — carrying the stage's output
+    /// cardinality (`items`), wall time (`wall_ns`), whether it was a cache
+    /// hit (`cache_hit`), and cache-tier and executor deltas; the session
+    /// executor emits per-dispatch `exec.call` spans. Telemetry is strictly
+    /// out-of-band: artifacts, caching, and results are unaffected. A
+    /// disabled handle detaches.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, parent: Option<SpanContext>) {
         self.exec.set_telemetry(telemetry.clone(), parent.clone());
         self.telemetry = telemetry;
@@ -198,21 +197,6 @@ impl<'a> DeterrentSession<'a> {
         self.exec.stats()
     }
 
-    /// Registers a progress observer. Observers are per-session (not stored
-    /// in artifacts) and strictly passive. Observers may borrow from the
-    /// surrounding scope (any lifetime outliving the session's netlist
-    /// borrow) — campaign drivers register forwarding observers that hold
-    /// a reference to a shared progress sink.
-    pub fn add_observer(&mut self, observer: Box<dyn RunObserver + 'a>) {
-        self.observers.push(observer);
-    }
-
-    fn notify_started(&mut self, stage: Stage) {
-        for o in &mut self.observers {
-            o.stage_started(stage);
-        }
-    }
-
     /// Opens the stage span and snapshots the counters it will report
     /// deltas against. `None` when telemetry is disabled.
     fn begin_stage_trace(&self, stage: Stage) -> Option<StageTrace> {
@@ -231,20 +215,29 @@ impl<'a> DeterrentSession<'a> {
         })
     }
 
-    /// Closes the stage span with the stage's [`StageMetrics`] as
-    /// deterministic attributes and the cache-tier / executor / timing
-    /// deltas as nondeterministic ones. Everything downstream of *which
-    /// session computed a shared artifact* — `cache_hit`, executor deltas,
-    /// store tier counters — is scheduling-dependent when the store is
-    /// shared (a concurrent session may compute the artifact first), so
-    /// only the stage identity and its deterministic payload size stay in
-    /// `attrs`.
-    fn finish_stage_trace(&self, trace: Option<StageTrace>, metrics: &StageMetrics) {
+    /// Closes the stage span with the stage identity and its output
+    /// cardinality `items` — retained candidate nets (estimate), rare nets
+    /// (analyze), resolved pairs (build_graph), episodes (train), selected
+    /// sets (select), or generated patterns (generate) — as deterministic
+    /// attributes, and `cache_hit`, the wall time and the cache-tier /
+    /// executor deltas as nondeterministic ones. Everything downstream of
+    /// *which session computed a shared artifact* is scheduling-dependent
+    /// when the store is shared (a concurrent session may compute the
+    /// artifact first), so only the stage identity and its deterministic
+    /// payload size stay in `attrs`.
+    fn finish_stage_trace(
+        &self,
+        trace: Option<StageTrace>,
+        stage: Stage,
+        wall: Duration,
+        cache_hit: bool,
+        items: u64,
+    ) {
         let Some(mut trace) = trace else { return };
         let span = &mut trace.span;
-        span.attr_str("stage", metrics.stage.name());
-        span.attr_u64("items", metrics.items);
-        span.vary("cache_hit", telemetry::Value::Bool(metrics.cache_hit));
+        span.attr_str("stage", stage.name());
+        span.attr_u64("items", items);
+        span.vary("cache_hit", telemetry::Value::Bool(cache_hit));
         let exec = self.exec.stats();
         span.vary_u64(
             "exec_calls",
@@ -254,13 +247,13 @@ impl<'a> DeterrentSession<'a> {
             "exec_tasks",
             exec.tasks.saturating_sub(trace.exec_before.tasks),
         );
-        let wall_ns = (metrics.wall_seconds * 1e9) as u64;
+        let wall_ns = wall.as_nanos() as u64;
         span.vary_u64("wall_ns", wall_ns);
         span.vary_u64(
             "exec_busy_ns",
             exec.busy_nanos.saturating_sub(trace.exec_before.busy_nanos),
         );
-        let c = self.store.counters().stage(metrics.stage);
+        let c = self.store.counters().stage(stage);
         let b = trace.counters_before;
         span.vary_u64("store_mem_hits", c.hits.saturating_sub(b.hits));
         span.vary_u64("store_computed", c.misses.saturating_sub(b.misses));
@@ -291,12 +284,6 @@ impl<'a> DeterrentSession<'a> {
         trace.span.close();
     }
 
-    fn notify_finished(&mut self, metrics: StageMetrics) {
-        for o in &mut self.observers {
-            o.stage_finished(&metrics);
-        }
-    }
-
     /// Stage ❶ — Monte-Carlo probability estimation with the single-pass
     /// compacting witness harvest, at the configured pattern budget,
     /// retention ceiling, and seed. Cached by (netlist, pattern budget,
@@ -304,7 +291,6 @@ impl<'a> DeterrentSession<'a> {
     /// absent, so every θ of a sweep shares this artifact.
     pub fn estimate(&mut self) -> ProbArtifact {
         let key = prob_key(self.netlist_fp, &self.config.analysis, self.config.seed);
-        self.notify_started(Stage::Estimate);
         let trace = self.begin_stage_trace(Stage::Estimate);
         let start = Instant::now();
         let (artifact, cache_hit) = match self.store.lookup_prob(key) {
@@ -322,14 +308,13 @@ impl<'a> DeterrentSession<'a> {
                 (artifact, false)
             }
         };
-        let metrics = StageMetrics {
-            stage: Stage::Estimate,
-            wall_seconds: start.elapsed().as_secs_f64(),
+        self.finish_stage_trace(
+            trace,
+            Stage::Estimate,
+            start.elapsed(),
             cache_hit,
-            items: artifact.num_candidates() as u64,
-        };
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+            artifact.num_candidates() as u64,
+        );
         artifact
     }
 
@@ -343,7 +328,6 @@ impl<'a> DeterrentSession<'a> {
         let probs = self.estimate();
         let theta = self.config.analysis.rareness_threshold;
         let key = rare_key(probs.key, theta);
-        self.notify_started(Stage::Analyze);
         let trace = self.begin_stage_trace(Stage::Analyze);
         let start = Instant::now();
         let (artifact, cache_hit) = match self.store.lookup_rare(key) {
@@ -354,24 +338,24 @@ impl<'a> DeterrentSession<'a> {
                 (artifact, false)
             }
         };
-        let metrics = StageMetrics {
-            stage: Stage::Analyze,
-            wall_seconds: start.elapsed().as_secs_f64(),
+        self.finish_stage_trace(
+            trace,
+            Stage::Analyze,
+            start.elapsed(),
             cache_hit,
-            items: artifact.len() as u64,
-        };
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+            artifact.len() as u64,
+        );
         artifact
     }
 
     /// Registers an externally computed analysis as a [`RareArtifact`],
     /// keyed by its *content* so equal analyses share downstream artifacts.
-    /// This is how the legacy [`crate::Deterrent::run_with_analysis`] path
-    /// and callers with bespoke estimation settings enter the session world.
+    /// This is how the paper's threshold-transfer experiment (train at
+    /// θ = 0.14, evaluate at θ = 0.10) and callers with bespoke estimation
+    /// settings enter the session world; follow it with
+    /// [`DeterrentSession::run_from`].
     pub fn import_analysis(&mut self, analysis: RareNetAnalysis) -> RareArtifact {
         let key = imported_rare_key(self.netlist_fp, &analysis);
-        self.notify_started(Stage::Analyze);
         let trace = self.begin_stage_trace(Stage::Analyze);
         let start = Instant::now();
         let (artifact, cache_hit) = match self.store.lookup_rare(key) {
@@ -382,14 +366,13 @@ impl<'a> DeterrentSession<'a> {
                 (artifact, false)
             }
         };
-        let metrics = StageMetrics {
-            stage: Stage::Analyze,
-            wall_seconds: start.elapsed().as_secs_f64(),
+        self.finish_stage_trace(
+            trace,
+            Stage::Analyze,
+            start.elapsed(),
             cache_hit,
-            items: artifact.len() as u64,
-        };
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+            artifact.len() as u64,
+        );
         artifact
     }
 
@@ -397,7 +380,6 @@ impl<'a> DeterrentSession<'a> {
     /// Cached by (rare key, compat config); built on the session executor.
     pub fn build_graph(&mut self, rare: &RareArtifact) -> GraphArtifact {
         let key = graph_key(rare.key, &self.config.compat);
-        self.notify_started(Stage::BuildGraph);
         let mut trace = self.begin_stage_trace(Stage::BuildGraph);
         let start = Instant::now();
         let (artifact, cache_hit) = match self.store.lookup_graph(key) {
@@ -419,12 +401,6 @@ impl<'a> DeterrentSession<'a> {
                 (artifact, false)
             }
         };
-        let metrics = StageMetrics {
-            stage: Stage::BuildGraph,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            cache_hit,
-            items: artifact.graph().stats().pairs_total,
-        };
         if let Some(trace) = trace.as_mut() {
             // The aggregate solver counters depend on how tier-3 work was
             // chunked across workers (each worker owns an incremental solver
@@ -440,15 +416,18 @@ impl<'a> DeterrentSession<'a> {
             span.vary_u64("sat_deleted_clauses", s.solver.deleted_clauses);
             span.vary_u64("sat_peak_learnts", s.solver.peak_learnts);
         }
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+        self.finish_stage_trace(
+            trace,
+            Stage::BuildGraph,
+            start.elapsed(),
+            cache_hit,
+            artifact.graph().stats().pairs_total,
+        );
         artifact
     }
 
     /// Stage ❹ — PPO training over the compatible-set MDP of `graph`.
-    /// Cached by (graph key, train config, seed). Emits
-    /// [`RunObserver::training_round`] after every frozen-policy round when
-    /// it actually trains.
+    /// Cached by (graph key, train config, seed).
     ///
     /// # Panics
     ///
@@ -457,7 +436,6 @@ impl<'a> DeterrentSession<'a> {
     /// [`DeterrentSession::run`] which short-circuits to an empty result).
     pub fn train(&mut self, graph: &GraphArtifact) -> PolicyArtifact {
         let key = policy_key(graph.key, &self.config.train, self.config.seed);
-        self.notify_started(Stage::Train);
         let trace = self.begin_stage_trace(Stage::Train);
         let start = Instant::now();
         let (artifact, cache_hit) = match self.store.lookup_policy(key) {
@@ -479,20 +457,8 @@ impl<'a> DeterrentSession<'a> {
                 };
                 let finish =
                     |env: &mut CompatSetEnv<'_>| (env.take_harvest(), env.exact_sat_checks());
-                let mut observers = std::mem::take(&mut self.observers);
-                let outcome = train_parallel_observed(
-                    &proto_env,
-                    &mut trainer,
-                    &options,
-                    &self.exec,
-                    finish,
-                    |progress| {
-                        for o in &mut observers {
-                            o.training_round(progress);
-                        }
-                    },
-                );
-                self.observers = observers;
+                let outcome =
+                    train_parallel(&proto_env, &mut trainer, &options, &self.exec, finish);
                 let training_seconds = start.elapsed().as_secs_f64();
 
                 let mut harvested_sets = Vec::new();
@@ -519,14 +485,13 @@ impl<'a> DeterrentSession<'a> {
                 (artifact, false)
             }
         };
-        let metrics = StageMetrics {
-            stage: Stage::Train,
-            wall_seconds: start.elapsed().as_secs_f64(),
+        self.finish_stage_trace(
+            trace,
+            Stage::Train,
+            start.elapsed(),
             cache_hit,
-            items: self.config.train.episodes as u64,
-        };
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+            self.config.train.episodes as u64,
+        );
         artifact
     }
 
@@ -544,7 +509,6 @@ impl<'a> DeterrentSession<'a> {
             "select: the policy artifact does not belong to this graph/config"
         );
         let key = sets_key(policy.key, &self.config.select, self.config.seed);
-        self.notify_started(Stage::Select);
         let trace = self.begin_stage_trace(Stage::Select);
         let start = Instant::now();
         let (artifact, cache_hit) = match self.store.lookup_sets(key) {
@@ -590,14 +554,13 @@ impl<'a> DeterrentSession<'a> {
                 (artifact, false)
             }
         };
-        let metrics = StageMetrics {
-            stage: Stage::Select,
-            wall_seconds: start.elapsed().as_secs_f64(),
+        self.finish_stage_trace(
+            trace,
+            Stage::Select,
+            start.elapsed(),
             cache_hit,
-            items: artifact.sets().len() as u64,
-        };
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+            artifact.sets().len() as u64,
+        );
         artifact
     }
 
@@ -613,7 +576,6 @@ impl<'a> DeterrentSession<'a> {
         sets: &SetsArtifact,
     ) -> DeterrentResult {
         let key = patterns_key(sets.key);
-        self.notify_started(Stage::Generate);
         let trace = self.begin_stage_trace(Stage::Generate);
         let start = Instant::now();
         let (generated, cache_hit) = match self.store.lookup_patterns(key) {
@@ -668,20 +630,18 @@ impl<'a> DeterrentSession<'a> {
             rareness_threshold: graph.rareness_threshold,
             metrics,
         };
-        let metrics = StageMetrics {
-            stage: Stage::Generate,
-            wall_seconds: start.elapsed().as_secs_f64(),
+        self.finish_stage_trace(
+            trace,
+            Stage::Generate,
+            start.elapsed(),
             cache_hit,
-            items: result.patterns.len() as u64,
-        };
-        self.finish_stage_trace(trace, &metrics);
-        self.notify_finished(metrics);
+            result.patterns.len() as u64,
+        );
         result
     }
 
     /// Runs all six stages: estimate → analyze → build_graph → train →
-    /// select → generate. Bit-identical to the legacy monolithic
-    /// [`crate::Deterrent::run`] at any thread count.
+    /// select → generate.
     pub fn run(&mut self) -> DeterrentResult {
         let rare = self.analyze();
         self.run_from(&rare)
@@ -715,7 +675,7 @@ impl<'a> DeterrentSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompatCheck, RecordingObserver, RewardMode};
+    use crate::{CompatCheck, RewardMode};
     use netlist::synth::BenchmarkProfile;
 
     fn small_netlist() -> Netlist {
@@ -737,7 +697,7 @@ mod tests {
         let sets = session.select(&graph, &policy);
         let staged = session.generate(&graph, &policy, &sets);
 
-        let monolithic = crate::Deterrent::new(&nl, config).run();
+        let monolithic = DeterrentSession::new(&nl, config).run();
         assert_eq!(staged.patterns, monolithic.patterns);
         assert_eq!(staged.sets, monolithic.sets);
         assert_eq!(staged.rare_nets, monolithic.rare_nets);
@@ -749,41 +709,6 @@ mod tests {
             staged.metrics.env_sat_checks,
             monolithic.metrics.env_sat_checks
         );
-    }
-
-    #[test]
-    fn observers_see_stages_and_rounds() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let nl = small_netlist();
-        let config = fast_config().with_episodes(20);
-        let recorder = Rc::new(RefCell::new(RecordingObserver::default()));
-        let mut session = DeterrentSession::new(&nl, config.clone());
-        session.add_observer(Box::new(recorder.clone()));
-        let _ = session.run();
-        {
-            let rec = recorder.borrow();
-            assert_eq!(rec.started, Stage::ALL.to_vec());
-            assert_eq!(rec.finished.len(), 6);
-            assert!(rec.finished.iter().all(|m| !m.cache_hit), "cold run");
-            // 20 episodes in rounds of 8 → 3 rounds.
-            assert_eq!(rec.rounds.len(), 3);
-            assert_eq!(rec.rounds.last().unwrap().episodes_done, 20);
-        }
-
-        // A warm rerun over the same store reports cache hits and no rounds.
-        let warm = Rc::new(RefCell::new(RecordingObserver::default()));
-        let mut session2 = DeterrentSession::with_store(&nl, config, session.store());
-        session2.add_observer(Box::new(warm.clone()));
-        let _ = session2.run();
-        let rec = warm.borrow();
-        assert!(rec
-            .finished
-            .iter()
-            .filter(|m| m.stage != Stage::Generate)
-            .all(|m| m.cache_hit));
-        assert!(rec.rounds.is_empty(), "cached policies emit no rounds");
     }
 
     #[test]

@@ -66,6 +66,6 @@ pub use ppo::{
     AdamSnapshot, PolicySnapshot, PpoConfig, PpoLosses, PpoTrainer, RolloutBuffer, Transition,
 };
 pub use rollout::{
-    collect_episodes, train_parallel, train_parallel_observed, CollectOptions, EpisodeOutcome,
-    ParallelTrainOptions, ParallelTrainOutcome, RoundProgress,
+    collect_episodes, train_parallel, CollectOptions, EpisodeOutcome, ParallelTrainOptions,
+    ParallelTrainOutcome,
 };

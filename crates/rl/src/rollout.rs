@@ -148,24 +148,6 @@ pub struct ParallelTrainOutcome<H> {
     pub harvests: Vec<H>,
 }
 
-/// Snapshot emitted after every frozen-policy round of
-/// [`train_parallel_observed`], for progress reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundProgress {
-    /// Zero-based index of the round that just finished.
-    pub round: usize,
-    /// Episodes completed so far (including this round).
-    pub episodes_done: usize,
-    /// Total episodes the run will collect.
-    pub episodes_total: usize,
-    /// Mean total reward over this round's episodes.
-    pub round_mean_reward: f64,
-    /// Environment steps recorded by the trainer so far.
-    pub total_steps: u64,
-    /// PPO updates performed so far.
-    pub total_updates: u64,
-}
-
 /// Frozen-policy round-based PPO training (see the module docs): collect a
 /// round of episodes in parallel, learn from them in episode order, repeat.
 ///
@@ -183,33 +165,11 @@ where
     H: Send,
     F: Fn(&mut E) -> H + Sync,
 {
-    train_parallel_observed(proto, trainer, options, exec, finish, |_| {})
-}
-
-/// [`train_parallel`] with a progress hook: `on_round` is called once after
-/// every frozen-policy round, on the training thread, with a
-/// [`RoundProgress`] snapshot. The hook observes only — training is
-/// bit-identical with or without it.
-pub fn train_parallel_observed<E, H, F, O>(
-    proto: &E,
-    trainer: &mut PpoTrainer,
-    options: &ParallelTrainOptions,
-    exec: &Exec,
-    finish: F,
-    mut on_round: O,
-) -> ParallelTrainOutcome<H>
-where
-    E: Environment + Clone + Sync,
-    H: Send,
-    F: Fn(&mut E) -> H + Sync,
-    O: FnMut(&RoundProgress),
-{
     let start = Instant::now();
     let mut report = TrainReport::default();
     let mut harvests = Vec::with_capacity(options.episodes);
     let round = options.round_episodes.max(1);
     let mut next_episode = 0usize;
-    let mut round_index = 0usize;
     while next_episode < options.episodes {
         let count = round.min(options.episodes - next_episode);
         let outcomes = collect_episodes(
@@ -225,7 +185,6 @@ where
             exec,
             &finish,
         );
-        let mut round_reward_sum = 0.0;
         for episode in outcomes {
             let steps = episode.transitions.len();
             for transition in episode.transitions {
@@ -234,21 +193,11 @@ where
             if let Some(losses) = trainer.update_if_ready_on(exec) {
                 report.losses.push((trainer.total_steps(), losses));
             }
-            round_reward_sum += episode.total_reward;
             report.episode_rewards.push(episode.total_reward);
             report.episode_lengths.push(steps);
             harvests.push(episode.harvest);
         }
         next_episode += count;
-        on_round(&RoundProgress {
-            round: round_index,
-            episodes_done: next_episode,
-            episodes_total: options.episodes,
-            round_mean_reward: round_reward_sum / count as f64,
-            total_steps: trainer.total_steps(),
-            total_updates: trainer.total_updates(),
-        });
-        round_index += 1;
     }
     report.wall_seconds = start.elapsed().as_secs_f64();
     ParallelTrainOutcome { report, harvests }
@@ -426,50 +375,6 @@ mod tests {
             assert_eq!(x.transitions[0].action, y.transitions[0].action);
             assert_eq!(x.transitions[0].log_prob, 0.0);
         }
-    }
-
-    #[test]
-    fn observed_training_reports_rounds_and_changes_nothing() {
-        let config = PpoConfig {
-            batch_size: 8,
-            hidden_sizes: vec![8],
-            ..PpoConfig::default()
-        };
-        let options = ParallelTrainOptions {
-            episodes: 20,
-            max_steps: 1,
-            round_episodes: 8,
-            seed: 4,
-        };
-        let exec = Exec::serial();
-        let proto = SeededBandit { paying_arm: 0 };
-        let mut plain_trainer = PpoTrainer::new(1, 2, &config, 2);
-        let plain = train_parallel(&proto, &mut plain_trainer, &options, &exec, |_| ());
-        let mut rounds = Vec::new();
-        let mut observed_trainer = PpoTrainer::new(1, 2, &config, 2);
-        let observed = train_parallel_observed(
-            &proto,
-            &mut observed_trainer,
-            &options,
-            &exec,
-            |_| (),
-            |p| rounds.push(*p),
-        );
-        assert_eq!(
-            plain.report.episode_rewards,
-            observed.report.episode_rewards
-        );
-        assert_eq!(
-            plain_trainer.loss_history(),
-            observed_trainer.loss_history()
-        );
-        // 20 episodes in rounds of 8 → 8 + 8 + 4.
-        assert_eq!(
-            rounds.iter().map(|p| p.episodes_done).collect::<Vec<_>>(),
-            vec![8, 16, 20]
-        );
-        assert_eq!(rounds.last().unwrap().episodes_total, 20);
-        assert!(rounds.windows(2).all(|w| w[0].round + 1 == w[1].round));
     }
 
     #[test]

@@ -1,46 +1,37 @@
 //! Quickstart: drive the staged DETERRENT session on a synthetic
-//! c2670-profile netlist, watch per-stage progress through a `RunObserver`,
-//! and inspect the generated test patterns.
+//! c2670-profile netlist, watch per-stage progress through the session's
+//! telemetry, and inspect the generated test patterns.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use std::io::Write;
-
-use deterrent_repro::deterrent_core::{
-    DeterrentConfig, DeterrentSession, RoundProgress, RunObserver, Stage, StageMetrics,
-};
+use deterrent_repro::deterrent_core::{DeterrentConfig, DeterrentSession};
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::sim::Simulator;
+use telemetry::{Telemetry, TraceEvent, TraceSink, Value};
 
-/// Prints one line per stage plus live training progress. Partial lines are
-/// flushed so progress is visible *while* a stage runs, not after it.
-struct ProgressPrinter;
+/// Prints one line per closed stage span: the stage's output cardinality
+/// (`items`), its wall time (`wall_ns`), and whether its artifact came from
+/// the cache (`cache_hit`). Other spans (executor dispatches) carry no
+/// `stage` attribute and print nothing.
+struct StageLines;
 
-impl RunObserver for ProgressPrinter {
-    fn stage_started(&mut self, stage: Stage) {
-        print!("  [{stage}] ");
-        let _ = std::io::stdout().flush();
-    }
-
-    fn stage_finished(&mut self, metrics: &StageMetrics) {
+impl TraceSink for StageLines {
+    fn event(&self, event: &TraceEvent) {
+        let (Some(stage), Some(items), Some(wall_ns)) = (
+            event.attr_str("stage"),
+            event.attr_u64("items"),
+            event.vary_u64("wall_ns"),
+        ) else {
+            return;
+        };
+        let cached = event.vary.get("cache_hit").and_then(Value::as_bool) == Some(true);
         println!(
-            "{} items in {:.1} ms{}",
-            metrics.items,
-            metrics.wall_seconds * 1e3,
-            if metrics.cache_hit { " (cached)" } else { "" }
+            "  [{stage}] {items} items in {:.1} ms{}",
+            wall_ns as f64 / 1e6,
+            if cached { " (cached)" } else { "" }
         );
-    }
-
-    fn training_round(&mut self, progress: &RoundProgress) {
-        if progress.episodes_done == progress.episodes_total {
-            print!(
-                "{}/{} episodes · ",
-                progress.episodes_done, progress.episodes_total
-            );
-            let _ = std::io::stdout().flush();
-        }
     }
 }
 
@@ -67,7 +58,7 @@ fn main() {
         config = config.with_cache_dir(dir);
     }
     let mut session = DeterrentSession::new(&netlist, config);
-    session.add_observer(Box::new(ProgressPrinter));
+    session.set_telemetry(Telemetry::new(vec![Box::new(StageLines)]), None);
     println!("stages:");
     let rare = session.analyze();
     let graph = session.build_graph(&rare);

@@ -3,13 +3,13 @@
 //! The contract under test: a session rerun whose config slices did not
 //! change hits the cache for every cached stage (counter-asserted) and
 //! produces **bit-identical** `DeterrentResult`s to a cold session and to
-//! the legacy monolithic `Deterrent::run()` wrapper — at one worker thread
-//! and at four (`DeterrentConfig::threads` pins the exec runtime exactly
-//! like `DETERRENT_THREADS` does for knob-0 configs; CI additionally runs
-//! this whole file under a `DETERRENT_THREADS={1,4}` matrix).
+//! a one-call `DeterrentSession::run()` on a private store — at one worker
+//! thread and at four (`DeterrentConfig::threads` pins the exec runtime
+//! exactly like `DETERRENT_THREADS` does for knob-0 configs; CI additionally
+//! runs this whole file under a `DETERRENT_THREADS={1,4}` matrix).
 
 use deterrent_repro::deterrent_core::{
-    ArtifactStore, Deterrent, DeterrentConfig, DeterrentResult, DeterrentSession, RewardMode,
+    ArtifactStore, DeterrentConfig, DeterrentResult, DeterrentSession, RewardMode,
 };
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::netlist::Netlist;
@@ -83,12 +83,12 @@ fn warm_rerun_hits_every_cached_stage_and_is_bit_identical() {
             &format!("warm vs cold at {threads} threads"),
         );
 
-        // The legacy monolithic wrapper is the same computation.
-        let legacy = Deterrent::new(&nl, config).run();
+        // A one-call run on a private store is the same computation.
+        let private = DeterrentSession::new(&nl, config).run();
         assert_bit_identical(
-            &legacy,
+            &private,
             &cold_result,
-            &format!("legacy wrapper at {threads} threads"),
+            &format!("private store at {threads} threads"),
         );
     }
 }
@@ -163,10 +163,9 @@ fn changing_a_downstream_slice_preserves_upstream_artifacts() {
 
 #[test]
 fn session_exec_stats_include_estimation_tasks() {
-    // PR-3 satellite: the old `Deterrent::run()` built one `Exec` for
-    // estimation and a second for everything else, dropping estimation's
-    // counters. The session's single shared executor must account for the
-    // estimation + witness-harvest parallel calls in the final metrics.
+    // The session's single shared executor must account for the estimation
+    // + witness-harvest parallel calls in the final metrics, not only for
+    // the stages after it.
     let nl = test_netlist();
     let config = test_config();
     let mut session = DeterrentSession::new(&nl, config.clone());
@@ -192,12 +191,11 @@ fn session_exec_stats_include_estimation_tasks() {
     );
     assert!(result.metrics.exec_stats.tasks >= estimation_stats.tasks);
 
-    // The legacy wrapper routes through a session, so its metrics now cover
-    // estimation too.
-    let legacy = Deterrent::new(&nl, config).run();
+    // A one-call run's metrics cover estimation too.
+    let one_call = DeterrentSession::new(&nl, config).run();
     assert!(
-        legacy.metrics.exec_stats.tasks >= min_tasks,
-        "wrapper metrics must include estimation: {:?}",
-        legacy.metrics.exec_stats
+        one_call.metrics.exec_stats.tasks >= min_tasks,
+        "one-call metrics must include estimation: {:?}",
+        one_call.metrics.exec_stats
     );
 }
