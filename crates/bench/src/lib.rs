@@ -67,9 +67,6 @@ pub struct HarnessOptions {
     /// suffixes accepted). Also honours `DETERRENT_CACHE_MAX_BYTES` when
     /// unset; `None` with no variable means unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// `--slim-policy`: persist train-stage artifacts with the slim codec
-    /// variant (~3× smaller; warm runs see a truncated loss history).
-    pub slim_policy: bool,
     /// `--expect-warm`: after the run, assert that the persistent cache
     /// served every stage (zero recomputations) — the CI cache-reuse gate.
     pub expect_warm: bool,
@@ -89,7 +86,6 @@ impl Default for HarnessOptions {
             seed: 2022,
             cache_dir: None,
             cache_max_bytes: None,
-            slim_policy: false,
             expect_warm: false,
             trace_out: None,
         }
@@ -99,7 +95,7 @@ impl Default for HarnessOptions {
 impl HarnessOptions {
     /// Parses command-line arguments: `--full` (paper-sized), `--scale N`,
     /// `--trojans N`, `--width N`, `--seed N`, `--cache-dir DIR`,
-    /// `--cache-max-bytes N[k|m|g]`, `--slim-policy`, `--expect-warm`,
+    /// `--cache-max-bytes N[k|m|g]`, `--expect-warm`,
     /// `--trace-out FILE`.
     #[must_use]
     pub fn from_args() -> Self {
@@ -135,9 +131,6 @@ impl HarnessOptions {
                 "--cache-max-bytes" if i + 1 < args.len() => {
                     options.cache_max_bytes = deterrent_core::parse_bytes(&args[i + 1]);
                     i += 1;
-                }
-                "--slim-policy" => {
-                    options.slim_policy = true;
                 }
                 "--expect-warm" => {
                     options.expect_warm = true;
@@ -183,8 +176,8 @@ impl HarnessOptions {
 
     /// An artifact store honouring the harness cache knobs: disk-backed
     /// when `--cache-dir` (or `DETERRENT_CACHE_DIR`) names a directory —
-    /// bounded per `--cache-max-bytes` / `DETERRENT_CACHE_MAX_BYTES` and
-    /// slimmed per `--slim-policy` — memory-only otherwise.
+    /// bounded per `--cache-max-bytes` / `DETERRENT_CACHE_MAX_BYTES` —
+    /// memory-only otherwise.
     #[must_use]
     pub fn store(&self) -> ArtifactStore {
         let config = self.deterrent_config();
@@ -226,7 +219,6 @@ impl HarnessOptions {
             base = base.with_cache_dir(dir.clone());
         }
         base.cache_policy.max_bytes = self.cache_max_bytes;
-        base.cache_policy.slim_policy = self.slim_policy;
         base
     }
 }

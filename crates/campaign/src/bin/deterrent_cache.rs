@@ -20,7 +20,8 @@
 //! The cache directory comes from `--cache-dir`, else the
 //! `DETERRENT_CACHE_DIR` environment variable. `gc` budgets come from the
 //! flags, else `DETERRENT_CACHE_MAX_BYTES`; with no budget at all, `gc`
-//! still prunes corrupt files and orphaned `.lru` sidecars.
+//! still prunes corrupt files and stale ones (torn-write temp files, and
+//! the `.lru` sidecars and `gen.ctr` file older format versions kept).
 //!
 //! Exit codes — deliberately distinct so CI can gate on them:
 //!
@@ -189,19 +190,17 @@ fn main() -> ExitCode {
             let policy = CachePolicy {
                 max_bytes: args.max_bytes.or(env_budget),
                 per_stage_max: args.per_stage_max,
-                ..CachePolicy::default()
             };
             match gc(&dir, &policy) {
                 Ok(report) => {
                     println!(
                         "gc {}: evicted {} file(s) ({} bytes), removed {} corrupt, \
-                         {} orphan sidecar(s), {} stale tmp file(s); {} bytes remain",
+                         {} stale file(s); {} bytes remain",
                         dir.display(),
                         report.evicted_files,
                         report.evicted_bytes,
                         report.corrupt_removed,
-                        report.orphan_sidecars_removed,
-                        report.stale_tmp_removed,
+                        report.stale_removed,
                         report.bytes_remaining
                     );
                     ExitCode::SUCCESS

@@ -19,7 +19,6 @@
 //! | `--cache-dir DIR` | persistent cache (else `DETERRENT_CACHE_DIR`) | memory-only |
 //! | `--cache-max-bytes N[k\|m\|g]` | cache budget (else `DETERRENT_CACHE_MAX_BYTES`) | unbounded |
 //! | `--per-stage-max N[k\|m\|g]` | per-stage-directory budget | unbounded |
-//! | `--slim-policy` | slim train-stage artifacts (~3× smaller) | full |
 //! | `--format tsv\|markdown` | report format on stdout | `tsv` |
 //! | `--quiet` | suppress per-cell progress on stderr | off |
 //! | `--expect-warm` | assert every stage was served from the cache | off |
@@ -56,7 +55,6 @@ struct Args {
     cache_dir: Option<String>,
     cache_max_bytes: Option<u64>,
     per_stage_max: Option<u64>,
-    slim_policy: bool,
     markdown: bool,
     quiet: bool,
     expect_warm: bool,
@@ -77,7 +75,6 @@ impl Default for Args {
             cache_dir: None,
             cache_max_bytes: None,
             per_stage_max: None,
-            slim_policy: false,
             markdown: false,
             quiet: false,
             expect_warm: false,
@@ -143,7 +140,6 @@ fn parse_args() -> Result<(Args, CampaignPlan), String> {
                 args.per_stage_max =
                     Some(parse_bytes(&value(&mut i)?).ok_or("bad --per-stage-max")?);
             }
-            "--slim-policy" => args.slim_policy = true,
             "--format" => {
                 args.markdown = match value(&mut i)?.as_str() {
                     "tsv" => false,
@@ -208,7 +204,6 @@ fn main() -> ExitCode {
         base.cache_policy.max_bytes = Some(max_bytes);
     }
     base.cache_policy.per_stage_max = args.per_stage_max;
-    base.cache_policy.slim_policy = args.slim_policy;
 
     // Flag → env → memory-only, exactly like sessions resolve it. The
     // fault plan (if any) is shared between the disk tier and the cell

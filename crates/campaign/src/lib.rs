@@ -69,6 +69,7 @@ mod checkpoint;
 mod spec;
 mod trace;
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,7 +82,7 @@ use deterrent_core::{
 use exec::{catch_task, split_seed, CancelToken, Exec, ExecStats};
 use netlist::synth::BenchmarkProfile;
 use netlist::Netlist;
-use telemetry::{Counter, Span, SpanContext, Telemetry};
+use telemetry::{Counter, Span, SpanContext, Telemetry, Value, NONDET_VARY_KEY};
 
 pub use checkpoint::{Checkpoint, SavedRow};
 pub use spec::{base_config_for, PlanSpec};
@@ -289,6 +290,7 @@ impl CampaignPlan {
             checkpoint_writes: &checkpoint_writes,
             checkpoint_write_failures: &checkpoint_write_failures,
         };
+        env.resolve_estimates(&cells, exec);
         let results = exec.par_map(&cells, |_, cell| env.execute(cell));
         let report = CampaignReport { cells: results };
         finish_run_span(
@@ -302,6 +304,16 @@ impl CampaignPlan {
             exec.stats(),
         );
         report
+    }
+
+    /// The effective config of one cell: the base with the cell's θ, seed,
+    /// and session thread count.
+    fn cell_config(&self, cell: &CampaignCell) -> DeterrentConfig {
+        self.base
+            .clone()
+            .with_threshold(cell.theta)
+            .with_seed(cell.seed)
+            .with_threads(self.cell_threads.max(1))
     }
 
     /// One cell's failure domain: up to `1 + max_retries` attempts, each
@@ -350,13 +362,8 @@ impl CampaignPlan {
                         panic!("injected cell fault (plan seed {})", plan.seed());
                     }
                 }
-                let config = self
-                    .base
-                    .clone()
-                    .with_threshold(cell.theta)
-                    .with_seed(cell.seed)
-                    .with_threads(self.cell_threads.max(1));
-                let mut session = DeterrentSession::with_store(netlist, config, store.clone());
+                let mut session =
+                    DeterrentSession::with_store(netlist, self.cell_config(cell), store.clone());
                 session.set_telemetry(attempt_tele, Some(attempt_ctx));
                 let result = run_stages(&mut session, policy.cell_deadline);
                 (result, session.exec_stats())
@@ -566,6 +573,54 @@ struct CellEnv<'a> {
 }
 
 impl CellEnv<'_> {
+    /// Resolves every distinct estimate artifact of the pending cells once,
+    /// on `exec`, before any cell runs. Every θ of a (netlist, seed) at or
+    /// below the retention ceiling shares one estimate, so cells racing on
+    /// a cold store would otherwise each compute it. Groups whose cells are
+    /// all restored from the checkpoint are skipped. A panic here is
+    /// contained: the cells then resolve the estimate themselves, each
+    /// inside its own failure domain.
+    fn resolve_estimates(&self, cells: &[CampaignCell], exec: &Exec) {
+        let plan = self.plan;
+        let mut seen = HashSet::new();
+        let pending: Vec<&CampaignCell> = cells
+            .iter()
+            .filter(|cell| {
+                self.checkpoint
+                    .is_none_or(|c| c.get(plan.cell_key(cell)).is_none())
+            })
+            .filter(|cell| {
+                let retain = plan.cell_config(cell).analysis.effective_retain();
+                seen.insert((cell.netlist_index, cell.seed, retain.to_bits()))
+            })
+            .collect();
+        exec.par_map(&pending, |_, cell| {
+            let mut span = self
+                .policy
+                .telemetry
+                .child_span(self.run_ctx, Stage::Estimate.name());
+            // Shared groundwork rather than a cell's own work, so it stays
+            // out of the per-cell canonical projection.
+            span.vary(NONDET_VARY_KEY, Value::Bool(true));
+            let netlist = &self.netlists[cell.netlist_index];
+            let resolved = catch_task(cell.index, || {
+                let mut session = DeterrentSession::with_store(
+                    netlist,
+                    plan.cell_config(cell),
+                    self.store.clone(),
+                );
+                let _ = session.estimate();
+                // A cache hit dispatches no executor work.
+                session.exec_stats().calls == 0
+            });
+            match resolved {
+                Ok(cache_hit) => span.vary("cache_hit", Value::Bool(cache_hit)),
+                Err(err) => span.vary_str("error", err.panic_message().unwrap_or("panicked")),
+            }
+            span.close();
+        });
+    }
+
     /// Runs one cell end to end: checkpoint restore, cancellation check,
     /// the retry loop ([`CampaignPlan::run_cell`]), checkpoint recording,
     /// and failure accounting for `fail_fast` / `max_failures`.
@@ -591,7 +646,7 @@ impl CellEnv<'_> {
             // depends on scheduling, so the span opts out of the
             // canonical (thread-invariance) projection.
             cell_span.attr_bool("cancelled", true);
-            cell_span.vary(telemetry::NONDET_VARY_KEY, telemetry::Value::Bool(true));
+            cell_span.vary(NONDET_VARY_KEY, Value::Bool(true));
             close_cell_span(cell_span, &row);
             return row;
         }
@@ -1041,6 +1096,39 @@ mod tests {
             misses_after_cold,
             "the rerun must not compute anything new"
         );
+    }
+
+    #[test]
+    fn theta_sweep_estimates_once_with_concurrent_workers() {
+        use telemetry::{MemorySink, Telemetry};
+
+        let plan = CampaignPlan {
+            netlists: vec![NetlistSpec::new(BenchmarkProfile::c2670(), 25, 3)],
+            thetas: vec![0.10, 0.12, 0.14, 0.2],
+            seeds: vec![7],
+            ..tiny_plan()
+        };
+        let sink = MemorySink::new();
+        let policy = RunPolicy {
+            telemetry: Telemetry::new(vec![Box::new(sink.clone())]),
+            ..RunPolicy::default()
+        };
+        let store = ArtifactStore::new();
+        let report = plan.run_with_policy(&store, &Exec::new(2), &policy);
+        assert!(report.all_recovered());
+        let counters = store.counters();
+        assert_eq!(counters.estimate.misses, 1, "one estimation: {counters:?}");
+        assert_eq!(counters.analyze.misses, 4, "one thresholding per θ");
+        // The trace records that single estimation as the one cold
+        // estimate span.
+        let cold = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == "estimate")
+            .filter(|e| e.vary.get("cache_hit").and_then(Value::as_bool) == Some(false))
+            .count();
+        assert_eq!(cold, 1);
+        assert_eq!(report, plan.run(&ArtifactStore::new(), &Exec::new(1)));
     }
 
     #[test]

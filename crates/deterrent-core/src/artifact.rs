@@ -43,7 +43,7 @@ use sim::rare::RareNetAnalysis;
 use sim::{PatternSource, RareNetEstimate, TestPattern};
 
 use crate::cache::{CacheError, CacheErrorKind, CacheEvents};
-use crate::codec::{self, DiskLookup, DiskStage, DiskStore};
+use crate::codec::{self, DiskLookup, DiskStore};
 use crate::fault::FaultPlan;
 use crate::{
     AnalysisConfig, CachePolicy, CompatConfig, CompatibilityGraph, PatternGenStats, RareNetSet,
@@ -584,6 +584,42 @@ impl Stage {
             Stage::Generate => "generate",
         }
     }
+
+    /// All stages in disk-tag order — the order of [`Stage::tag`], of the
+    /// directory scans, and of the `deterrent-cache stats` rows. `Estimate`
+    /// joined last with the next free tag.
+    pub(crate) const BY_TAG: [Stage; 6] = [
+        Stage::Analyze,
+        Stage::BuildGraph,
+        Stage::Train,
+        Stage::Select,
+        Stage::Generate,
+        Stage::Estimate,
+    ];
+
+    /// The stage tag written into artifact file headers (1-based, dense).
+    pub(crate) fn tag(self) -> u32 {
+        match self {
+            Stage::Analyze => 1,
+            Stage::BuildGraph => 2,
+            Stage::Train => 3,
+            Stage::Select => 4,
+            Stage::Generate => 5,
+            Stage::Estimate => 6,
+        }
+    }
+
+    /// The stage's directory under the cache root.
+    pub(crate) fn dir(self) -> &'static str {
+        match self {
+            Stage::Analyze => "analyze",
+            Stage::BuildGraph => "graph",
+            Stage::Train => "train",
+            Stage::Select => "select",
+            Stage::Generate => "generate",
+            Stage::Estimate => "estimate",
+        }
+    }
 }
 
 impl std::fmt::Display for Stage {
@@ -747,7 +783,7 @@ macro_rules! stage_cache {
                         Ok(artifact) => DiskLookup::Hit(artifact),
                         Err(e) => DiskLookup::Failed(CacheError::new(
                             CacheErrorKind::Corrupt,
-                            $stage.stage(),
+                            $stage,
                             key,
                             format!("payload decode failed: {e:?}"),
                         )),
@@ -788,7 +824,7 @@ macro_rules! stage_cache {
         pub(crate) fn $insert(&self, artifact: &$artifact) {
             self.lock().$map.insert(artifact.key, artifact.clone());
             if let Some(disk) = &self.disk {
-                disk.store($stage, artifact.key, &$encode(artifact, disk.slim_policy()));
+                disk.store($stage, artifact.key, &$encode(artifact));
             }
         }
     };
@@ -812,9 +848,8 @@ impl ArtifactStore {
 
     /// Like [`ArtifactStore::with_disk`], but with an explicit
     /// [`CachePolicy`]: size budgets are enforced (LRU-first) after every
-    /// insert, and `slim_policy` switches train-stage artifacts to the slim
-    /// codec variant. Policies never affect results — only which lookups
-    /// are served warm — so they are excluded from every cache key.
+    /// insert. Policies never affect results — only which lookups are
+    /// served warm — so they are excluded from every cache key.
     #[must_use]
     pub fn with_disk_policy(cache_dir: impl Into<PathBuf>, policy: CachePolicy) -> Self {
         Self::with_disk_policy_faults(cache_dir, policy, None)
@@ -939,7 +974,7 @@ impl ArtifactStore {
         insert_prob,
         prob,
         estimate,
-        DiskStage::Estimate,
+        Stage::Estimate,
         ProbArtifact,
         codec::encode_prob,
         codec::decode_prob
@@ -950,7 +985,7 @@ impl ArtifactStore {
         insert_rare,
         rare,
         analyze,
-        DiskStage::Analyze,
+        Stage::Analyze,
         RareArtifact,
         codec::encode_rare,
         codec::decode_rare
@@ -961,7 +996,7 @@ impl ArtifactStore {
         insert_graph,
         graph,
         build_graph,
-        DiskStage::Graph,
+        Stage::BuildGraph,
         GraphArtifact,
         codec::encode_graph,
         codec::decode_graph
@@ -972,7 +1007,7 @@ impl ArtifactStore {
         insert_policy,
         policy,
         train,
-        DiskStage::Train,
+        Stage::Train,
         PolicyArtifact,
         codec::encode_policy,
         codec::decode_policy
@@ -983,7 +1018,7 @@ impl ArtifactStore {
         insert_sets,
         sets,
         select,
-        DiskStage::Select,
+        Stage::Select,
         SetsArtifact,
         codec::encode_sets,
         codec::decode_sets
@@ -994,7 +1029,7 @@ impl ArtifactStore {
         insert_patterns,
         patterns,
         generate,
-        DiskStage::Generate,
+        Stage::Generate,
         PatternsArtifact,
         codec::encode_patterns,
         codec::decode_patterns

@@ -1,21 +1,20 @@
 //! Cache budgets, LRU eviction, and offline maintenance of the disk tier.
 //!
-//! PR 4's persistent artifact cache grew without bound: every distinct key
-//! writes a file and nothing ever deletes one. This module makes the disk
-//! tier *self-maintaining*:
+//! Without a budget the persistent artifact cache grows without bound:
+//! every distinct key writes a file and nothing ever deletes one. This
+//! module makes the disk tier *self-maintaining*:
 //!
 //! * [`CachePolicy`] — a size budget ([`CachePolicy::max_bytes`] for the
 //!   whole cache, [`CachePolicy::per_stage_max`] per stage directory)
-//!   enforced **on every insert**, plus the [`CachePolicy::slim_policy`]
-//!   knob that switches train-stage artifacts to the slim codec variant
-//!   (see the `codec` module docs for the on-disk formats).
-//! * LRU ordering by an explicit **access-stamp sidecar** (`<key>.lru`
-//!   next to each `<key>.dtc`), *not* by file `atime` — CI runners and
-//!   many production mounts are `noatime`, so access times cannot be
-//!   trusted. Sidecar stamps are written on insert and on every disk hit,
-//!   and are monotonic within a process (wall-clock nanoseconds fused with
-//!   an atomic counter), so stores in different processes sharing one
-//!   directory still agree on recency to wall-clock precision.
+//!   enforced **on every insert** (see the `codec` module docs for the
+//!   on-disk format).
+//! * LRU ordering by each artifact's own **modification time**, which the
+//!   store sets explicitly on insert and on every disk hit — *not* by file
+//!   `atime`: CI runners and many production mounts are `noatime`, so
+//!   access times cannot be trusted. Stamps are monotonic within a process
+//!   (wall-clock nanoseconds fused with an atomic counter), so stores in
+//!   different processes sharing one directory still agree on recency to
+//!   wall-clock precision.
 //! * An eviction guarantee: an artifact **read by the current process is
 //!   never evicted by that process** (the store pins every disk hit), so a
 //!   long campaign can re-open artifacts it already used without them
@@ -24,7 +23,7 @@
 //!   until the next process.
 //! * Offline maintenance entry points used by the `deterrent-cache` CLI:
 //!   [`cache_stats`] (per-stage file counts and bytes), [`gc`] (prune
-//!   corrupt files, orphan sidecars, and over-budget artifacts), and
+//!   stale files, corrupt files, and over-budget artifacts), and
 //!   [`verify`] (validate every file's header + checksum, optionally
 //!   healing by deletion, with I/O errors reported separately from
 //!   corruption so CI can gate on the distinction).
@@ -44,14 +43,14 @@
 //! though it stays under budget (output is still byte-identical — budgets
 //! never change results, only wall clock). When the goal is "keep the
 //! cheap stages warm and shed the expensive ones", use
-//! [`CachePolicy::per_stage_max`]: train-stage files are ~4× the other
-//! five stages combined, so a cap that only the `train/` directory
-//! exceeds retains estimate/analyze/graph/select/generate in full across reruns
-//! and confines recomputation (and the anomaly) to the train stage. The
-//! CI bounded-cache gate does exactly this. Use `max_bytes` as the hard
-//! disk ceiling, `per_stage_max` as the retention shaper, and
-//! [`CachePolicy::slim_policy`] to make each train file ~3× cheaper
-//! before any eviction is needed.
+//! [`CachePolicy::per_stage_max`]: on the default campaign grid a cell
+//! writes about 120 kB of train-stage files (159 kB for the largest)
+//! against about 78 kB for the other five stages together, so a cap that
+//! only the `train/` directory exceeds retains
+//! estimate/analyze/graph/select/generate in full across reruns and
+//! confines recomputation (and the anomaly) to the train stage.
+//! The CI bounded-cache gate does exactly this. Use `max_bytes` as the
+//! hard disk ceiling and `per_stage_max` as the retention shaper.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -59,7 +58,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, CacheEntry, DiskStage};
+use crate::codec;
 use crate::Stage;
 
 /// Classification of a disk-tier failure.
@@ -168,48 +167,26 @@ impl CacheEvents {
     }
 }
 
-/// How over-budget artifacts are chosen for eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum Eviction {
-    /// Least-recently-used first, by sidecar access stamp (ties broken by
-    /// stage and key so eviction order is deterministic).
-    #[default]
-    Lru,
-}
-
-/// Size budget and codec options of the persistent disk tier.
+/// Size budget of the persistent disk tier.
 ///
-/// The default policy is unbounded (both budgets `None`) with the full
-/// policy codec — exactly PR 4's behaviour. Budgets are enforced on every
-/// insert: after writing a new artifact the store evicts
+/// The default policy is unbounded (both budgets `None`). Budgets are
+/// enforced on every insert: after writing a new artifact the store evicts
 /// least-recently-used files (skipping any artifact this process has read)
 /// until the cache fits. A policy never changes results, only what is
 /// served warm, so it is excluded from every cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CachePolicy {
-    /// Maximum total bytes of the cache directory (artifact files plus
-    /// their sidecars), or `None` for unbounded.
+    /// Maximum total bytes of the cache's artifact files, or `None` for
+    /// unbounded.
     pub max_bytes: Option<u64>,
     /// Maximum bytes per stage directory, applied before the global
-    /// budget. Useful because train-stage artifacts dominate (roughly 4× the
-    /// other five stages combined at fast-preset scale).
+    /// budget. Useful because train-stage artifacts dominate (about 1.6×
+    /// the other five stages combined on the default campaign grid).
     pub per_stage_max: Option<u64>,
-    /// Eviction order among over-budget artifacts.
-    pub eviction: Eviction,
-    /// Write train-stage artifacts with the slim codec variant: Adam
-    /// optimizer moments dropped and the loss history truncated to its most
-    /// recent entries, shrinking policy files roughly 3×. Greedy/frozen
-    /// rollouts from a slim artifact are bit-identical to full ones; the
-    /// only observable difference is that a warm run's
-    /// [`crate::TrainingMetrics::loss_history`] holds at most
-    /// [`crate::SLIM_LOSS_KEEP`] entries. Default `false` (full
-    /// fidelity).
-    pub slim_policy: bool,
 }
 
 impl CachePolicy {
-    /// An unbounded policy with the full codec (the default).
+    /// An unbounded policy (the default).
     #[must_use]
     pub fn unbounded() -> Self {
         Self::default()
@@ -226,13 +203,6 @@ impl CachePolicy {
     #[must_use]
     pub fn with_per_stage_max(mut self, per_stage_max: u64) -> Self {
         self.per_stage_max = Some(per_stage_max);
-        self
-    }
-
-    /// Returns a copy with the slim train-stage codec toggled.
-    #[must_use]
-    pub fn with_slim_policy(mut self, slim: bool) -> Self {
-        self.slim_policy = slim;
         self
     }
 
@@ -278,7 +248,7 @@ pub struct StageUsage {
     pub stage: Stage,
     /// Number of artifact files.
     pub files: u64,
-    /// Bytes of artifact files plus their access-stamp sidecars.
+    /// Bytes of artifact files.
     pub bytes: u64,
 }
 
@@ -297,7 +267,7 @@ impl CacheStats {
         self.stages.iter().map(|s| s.files).sum()
     }
 
-    /// Total bytes (artifacts + sidecars) across all stages.
+    /// Total artifact bytes across all stages.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.bytes).sum()
@@ -340,13 +310,13 @@ impl CacheStats {
 /// Returns any I/O error encountered while listing the stage directories.
 pub fn cache_stats(root: &Path) -> io::Result<CacheStats> {
     let entries = codec::scan_entries(root)?;
-    let mut stages = DiskStage::ALL.map(|stage| StageUsage {
-        stage: stage.stage(),
+    let mut stages = Stage::BY_TAG.map(|stage| StageUsage {
+        stage,
         files: 0,
         bytes: 0,
     });
     for entry in &entries {
-        let slot = &mut stages[entry.stage.index()];
+        let slot = &mut stages[entry.stage.tag() as usize - 1];
         slot.files += 1;
         slot.bytes += entry.bytes;
     }
@@ -362,22 +332,21 @@ pub struct GcReport {
     pub evicted_bytes: u64,
     /// Corrupt or unreadable artifact files removed.
     pub corrupt_removed: u64,
-    /// Access-stamp sidecars whose artifact no longer exists, removed.
-    pub orphan_sidecars_removed: u64,
-    /// Stale `.tmp-*` files — residue of a writer killed mid-write, before
-    /// the atomic rename — removed.
-    pub stale_tmp_removed: u64,
+    /// Stale files removed: `.tmp-*` residue of a writer killed before
+    /// its atomic rename, and the `.lru` sidecars and `gen.ctr` file that
+    /// format versions before 6 kept.
+    pub stale_removed: u64,
     /// Bytes remaining in the cache after the sweep.
     pub bytes_remaining: u64,
 }
 
-/// Garbage-collects the cache at `root`: removes stale temp files left by
-/// torn writes, removes corrupt artifact files (bad header, version, key,
-/// or checksum), deletes orphaned sidecars, and then evicts
-/// least-recently-used artifacts until the cache fits `policy`'s budgets.
-/// Nothing is pinned — offline gc assumes no run is in flight; the
-/// in-process insert-time enforcement is what protects a live run's working
-/// set.
+/// Garbage-collects the cache at `root`: removes stale files (temp files
+/// left by torn writes, and the sidecars and generation file of older
+/// format versions), removes corrupt artifact files (bad header, version,
+/// key, or checksum), and then evicts least-recently-used artifacts until
+/// the cache fits `policy`'s budgets. Nothing is pinned — offline gc
+/// assumes no run is in flight; the in-process insert-time enforcement is
+/// what protects a live run's working set.
 ///
 /// # Errors
 ///
@@ -386,12 +355,12 @@ pub struct GcReport {
 pub fn gc(root: &Path, policy: &CachePolicy) -> io::Result<GcReport> {
     let mut report = GcReport::default();
 
-    // Stale temp files are invisible to scan_entries (they have no `.dtc`
-    // extension), so a torn write never serves reads — but the bytes leak
-    // until an offline sweep removes them.
-    for stale in codec::scan_stale_temps(root)? {
+    // Stale files are invisible to scan_entries (they have no `.dtc`
+    // extension), so they never serve reads — but their bytes leak until
+    // an offline sweep removes them.
+    for stale in codec::scan_stale_files(root)? {
         if fs::remove_file(&stale).is_ok() {
-            report.stale_tmp_removed += 1;
+            report.stale_removed += 1;
         }
     }
 
@@ -402,25 +371,18 @@ pub fn gc(root: &Path, policy: &CachePolicy) -> io::Result<GcReport> {
         if codec::validate_file(&entry.artifact, entry.stage, entry.key) {
             true
         } else {
-            remove_entry(entry);
+            let _ = fs::remove_file(&entry.artifact);
             report.corrupt_removed += 1;
             false
         }
     });
 
-    report.orphan_sidecars_removed = remove_orphan_sidecars(root)?;
-
     let evict = codec::plan_evictions(&entries, policy, &HashSet::new());
     for index in evict {
         let entry = &entries[index];
-        remove_entry(entry);
+        let _ = fs::remove_file(&entry.artifact);
         report.evicted_files += 1;
         report.evicted_bytes += entry.bytes;
-    }
-    if report.corrupt_removed + report.orphan_sidecars_removed + report.evicted_files > 0 {
-        // Invalidate the in-memory index of any live store sharing this
-        // directory (see the generation-counter protocol in `codec`).
-        codec::bump_generation(root);
     }
     report.bytes_remaining = cache_stats(root)?.total_bytes();
     Ok(report)
@@ -477,7 +439,7 @@ pub fn verify(root: &Path, heal: bool) -> VerifyReport {
                     report.valid += 1;
                 } else {
                     if heal {
-                        remove_entry(entry);
+                        let _ = fs::remove_file(&entry.artifact);
                     }
                     report.corrupt.push(entry.artifact.clone());
                 }
@@ -492,37 +454,7 @@ pub fn verify(root: &Path, heal: bool) -> VerifyReport {
             }
         }
     }
-    if heal && !report.corrupt.is_empty() {
-        codec::bump_generation(root);
-    }
     report
-}
-
-fn remove_entry(entry: &CacheEntry) {
-    let _ = fs::remove_file(&entry.artifact);
-    let _ = fs::remove_file(&entry.sidecar);
-}
-
-fn remove_orphan_sidecars(root: &Path) -> io::Result<u64> {
-    let mut removed = 0;
-    for stage in DiskStage::ALL {
-        let dir = root.join(stage.dir());
-        let listing = match fs::read_dir(&dir) {
-            Ok(listing) => listing,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        for item in listing.flatten() {
-            let path = item.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(codec::SIDECAR_EXT)
-                && !path.with_extension(codec::FILE_EXT).exists()
-            {
-                let _ = fs::remove_file(&path);
-                removed += 1;
-            }
-        }
-    }
-    Ok(removed)
 }
 
 #[cfg(test)]
@@ -545,11 +477,9 @@ mod tests {
     fn policy_builders_compose() {
         let policy = CachePolicy::unbounded()
             .with_max_bytes(1 << 20)
-            .with_per_stage_max(1 << 18)
-            .with_slim_policy(true);
+            .with_per_stage_max(1 << 18);
         assert_eq!(policy.max_bytes, Some(1 << 20));
         assert_eq!(policy.per_stage_max, Some(1 << 18));
-        assert!(policy.slim_policy);
         assert!(!policy.is_unbounded());
         assert!(CachePolicy::default().is_unbounded());
     }
@@ -645,11 +575,11 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&root);
         let disk = DiskStore::with_faults(root.clone(), CachePolicy::default(), None);
-        disk.store(DiskStage::Analyze, 0xFEED, b"whole artifact payload");
+        disk.store(Stage::Analyze, 0xFEED, b"whole artifact payload");
 
         // Simulate a writer killed between temp-file creation and rename:
         // a stale temp file plus a truncated (torn) artifact.
-        let stage_dir = root.join(DiskStage::Analyze.dir());
+        let stage_dir = root.join(Stage::Analyze.dir());
         fs::write(
             stage_dir.join(".tmp-99999-0-000000000000feed"),
             b"partial bytes of a dead writer",
@@ -660,18 +590,18 @@ mod tests {
         fs::write(&artifact, &whole[..whole.len() / 2]).unwrap();
 
         let report = gc(&root, &CachePolicy::default()).expect("gc survives torn state");
-        assert_eq!(report.stale_tmp_removed, 1, "stale temp file removed");
+        assert_eq!(report.stale_removed, 1, "stale temp file removed");
         assert_eq!(report.corrupt_removed, 1, "torn artifact removed");
         assert!(!stage_dir.join(".tmp-99999-0-000000000000feed").exists());
         assert!(!artifact.exists());
 
         // The healed cache is simply cold again.
         assert!(matches!(
-            disk.load(DiskStage::Analyze, 0xFEED),
+            disk.load(Stage::Analyze, 0xFEED),
             codec::DiskLookup::Miss
         ));
         let clean = gc(&root, &CachePolicy::default()).expect("second gc");
-        assert_eq!(clean.stale_tmp_removed, 0);
+        assert_eq!(clean.stale_removed, 0);
         assert_eq!(clean.corrupt_removed, 0);
         let _ = fs::remove_dir_all(&root);
     }

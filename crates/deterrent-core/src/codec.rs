@@ -22,7 +22,8 @@
 //! Writes go to a unique temp file in the destination directory followed by
 //! an atomic rename, so readers never observe a partially written artifact —
 //! concurrent sessions sharing a cache directory at worst write the same
-//! bytes twice.
+//! bytes twice. Each stage has exactly one payload layout: what is written
+//! is everything the stage produced, so a warm run restores it bit for bit.
 //!
 //! **Versioning policy:** there is no migration path. A file whose magic,
 //! version, stage tag, key, length, or checksum does not match — or whose
@@ -30,59 +31,36 @@
 //! file: the stage recomputes and the file is overwritten. Corruption is
 //! counted per stage in [`crate::StageCounters::disk_corrupt`]. The format
 //! version is bumped on **any** observable layout change, including new
-//! payload variants **and new key derivations**: version 1 was PR 4's
-//! initial format; version 2 added the train-stage payload variant tag
-//! (full vs slim, below); version 3 split the analyze stage into the
-//! estimate artifact (stage tag 6, θ-independent) plus a re-keyed
-//! threshold artifact (stage tag 1, now keyed by prob key ⊕ θ), so v2
-//! fused analyze files — whose keys encode θ directly — read as version
-//! mismatches and heal by recompute. Bumping the version is always safe —
-//! old caches silently recompute — so when in doubt, bump.
+//! key derivations (see [`FORMAT_VERSION`] for the history). Bumping the
+//! version is always safe — old caches silently recompute — so when in
+//! doubt, bump.
 //!
-//! # Train-stage payload variants
+//! # Access stamps and eviction
 //!
-//! Since format version 2 the train-stage payload begins with a one-byte
-//! variant tag:
-//!
-//! * `0` — **full**: the complete [`PolicySnapshot`] (both networks, both
-//!   Adam moment vectors, the whole loss history) plus the training
-//!   report and harvest. Byte-for-byte fidelity on warm runs.
-//! * `1` — **slim** (written when [`crate::CachePolicy::slim_policy`] is
-//!   set): the Adam moment vectors are omitted (restored as zeroes — they
-//!   only matter for *continuing* training, which cached artifacts never
-//!   do) and the loss history is truncated to its most recent
-//!   [`SLIM_LOSS_KEEP`] entries. This shrinks train-stage files roughly
-//!   3×. Greedy/frozen rollouts from a slim artifact are bit-identical to
-//!   full ones; the only observable difference is a truncated
-//!   [`crate::TrainingMetrics::loss_history`] on warm runs.
-//!
-//! Both variants decode transparently regardless of the store's current
-//! policy, so one cache directory can mix them.
-//!
-//! # Access-stamp sidecars and eviction
-//!
-//! Next to each artifact file the store maintains a tiny sidecar
-//! `<key:016x>.lru` holding a single little-endian `u64` access stamp,
-//! rewritten (atomically, same temp-file + rename protocol) on insert and
-//! on every disk hit. Stamps are wall-clock nanoseconds fused with a
-//! process-wide monotonic counter, so they strictly increase within a
-//! process and order across processes to wall-clock precision. LRU
-//! eviction reads these sidecars — **not** file `atime`, which `noatime`
-//! mounts (most CI runners) never update. A missing or unreadable sidecar
-//! orders the artifact oldest (evicted first). Sidecar bytes count toward
-//! the budgets; corrupt sidecars never invalidate the artifact itself.
+//! An artifact's recency is its own file modification time. Inserts stamp
+//! the temp file through its open handle before the rename (a rename keeps
+//! the mtime), and every disk hit restamps the file through the handle it
+//! was read from, so a hit creates, renames, or rewrites no file. Stamps
+//! come from [`next_stamp`]: wall-clock nanoseconds bumped past every stamp
+//! the process already issued, so they strictly increase within a process
+//! and order across processes to wall-clock precision. File `atime` is
+//! never used — `noatime` mounts (most CI runners) do not update it.
+//! Restamping is best-effort: when it fails the artifact keeps its older
+//! stamp and is merely evicted sooner.
 //!
 //! When a [`crate::CachePolicy`] sets a budget, every insert enforces it:
 //! the store scans the cache directory, applies the per-stage budget, then
-//! the global one, deleting least-recently-stamped artifacts (with their
-//! sidecars) until the cache fits. Artifacts this process has *read* are
-//! pinned and never evicted by it (see [`crate::cache`]); freshly inserted
-//! artifacts are fair game — they are already in the memory tier.
+//! the global one, deleting least-recently-stamped artifacts until the
+//! cache fits. Artifacts this process has *read* are pinned and never
+//! evicted by it (see [`crate::cache`]); freshly inserted artifacts are
+//! fair game — they are already in the memory tier.
 
+use std::collections::HashSet;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use netlist::NetId;
 use rl::{AdamSnapshot, PolicySnapshot, PpoConfig, PpoLosses, PpoTrainer, TrainReport};
@@ -95,96 +73,27 @@ use crate::artifact::{
 };
 use crate::cache::{CacheError, CacheErrorKind, CacheEvents};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::{CompatStats, CompatibilityGraph, PatternGenStats, PolicyArtifact};
+use crate::{CompatStats, CompatibilityGraph, PatternGenStats, PolicyArtifact, Stage};
 
 /// File magic: "DETERRENT cache", with a version-0 sentinel byte and a
 /// newline so accidental text-mode mangling breaks the magic.
 const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 
 /// Bumped whenever any payload layout changes; old files then read as
-/// corrupt and are silently recomputed. Version 2 introduced the
-/// train-stage payload variant tag (full vs slim); version 3 split the
-/// fused analyze artifact into estimate (stage tag 6) + re-keyed
-/// threshold payloads; version 4 extended `CompatStats` with SAT solver
-/// counters and self-tuned enumeration-budget fields; version 5 dropped the
-/// budget fields again with the single fixed enumeration cost model.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// version mismatches and are silently recomputed. Version 1 was the
+/// initial format; version 2 added a train-stage payload variant byte;
+/// version 3 split the fused analyze artifact into estimate (stage tag 6)
+/// and re-keyed threshold payloads; version 4 extended `CompatStats` with
+/// SAT solver counters and self-tuned enumeration-budget fields; version 5
+/// dropped the budget fields again with the single fixed enumeration cost
+/// model; version 6 dropped the train-stage variant byte with the one
+/// remaining variant.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 40;
 
 /// File extension of on-disk artifacts.
 pub(crate) const FILE_EXT: &str = "dtc";
-
-/// File extension of the access-stamp sidecars driving LRU eviction.
-pub(crate) const SIDECAR_EXT: &str = "lru";
-
-/// How many of the most recent loss-history entries the slim train-stage
-/// payload variant retains (the older tail is dropped on encode).
-pub const SLIM_LOSS_KEEP: usize = 8;
-
-/// The six cacheable stages, as stored in file headers and directory names.
-/// `Estimate` joined in format version 3 with the next free tag, so the
-/// tag-derived [`DiskStage::index`] stays dense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DiskStage {
-    Analyze,
-    Graph,
-    Train,
-    Select,
-    Generate,
-    Estimate,
-}
-
-impl DiskStage {
-    /// All stages, in tag (and directory-scan) order.
-    pub(crate) const ALL: [DiskStage; 6] = [
-        Self::Analyze,
-        Self::Graph,
-        Self::Train,
-        Self::Select,
-        Self::Generate,
-        Self::Estimate,
-    ];
-
-    fn tag(self) -> u32 {
-        match self {
-            Self::Analyze => 1,
-            Self::Graph => 2,
-            Self::Train => 3,
-            Self::Select => 4,
-            Self::Generate => 5,
-            Self::Estimate => 6,
-        }
-    }
-
-    /// Position in [`DiskStage::ALL`] / tag order.
-    pub(crate) fn index(self) -> usize {
-        self.tag() as usize - 1
-    }
-
-    /// The public stage enum this disk stage persists.
-    pub(crate) fn stage(self) -> crate::Stage {
-        match self {
-            Self::Analyze => crate::Stage::Analyze,
-            Self::Graph => crate::Stage::BuildGraph,
-            Self::Train => crate::Stage::Train,
-            Self::Select => crate::Stage::Select,
-            Self::Generate => crate::Stage::Generate,
-            Self::Estimate => crate::Stage::Estimate,
-        }
-    }
-
-    pub(crate) fn dir(self) -> &'static str {
-        match self {
-            Self::Analyze => "analyze",
-            Self::Graph => "graph",
-            Self::Train => "train",
-            Self::Select => "select",
-            Self::Generate => "generate",
-            Self::Estimate => "estimate",
-        }
-    }
-}
 
 /// Why a payload failed to decode. Internal: every variant is handled
 /// identically (treat the file as a cache miss and overwrite it).
@@ -552,7 +461,7 @@ fn mlp_params(layer_sizes: &[usize]) -> Decode<usize> {
 
 // ───────────────────────── payload codecs ─────────────────────────
 
-pub(crate) fn encode_prob(artifact: &ProbArtifact, _slim: bool) -> Vec<u8> {
+pub(crate) fn encode_prob(artifact: &ProbArtifact) -> Vec<u8> {
     let estimate = artifact.estimate();
     let mut w = Writer::new();
     w.f64(estimate.retain());
@@ -590,7 +499,7 @@ pub(crate) fn decode_prob(key: u64, payload: &[u8]) -> Decode<ProbArtifact> {
     Ok(ProbArtifact::new(key, estimate))
 }
 
-pub(crate) fn encode_rare(artifact: &RareArtifact, _slim: bool) -> Vec<u8> {
+pub(crate) fn encode_rare(artifact: &RareArtifact) -> Vec<u8> {
     let analysis = artifact.analysis();
     let mut w = Writer::new();
     w.f64(analysis.threshold());
@@ -676,7 +585,7 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
     })
 }
 
-pub(crate) fn encode_graph(artifact: &GraphArtifact, _slim: bool) -> Vec<u8> {
+pub(crate) fn encode_graph(artifact: &GraphArtifact) -> Vec<u8> {
     let graph = artifact.graph();
     let mut w = Writer::new();
     w.f64(artifact.rareness_threshold());
@@ -741,23 +650,10 @@ fn r_ppo_config(r: &mut Reader<'_>) -> Decode<PpoConfig> {
     })
 }
 
-/// Train-stage payload variant tags (format version ≥ 2).
-const POLICY_VARIANT_FULL: u8 = 0;
-const POLICY_VARIANT_SLIM: u8 = 1;
-
-pub(crate) fn encode_policy(artifact: &PolicyArtifact, slim: bool) -> Vec<u8> {
+pub(crate) fn encode_policy(artifact: &PolicyArtifact) -> Vec<u8> {
     let trained = artifact.policy();
-    let snapshot = if slim {
-        trained.trainer.snapshot().slimmed(SLIM_LOSS_KEEP)
-    } else {
-        trained.trainer.snapshot()
-    };
+    let snapshot = trained.trainer.snapshot();
     let mut w = Writer::new();
-    w.u8(if slim {
-        POLICY_VARIANT_SLIM
-    } else {
-        POLICY_VARIANT_FULL
-    });
     w_ppo_config(&mut w, &snapshot.config);
     w.usize(snapshot.num_actions);
     w.u64(snapshot.total_steps);
@@ -765,21 +661,13 @@ pub(crate) fn encode_policy(artifact: &PolicyArtifact, slim: bool) -> Vec<u8> {
     w_losses(&mut w, &snapshot.loss_history);
     w.usize_slice(&snapshot.policy_layer_sizes);
     w.f64_slice(&snapshot.policy_params);
-    w_adam_variant(&mut w, &snapshot.policy_opt, slim);
+    w_adam(&mut w, &snapshot.policy_opt);
     w.usize_slice(&snapshot.value_layer_sizes);
     w.f64_slice(&snapshot.value_params);
-    w_adam_variant(&mut w, &snapshot.value_opt, slim);
+    w_adam(&mut w, &snapshot.value_opt);
     w.f64_slice(&trained.report.episode_rewards);
     w.usize_slice(&trained.report.episode_lengths);
-    if slim {
-        let keep = trained.report.losses.len().min(SLIM_LOSS_KEEP);
-        w_losses(
-            &mut w,
-            &trained.report.losses[trained.report.losses.len() - keep..],
-        );
-    } else {
-        w_losses(&mut w, &trained.report.losses);
-    }
+    w_losses(&mut w, &trained.report.losses);
     w.f64(trained.report.wall_seconds);
     w_sets(&mut w, &trained.harvested_sets);
     w.u64(trained.env_sat_checks);
@@ -788,33 +676,8 @@ pub(crate) fn encode_policy(artifact: &PolicyArtifact, slim: bool) -> Vec<u8> {
     w.finish()
 }
 
-/// Slim payloads persist only the Adam learning rate and step counter; the
-/// moment vectors are restored as zeroes (they only matter for continuing
-/// training, which cached artifacts never do).
-fn w_adam_variant(w: &mut Writer, adam: &AdamSnapshot, slim: bool) {
-    if slim {
-        w.f64(adam.learning_rate);
-        w.u64(adam.steps);
-    } else {
-        w_adam(w, adam);
-    }
-}
-
-fn r_adam_variant(r: &mut Reader<'_>, num_params: usize, slim: bool) -> Decode<AdamSnapshot> {
-    if slim {
-        Ok(AdamSnapshot::zeroed(r.f64()?, num_params, r.u64()?))
-    } else {
-        r_adam(r, num_params)
-    }
-}
-
 pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> {
     let mut r = Reader::new(payload);
-    let slim = match r.u8()? {
-        POLICY_VARIANT_FULL => false,
-        POLICY_VARIANT_SLIM => true,
-        _ => return Err(DecodeError::Malformed("policy variant tag")),
-    };
     let config = r_ppo_config(&mut r)?;
     let num_actions = r.usize()?;
     if num_actions == 0 {
@@ -829,14 +692,14 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
     if policy_params.len() != policy_param_count {
         return Err(DecodeError::Malformed("policy param shape"));
     }
-    let policy_opt = r_adam_variant(&mut r, policy_param_count, slim)?;
+    let policy_opt = r_adam(&mut r, policy_param_count)?;
     let value_layer_sizes = r.usize_vec()?;
     let value_param_count = mlp_params(&value_layer_sizes)?;
     let value_params = r.f64_vec()?;
     if value_params.len() != value_param_count {
         return Err(DecodeError::Malformed("value param shape"));
     }
-    let value_opt = r_adam_variant(&mut r, value_param_count, slim)?;
+    let value_opt = r_adam(&mut r, value_param_count)?;
     let snapshot = PolicySnapshot {
         config,
         num_actions,
@@ -878,7 +741,7 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
     ))
 }
 
-pub(crate) fn encode_sets(artifact: &SetsArtifact, _slim: bool) -> Vec<u8> {
+pub(crate) fn encode_sets(artifact: &SetsArtifact) -> Vec<u8> {
     let selected = artifact.selected();
     let mut w = Writer::new();
     w_sets(&mut w, &selected.sets);
@@ -901,7 +764,7 @@ pub(crate) fn decode_sets(key: u64, payload: &[u8]) -> Decode<SetsArtifact> {
     Ok(SetsArtifact::new(key, selected))
 }
 
-pub(crate) fn encode_patterns(artifact: &PatternsArtifact, _slim: bool) -> Vec<u8> {
+pub(crate) fn encode_patterns(artifact: &PatternsArtifact) -> Vec<u8> {
     let generated = artifact.generated();
     let mut w = Writer::new();
     w.usize(generated.patterns.len());
@@ -955,16 +818,21 @@ static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// backwards.
 static LAST_STAMP: AtomicU64 = AtomicU64::new(0);
 
+/// Nanoseconds from the epoch to `time` (0 before the epoch, saturating
+/// far in the future).
+fn epoch_nanos(time: SystemTime) -> u64 {
+    time.duration_since(UNIX_EPOCH)
+        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+        .unwrap_or(0)
+}
+
 /// A fresh access stamp: wall-clock nanoseconds since the epoch, bumped
 /// past every stamp this process already issued. Strictly increasing
 /// in-process; ordered across processes to wall-clock precision — exactly
 /// what LRU needs (ties across processes are broken deterministically by
 /// stage and key at eviction time).
 pub(crate) fn next_stamp() -> u64 {
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-        .unwrap_or(0);
+    let now = epoch_nanos(SystemTime::now());
     let prev = LAST_STAMP
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
             Some(now.max(last.saturating_add(1)))
@@ -973,27 +841,31 @@ pub(crate) fn next_stamp() -> u64 {
     now.max(prev.saturating_add(1))
 }
 
+/// Stamps `file` with a fresh [`next_stamp`] as its modification time,
+/// through the open handle.
+fn stamp(file: &fs::File) -> std::io::Result<()> {
+    file.set_modified(UNIX_EPOCH + Duration::from_nanos(next_stamp()))
+}
+
 /// One artifact on disk, as seen by the eviction and maintenance scans:
-/// its stage, key, total footprint (artifact + sidecar bytes), and access
-/// stamp (0 when the sidecar is missing or unreadable, ordering it
-/// oldest).
+/// its stage, key, file size, and access stamp (the file's modification
+/// time in epoch nanoseconds; 0, ordering it oldest, when the platform
+/// cannot report it).
 #[derive(Debug, Clone)]
 pub(crate) struct CacheEntry {
-    pub(crate) stage: DiskStage,
+    pub(crate) stage: Stage,
     pub(crate) key: u64,
     pub(crate) bytes: u64,
     pub(crate) stamp: u64,
     pub(crate) artifact: PathBuf,
-    pub(crate) sidecar: PathBuf,
 }
 
-/// Lists every artifact under `root` with its footprint and access stamp.
-/// A missing root or stage directory contributes nothing; other I/O errors
-/// while listing are returned. Temp files and sidecars are not entries
-/// (sidecar bytes are folded into their artifact's footprint).
+/// Lists every artifact under `root` with its size and access stamp. A
+/// missing root or stage directory contributes nothing; other I/O errors
+/// while listing are returned. Temp files are not entries.
 pub(crate) fn scan_entries(root: &Path) -> std::io::Result<Vec<CacheEntry>> {
     let mut entries = Vec::new();
-    for stage in DiskStage::ALL {
+    for stage in Stage::BY_TAG {
         let dir = root.join(stage.dir());
         let listing = match fs::read_dir(&dir) {
             Ok(listing) => listing,
@@ -1014,24 +886,12 @@ pub(crate) fn scan_entries(root: &Path) -> std::io::Result<Vec<CacheEntry>> {
                 continue;
             };
             let Ok(meta) = item.metadata() else { continue };
-            let sidecar = path.with_extension(SIDECAR_EXT);
-            let mut bytes = meta.len();
-            let mut stamp = 0;
-            if let Ok(side_meta) = fs::metadata(&sidecar) {
-                bytes += side_meta.len();
-                if let Ok(side_bytes) = fs::read(&sidecar) {
-                    if side_bytes.len() == 8 {
-                        stamp = u64::from_le_bytes(side_bytes.try_into().expect("8 bytes"));
-                    }
-                }
-            }
             entries.push(CacheEntry {
                 stage,
                 key,
-                bytes,
-                stamp,
+                bytes: meta.len(),
+                stamp: meta.modified().map_or(0, epoch_nanos),
                 artifact: path,
-                sidecar,
             });
         }
     }
@@ -1046,10 +906,9 @@ pub(crate) fn scan_entries(root: &Path) -> std::io::Result<Vec<CacheEntry>> {
 /// An intact header with a different format version classifies as
 /// [`CacheErrorKind::VersionMismatch`]; every other failure is
 /// [`CacheErrorKind::Corrupt`].
-pub(crate) fn classify_bytes(bytes: &[u8], stage: DiskStage, key: u64) -> Result<(), CacheError> {
-    let fail = |kind: CacheErrorKind, detail: String| {
-        Err(CacheError::new(kind, stage.stage(), key, detail))
-    };
+pub(crate) fn classify_bytes(bytes: &[u8], stage: Stage, key: u64) -> Result<(), CacheError> {
+    let fail =
+        |kind: CacheErrorKind, detail: String| Err(CacheError::new(kind, stage, key, detail));
     if bytes.len() < HEADER_LEN {
         return fail(
             CacheErrorKind::Corrupt,
@@ -1088,13 +947,13 @@ pub(crate) fn classify_bytes(bytes: &[u8], stage: DiskStage, key: u64) -> Result
 
 /// Boolean view of [`classify_bytes`] for the maintenance scans, which
 /// treat every failure kind identically.
-pub(crate) fn validate_bytes(bytes: &[u8], stage: DiskStage, key: u64) -> bool {
+pub(crate) fn validate_bytes(bytes: &[u8], stage: Stage, key: u64) -> bool {
     classify_bytes(bytes, stage, key).is_ok()
 }
 
 /// Reads and validates the artifact file at `path` (see [`validate_bytes`]).
 /// Unreadable counts as invalid.
-pub(crate) fn validate_file(path: &Path, stage: DiskStage, key: u64) -> bool {
+pub(crate) fn validate_file(path: &Path, stage: Stage, key: u64) -> bool {
     fs::read(path).is_ok_and(|bytes| validate_bytes(&bytes, stage, key))
 }
 
@@ -1102,26 +961,25 @@ pub(crate) fn validate_file(path: &Path, stage: DiskStage, key: u64) -> bool {
 /// each stage is brought under [`crate::CachePolicy::per_stage_max`], then
 /// the whole cache under [`crate::CachePolicy::max_bytes`], evicting
 /// least-recently-stamped first (ties broken by stage then key, so the
-/// plan is deterministic). Entries in `pinned` (as `(stage index, key)`)
-/// are never selected. Returns indices into `entries`.
+/// plan is deterministic). Entries in `pinned` are never selected.
+/// Returns indices into `entries`.
 pub(crate) fn plan_evictions(
     entries: &[CacheEntry],
     policy: &crate::CachePolicy,
-    pinned: &std::collections::HashSet<(usize, u64)>,
+    pinned: &HashSet<(Stage, u64)>,
 ) -> Vec<usize> {
-    let crate::cache::Eviction::Lru = policy.eviction;
     if policy.is_unbounded() {
         return Vec::new();
     }
     // LRU order: oldest stamp first, deterministic tie-break.
     let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by_key(|&i| (entries[i].stamp, entries[i].stage.index(), entries[i].key));
+    order.sort_by_key(|&i| (entries[i].stamp, entries[i].stage.tag(), entries[i].key));
 
-    let evictable = |entry: &CacheEntry| !pinned.contains(&(entry.stage.index(), entry.key));
+    let evictable = |entry: &CacheEntry| !pinned.contains(&(entry.stage, entry.key));
     let mut evicted = vec![false; entries.len()];
 
     if let Some(per_stage) = policy.per_stage_max {
-        for stage in DiskStage::ALL {
+        for stage in Stage::BY_TAG {
             let mut stage_total: u64 = entries
                 .iter()
                 .filter(|e| e.stage == stage)
@@ -1186,63 +1044,9 @@ impl EventCell {
 /// set to `1`.
 pub const QUIET_ENV_VAR: &str = "DETERRENT_QUIET";
 
-/// Name of the cross-process generation-counter file at the cache root: a
-/// single little-endian `u64`, rewritten (atomically) by every writer that
-/// changes the directory's contents — inserts, access-stamp refreshes,
-/// budget evictions, gc deletions, verify heals. Stores keep an in-memory
-/// size/stamp index of the directory and only fall back to an O(files)
-/// rescan when the counter no longer matches the value their index was
-/// built against, so the common single-writer case enforces budgets
-/// without touching the directory listing at all.
-pub(crate) const GEN_FILE: &str = "gen.ctr";
-
-/// Reads the generation counter at `root` (0 when missing or unreadable —
-/// indistinguishable from a never-written cache, which is exactly right:
-/// both force one initial rescan).
-pub(crate) fn read_generation(root: &Path) -> u64 {
-    fs::read(root.join(GEN_FILE))
-        .ok()
-        .and_then(|bytes| <[u8; 8]>::try_from(bytes).ok())
-        .map(u64::from_le_bytes)
-        .unwrap_or(0)
-}
-
-/// Advances the generation counter at `root` and returns the new value.
-/// Best-effort like every other cache write: two processes bumping inside
-/// the same read→rename window can collapse to one increment, leaving each
-/// other's index stale until the *next* foreign bump — the worst case is
-/// one delayed budget-enforcement pass, never a wrong artifact (correctness
-/// always comes from the files themselves, not the index).
-pub(crate) fn bump_generation(root: &Path) -> u64 {
-    let next = read_generation(root).wrapping_add(1);
-    if fs::create_dir_all(root).is_ok() {
-        write_atomically(root, &root.join(GEN_FILE), &next.to_le_bytes(), next);
-    }
-    next
-}
-
-/// One artifact's footprint and access stamp as the in-memory index tracks
-/// it (the path is derivable from the `(stage, key)` index key).
-#[derive(Debug, Clone, Copy)]
-struct IndexedEntry {
-    bytes: u64,
-    stamp: u64,
-}
-
-/// The in-memory mirror of the cache directory driving budget
-/// enforcement: what [`scan_entries`] would return, keyed by
-/// `(stage index, key)`, plus the generation-counter value it was built
-/// against. `valid == false` forces a rescan on next use.
-#[derive(Debug, Default)]
-struct CacheIndex {
-    valid: bool,
-    gen_seen: u64,
-    entries: std::collections::HashMap<(usize, u64), IndexedEntry>,
-}
-
 /// The persistent tier of an [`crate::ArtifactStore`]: one file per artifact
-/// under `<root>/<stage>/<key:016x>.dtc` plus a `.lru` access-stamp sidecar
-/// (see the [module docs](self) for both formats). All operations are
+/// under `<root>/<stage>/<key:016x>.dtc`, whose modification time is its
+/// access stamp (see the [module docs](self)). All operations are
 /// best-effort — I/O errors on write are swallowed (the cache is an
 /// accelerator, not a store of record) and unusable files are reported as
 /// [`DiskLookup::Failed`] with a classified [`CacheError`].
@@ -1259,22 +1063,15 @@ struct CacheIndex {
 pub(crate) struct DiskStore {
     root: PathBuf,
     policy: crate::CachePolicy,
-    /// `(stage index, key)` pairs this process has read from disk —
-    /// protected from this store's budget enforcement.
-    pinned: std::sync::Mutex<std::collections::HashSet<(usize, u64)>>,
+    /// `(stage, key)` pairs this process has read from disk — protected
+    /// from this store's budget enforcement.
+    pinned: std::sync::Mutex<HashSet<(Stage, u64)>>,
     /// Optional deterministic fault-injection schedule.
     faults: Option<FaultPlan>,
     /// Per-kind failure-event counters.
     events: EventCell,
     /// Whether the one rate-limited heal warning has been printed.
     warned: std::sync::atomic::AtomicBool,
-    /// In-memory size/stamp mirror of the directory, so budget
-    /// enforcement does not rescan O(files) on every insert. Invalidated
-    /// by the cross-process [`GEN_FILE`] counter.
-    index: std::sync::Mutex<CacheIndex>,
-    /// How many full directory rescans the index has performed (observable
-    /// for tests asserting the single-writer fast path).
-    rescans: AtomicU64,
 }
 
 impl DiskStore {
@@ -1290,15 +1087,7 @@ impl DiskStore {
             faults,
             events: EventCell::default(),
             warned: std::sync::atomic::AtomicBool::new(false),
-            index: std::sync::Mutex::default(),
-            rescans: AtomicU64::new(0),
         }
-    }
-
-    /// How many times the index fell back to a full directory rescan.
-    #[cfg(test)]
-    pub(crate) fn index_rescans(&self) -> u64 {
-        self.rescans.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the per-kind failure-event counters.
@@ -1331,7 +1120,7 @@ impl DiskStore {
     }
 
     /// The stable fault-injection site identity of `(stage, key)`.
-    fn fault_site(stage: DiskStage, key: u64) -> u64 {
+    fn fault_site(stage: Stage, key: u64) -> u64 {
         u64::from(stage.tag()).rotate_left(56) ^ key
     }
 
@@ -1339,129 +1128,47 @@ impl DiskStore {
         &self.root
     }
 
-    /// Whether train-stage artifacts are written with the slim payload
-    /// variant.
-    pub(crate) fn slim_policy(&self) -> bool {
-        self.policy.slim_policy
-    }
-
-    fn file_path(&self, stage: DiskStage, key: u64) -> PathBuf {
+    fn file_path(&self, stage: Stage, key: u64) -> PathBuf {
         self.root
             .join(stage.dir())
             .join(format!("{key:016x}.{FILE_EXT}"))
     }
 
-    fn pin(&self, stage: DiskStage, key: u64) {
-        self.pinned
-            .lock()
-            .expect("disk store pin lock poisoned")
-            .insert((stage.index(), key));
-    }
-
-    /// Atomically (re)writes the access-stamp sidecar for `(stage, key)`,
-    /// returning the stamp written (`None` when the sidecar write failed —
-    /// the artifact then orders oldest, same as a missing sidecar).
-    fn touch(&self, stage: DiskStage, key: u64) -> Option<u64> {
-        let dir = self.root.join(stage.dir());
-        let sidecar = self.file_path(stage, key).with_extension(SIDECAR_EXT);
-        let stamp = next_stamp();
-        write_atomically(&dir, &sidecar, &stamp.to_le_bytes(), key).then_some(stamp)
-    }
-
-    /// Records a directory mutation for `(stage, key)` in the in-memory
-    /// index and bumps the cross-process generation counter so *other*
-    /// stores sharing the directory rescan. `bytes` is `Some` on insert
-    /// (total artifact + sidecar footprint) and `None` on a bare
-    /// access-stamp refresh; a refresh of an entry the index has never
-    /// seen invalidates it (the directory changed behind our back without
-    /// a counter bump we noticed).
-    fn note_mutation(&self, stage: DiskStage, key: u64, bytes: Option<u64>, stamp: u64) {
-        let mut index = self.lock_index();
-        // A foreign bump we have not yet synced against must not be
-        // swallowed by our own: check staleness *before* bumping.
-        if index.valid && read_generation(&self.root) != index.gen_seen {
-            index.valid = false;
-        }
-        let slot = (stage.index(), key);
-        if index.valid {
-            match (index.entries.get_mut(&slot), bytes) {
-                (Some(entry), _) => {
-                    if let Some(bytes) = bytes {
-                        entry.bytes = bytes;
-                    }
-                    entry.stamp = stamp;
-                }
-                (None, Some(bytes)) => {
-                    index.entries.insert(slot, IndexedEntry { bytes, stamp });
-                }
-                (None, None) => index.valid = false,
-            }
-        }
-        index.gen_seen = bump_generation(&self.root);
-    }
-
-    /// Locks the index, ignoring poisoning: the index is structurally
-    /// valid at every await-free point and a stale one only costs a
-    /// rescan, so a panicking peer must not wedge budget enforcement.
-    fn lock_index(&self) -> std::sync::MutexGuard<'_, CacheIndex> {
-        self.index
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Brings `index` in sync with the directory: a no-op when it is valid
-    /// and the generation counter still matches the value it was built
-    /// against, otherwise one full [`scan_entries`] rescan.
-    fn sync_index(&self, index: &mut CacheIndex) {
-        let file_gen = read_generation(&self.root);
-        if index.valid && index.gen_seen == file_gen {
-            return;
-        }
-        index.entries.clear();
-        match scan_entries(&self.root) {
-            Ok(entries) => {
-                for entry in entries {
-                    index.entries.insert(
-                        (entry.stage.index(), entry.key),
-                        IndexedEntry {
-                            bytes: entry.bytes,
-                            stamp: entry.stamp,
-                        },
-                    );
-                }
-                index.valid = true;
-                index.gen_seen = file_gen;
-                self.rescans.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => index.valid = false,
-        }
+    fn lock_pinned(&self) -> std::sync::MutexGuard<'_, HashSet<(Stage, u64)>> {
+        self.pinned.lock().expect("disk store pin lock poisoned")
     }
 
     /// Reads and validates the artifact file for `(stage, key)`. A hit
-    /// refreshes the access-stamp sidecar and pins the artifact against
-    /// eviction by this process. An attached [`FaultPlan`] may
-    /// deterministically inject an open error, an eviction race (reported
-    /// as a clean miss), a short read, or a checksum flip.
-    pub(crate) fn load(&self, stage: DiskStage, key: u64) -> DiskLookup<Vec<u8>> {
+    /// pins the artifact against eviction by this process and restamps
+    /// the file through the handle it was read from. An attached
+    /// [`FaultPlan`] may deterministically inject an open error, an
+    /// eviction race (reported as a clean miss), a short read, or a
+    /// checksum flip.
+    pub(crate) fn load(&self, stage: Stage, key: u64) -> DiskLookup<Vec<u8>> {
         let site = Self::fault_site(stage, key);
         if let Some(plan) = &self.faults {
             if plan.should_inject(FaultKind::IoError, site) {
                 let injected = std::io::Error::other("injected transient fault");
                 return DiskLookup::Failed(CacheError::new(
                     CacheErrorKind::Io,
-                    stage.stage(),
+                    stage,
                     key,
                     format!("open failed: {injected}"),
                 ));
             }
         }
-        let mut bytes = match fs::read(self.file_path(stage, key)) {
-            Ok(bytes) => bytes,
+        let read = fs::File::open(self.file_path(stage, key)).and_then(|mut file| {
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            Ok((file, bytes))
+        });
+        let (file, mut bytes) = match read {
+            Ok(read) => read,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return DiskLookup::Miss,
             Err(e) => {
                 return DiskLookup::Failed(CacheError::new(
                     CacheErrorKind::Io,
-                    stage.stage(),
+                    stage,
                     key,
                     format!("read failed: {e}"),
                 ))
@@ -1484,21 +1191,21 @@ impl DiskStore {
             return DiskLookup::Failed(err);
         }
         let payload = bytes.split_off(HEADER_LEN);
-        self.pin(stage, key);
-        if let Some(stamp) = self.touch(stage, key) {
-            self.note_mutation(stage, key, None, stamp);
-        }
+        self.lock_pinned().insert((stage, key));
+        // Best-effort: a failed restamp leaves the older stamp, so the
+        // artifact is merely evicted sooner.
+        let _ = stamp(&file);
         DiskLookup::Hit(payload)
     }
 
     /// Atomically writes the artifact file for `(stage, key)`: the header +
     /// payload go to a process-unique temp file in the destination
-    /// directory, then rename into place (so a concurrent reader sees the
-    /// old complete file or the new complete file, never a partial one).
-    /// Also stamps the sidecar and then enforces the cache policy's
+    /// directory, which is stamped and then renamed into place (so a
+    /// concurrent reader sees the old complete file or the new complete
+    /// file, never a partial one). Then enforces the cache policy's
     /// budgets. Best-effort: I/O failures leave the cache cold but never
     /// the caller broken.
-    pub(crate) fn store(&self, stage: DiskStage, key: u64, payload: &[u8]) {
+    pub(crate) fn store(&self, stage: Stage, key: u64, payload: &[u8]) {
         let dir = self.root.join(stage.dir());
         if fs::create_dir_all(&dir).is_err() {
             self.events.io.fetch_add(1, Ordering::Relaxed);
@@ -1521,74 +1228,30 @@ impl DiskStore {
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
-        if write_atomically(&dir, &self.file_path(stage, key), &bytes, key) {
-            let stamp = self.touch(stage, key);
-            // Footprint = artifact + sidecar, matching what a rescan
-            // would measure.
-            let sidecar_bytes = if stamp.is_some() { 8 } else { 0 };
-            self.note_mutation(
-                stage,
-                key,
-                Some(bytes.len() as u64 + sidecar_bytes),
-                stamp.unwrap_or(0),
-            );
-        } else {
+        if !write_atomically(&dir, &self.file_path(stage, key), &bytes, key) {
             self.events.io.fetch_add(1, Ordering::Relaxed);
         }
         self.enforce_budget();
     }
 
     /// Brings the cache directory under the policy's budgets, deleting
-    /// least-recently-used artifacts (and their sidecars) first. Artifacts
-    /// this process has read are pinned and survive; freshly inserted ones
-    /// are evictable (the memory tier still holds them). Best-effort.
-    ///
-    /// Entries come from the in-memory index; the O(files) directory
-    /// rescan only happens when the cross-process generation counter says
-    /// another writer changed the directory since the index was built.
+    /// least-recently-stamped artifacts first. Artifacts this process has
+    /// read are pinned and survive; freshly inserted ones are evictable
+    /// (the memory tier still holds them). Best-effort.
     fn enforce_budget(&self) {
         if self.policy.is_unbounded() {
             return;
         }
-        let mut index = self.lock_index();
-        self.sync_index(&mut index);
-        if !index.valid {
+        // Held from scan to delete so concurrent inserts of this store
+        // never plan over the same listing and evict twice.
+        let pinned = self.lock_pinned();
+        let Ok(entries) = scan_entries(&self.root) else {
             return;
-        }
-        let entries: Vec<CacheEntry> = index
-            .entries
-            .iter()
-            .map(|(&(stage_idx, key), entry)| {
-                let stage = DiskStage::ALL[stage_idx];
-                let artifact = self.file_path(stage, key);
-                let sidecar = artifact.with_extension(SIDECAR_EXT);
-                CacheEntry {
-                    stage,
-                    key,
-                    bytes: entry.bytes,
-                    stamp: entry.stamp,
-                    artifact,
-                    sidecar,
-                }
-            })
-            .collect();
-        let pinned = self
-            .pinned
-            .lock()
-            .expect("disk store pin lock poisoned")
-            .clone();
-        let plan = plan_evictions(&entries, &self.policy, &pinned);
-        if plan.is_empty() {
-            return;
-        }
-        for i in plan {
-            let entry = &entries[i];
-            let _ = fs::remove_file(&entry.artifact);
-            let _ = fs::remove_file(&entry.sidecar);
-            index.entries.remove(&(entry.stage.index(), entry.key));
+        };
+        for i in plan_evictions(&entries, &self.policy, &pinned) {
+            let _ = fs::remove_file(&entries[i].artifact);
             self.events.budget_evictions.fetch_add(1, Ordering::Relaxed);
         }
-        index.gen_seen = bump_generation(&self.root);
     }
 }
 
@@ -1650,13 +1313,18 @@ pub fn decode_record(tag: u32, bytes: &[u8]) -> Result<Vec<u8>, String> {
     Ok(payload.to_vec())
 }
 
-/// Lists leftover `.tmp-*` files under `root`'s stage directories — the
-/// residue of a writer killed between temp-file creation and rename. Live
-/// writers hold their temp files only for the duration of one write, so
-/// offline maintenance (gc) may remove everything this returns.
-pub(crate) fn scan_stale_temps(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Lists the stale files under `root` that offline maintenance (gc) may
+/// remove: `.tmp-*` residue of a writer killed between temp-file creation
+/// and rename (live writers hold a temp file only for one write), plus the
+/// `.lru` access-stamp sidecars and the root `gen.ctr` generation file that
+/// format versions before 6 kept next to the artifacts.
+pub(crate) fn scan_stale_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut stale = Vec::new();
-    for stage in DiskStage::ALL {
+    let generation_file = root.join("gen.ctr");
+    if generation_file.is_file() {
+        stale.push(generation_file);
+    }
+    for stage in Stage::BY_TAG {
         let dir = root.join(stage.dir());
         let listing = match fs::read_dir(&dir) {
             Ok(listing) => listing,
@@ -1669,7 +1337,7 @@ pub(crate) fn scan_stale_temps(root: &Path) -> std::io::Result<Vec<PathBuf>> {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .is_some_and(|n| n.starts_with(".tmp-"));
-            if is_temp {
+            if is_temp || path.extension().is_some_and(|e| e == "lru") {
                 stale.push(path);
             }
         }
@@ -1678,8 +1346,9 @@ pub(crate) fn scan_stale_temps(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(stale)
 }
 
-/// Writes `bytes` to `dest` via a process-unique temp file in `dir` + an
-/// atomic rename. Returns whether the rename happened.
+/// Writes `bytes` to `dest` via a process-unique temp file in `dir`, stamps
+/// it (see [`next_stamp`]; a rename keeps the modification time), and
+/// renames it into place. Returns whether the rename happened.
 fn write_atomically(dir: &Path, dest: &Path, bytes: &[u8], key: u64) -> bool {
     let temp = dir.join(format!(
         ".tmp-{}-{}-{key:016x}",
@@ -1687,7 +1356,12 @@ fn write_atomically(dir: &Path, dest: &Path, bytes: &[u8], key: u64) -> bool {
         TEMP_COUNTER.fetch_add(1, Ordering::Relaxed),
     ));
     let written = fs::File::create(&temp)
-        .and_then(|mut f| f.write_all(bytes))
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            // Best-effort: unstamped, the file keeps the time of the write.
+            let _ = stamp(&f);
+            Ok(())
+        })
         .is_ok();
     if written && fs::rename(&temp, dest).is_ok() {
         return true;
@@ -1720,7 +1394,7 @@ mod tests {
     fn rare_payload_round_trips_bit_exactly() {
         let analysis = sample_analysis();
         let artifact = RareArtifact::new(42, analysis);
-        let payload = encode_rare(&artifact, false);
+        let payload = encode_rare(&artifact);
         let decoded = decode_rare(42, &payload).expect("decode");
         let (a, b) = (artifact.analysis(), decoded.analysis());
         assert_eq!(a.threshold().to_bits(), b.threshold().to_bits());
@@ -1745,9 +1419,7 @@ mod tests {
         let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
         let estimate = RareNetEstimate::estimate(&nl, 0.25, 1024, 7);
         let artifact = ProbArtifact::new(11, estimate);
-        let payload = encode_prob(&artifact, false);
-        // The slim flag is accepted and ignored: identical bytes.
-        assert_eq!(payload, encode_prob(&artifact, true));
+        let payload = encode_prob(&artifact);
         let decoded = decode_prob(11, &payload).expect("decode");
         let (a, b) = (artifact.estimate(), decoded.estimate());
         assert_eq!(a.retain().to_bits(), b.retain().to_bits());
@@ -1774,7 +1446,7 @@ mod tests {
     fn prob_payload_corruption_is_an_error_not_a_panic() {
         let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
         let artifact = ProbArtifact::new(3, RareNetEstimate::estimate(&nl, 0.25, 512, 9));
-        let payload = encode_prob(&artifact, false);
+        let payload = encode_prob(&artifact);
         for cut in [0, 1, 7, 8, payload.len() / 2, payload.len() - 1] {
             assert!(decode_prob(3, &payload[..cut]).is_err(), "cut at {cut}");
         }
@@ -1804,16 +1476,16 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&DiskStage::Analyze.tag().to_le_bytes());
+        bytes.extend_from_slice(&Stage::Analyze.tag().to_le_bytes());
         bytes.extend_from_slice(&key.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
-        let dir = root.join(DiskStage::Analyze.dir());
+        let dir = root.join(Stage::Analyze.dir());
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(format!("{key:016x}.{FILE_EXT}")), &bytes).unwrap();
         // The old file classifies as version skew — a clean miss, no panic.
-        match disk.load(DiskStage::Analyze, key) {
+        match disk.load(Stage::Analyze, key) {
             DiskLookup::Failed(err) => {
                 assert_eq!(err.kind, crate::cache::CacheErrorKind::VersionMismatch);
                 disk.note_failure(&err);
@@ -1822,8 +1494,8 @@ mod tests {
         }
         assert_eq!(disk.events().version_mismatch, 1);
         // Recompute-and-overwrite heals it into a servable v3 file.
-        disk.store(DiskStage::Analyze, key, b"fresh v3 payload");
-        match disk.load(DiskStage::Analyze, key) {
+        disk.store(Stage::Analyze, key, b"fresh v3 payload");
+        match disk.load(Stage::Analyze, key) {
             DiskLookup::Hit(fresh) => assert_eq!(fresh, b"fresh v3 payload"),
             _ => panic!("healed file must serve"),
         }
@@ -1836,7 +1508,7 @@ mod tests {
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
         let graph = CompatibilityGraph::build(&nl, &analysis, 1);
         let artifact = GraphArtifact::new(9, graph, analysis.threshold(), 0.5);
-        let payload = encode_graph(&artifact, false);
+        let payload = encode_graph(&artifact);
         let decoded = decode_graph(9, &payload).expect("decode");
         assert_eq!(artifact.graph().adjacency(), decoded.graph().adjacency());
         assert_eq!(artifact.graph().rare_nets(), decoded.graph().rare_nets());
@@ -1870,7 +1542,7 @@ mod tests {
                 harvested_total: 99,
             },
         );
-        let decoded = decode_sets(5, &encode_sets(&sets_artifact, false)).expect("sets");
+        let decoded = decode_sets(5, &encode_sets(&sets_artifact)).expect("sets");
         assert_eq!(decoded.selected().sets, sets_artifact.selected().sets);
         assert_eq!(decoded.selected().harvested_total, 99);
 
@@ -1889,8 +1561,7 @@ mod tests {
                 },
             },
         );
-        let decoded =
-            decode_patterns(6, &encode_patterns(&patterns_artifact, false)).expect("patterns");
+        let decoded = decode_patterns(6, &encode_patterns(&patterns_artifact)).expect("patterns");
         assert_eq!(
             decoded.generated().patterns,
             patterns_artifact.generated().patterns
@@ -1904,7 +1575,7 @@ mod tests {
     #[test]
     fn truncated_and_malformed_payloads_are_errors_not_panics() {
         let artifact = RareArtifact::new(1, sample_analysis());
-        let payload = encode_rare(&artifact, false);
+        let payload = encode_rare(&artifact);
         for cut in [0, 1, 7, 8, payload.len() / 2, payload.len() - 1] {
             assert!(decode_rare(1, &payload[..cut]).is_err(), "cut at {cut}");
         }
@@ -1926,17 +1597,17 @@ mod tests {
     fn disk_store_validates_header_version_key_and_checksum() {
         let root = temp_root("header");
         let disk = DiskStore::with_faults(root.clone(), crate::CachePolicy::default(), None);
-        assert!(matches!(disk.load(DiskStage::Analyze, 7), DiskLookup::Miss));
-        disk.store(DiskStage::Analyze, 7, b"payload bytes");
-        match disk.load(DiskStage::Analyze, 7) {
+        assert!(matches!(disk.load(Stage::Analyze, 7), DiskLookup::Miss));
+        disk.store(Stage::Analyze, 7, b"payload bytes");
+        match disk.load(Stage::Analyze, 7) {
             DiskLookup::Hit(payload) => assert_eq!(payload, b"payload bytes"),
             _ => panic!("expected hit"),
         }
         // Wrong stage and wrong key are misses (different files).
-        assert!(matches!(disk.load(DiskStage::Graph, 7), DiskLookup::Miss));
-        assert!(matches!(disk.load(DiskStage::Analyze, 8), DiskLookup::Miss));
+        assert!(matches!(disk.load(Stage::BuildGraph, 7), DiskLookup::Miss));
+        assert!(matches!(disk.load(Stage::Analyze, 8), DiskLookup::Miss));
 
-        let path = disk.file_path(DiskStage::Analyze, 7);
+        let path = disk.file_path(Stage::Analyze, 7);
         let original = fs::read(&path).unwrap();
 
         // Route each failure through note_failure, as the artifact store
@@ -1954,7 +1625,7 @@ mod tests {
         bad[0] ^= 0xFF;
         fs::write(&path, &bad).unwrap();
         assert_eq!(
-            failure_kind(disk.load(DiskStage::Analyze, 7)),
+            failure_kind(disk.load(Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::Corrupt
         );
 
@@ -1964,14 +1635,14 @@ mod tests {
         bad[8] = bad[8].wrapping_add(1);
         fs::write(&path, &bad).unwrap();
         assert_eq!(
-            failure_kind(disk.load(DiskStage::Analyze, 7)),
+            failure_kind(disk.load(Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::VersionMismatch
         );
 
         // Truncated payload.
         fs::write(&path, &original[..original.len() - 3]).unwrap();
         assert_eq!(
-            failure_kind(disk.load(DiskStage::Analyze, 7)),
+            failure_kind(disk.load(Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::Corrupt
         );
 
@@ -1981,7 +1652,7 @@ mod tests {
         bad[last] ^= 0x10;
         fs::write(&path, &bad).unwrap();
         assert_eq!(
-            failure_kind(disk.load(DiskStage::Analyze, 7)),
+            failure_kind(disk.load(Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::Corrupt
         );
 
@@ -1993,67 +1664,61 @@ mod tests {
         assert_eq!(events.total(), 4);
 
         // Overwriting heals the file.
-        disk.store(DiskStage::Analyze, 7, b"payload bytes");
-        assert!(matches!(
-            disk.load(DiskStage::Analyze, 7),
-            DiskLookup::Hit(_)
-        ));
+        disk.store(Stage::Analyze, 7, b"payload bytes");
+        assert!(matches!(disk.load(Stage::Analyze, 7), DiskLookup::Hit(_)));
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn budget_enforcement_uses_the_index_without_rescanning() {
-        let root = temp_root("index-fast-path");
-        // Budget small enough that every insert runs enforcement.
-        let policy = crate::CachePolicy::default().with_max_bytes(200);
-        let disk = DiskStore::with_faults(root.clone(), policy, None);
-        for key in 0..6u64 {
-            disk.store(DiskStage::Analyze, key, &[0u8; 48]);
-        }
-        // One initial rescan builds the index; the remaining five inserts
-        // (and their evictions) run entirely off it — the generation file
-        // tracks our own bumps.
-        assert_eq!(disk.index_rescans(), 1);
-        assert!(disk.events().budget_evictions > 0);
-        let on_disk = scan_entries(&root).unwrap();
-        let total: u64 = on_disk.iter().map(|e| e.bytes).sum();
-        assert!(total <= 200, "cache over budget: {total}");
-        // The survivors are the most recently inserted keys.
-        let mut keys: Vec<u64> = on_disk.iter().map(|e| e.key).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![4, 5]);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn generation_counter_invalidates_other_stores_indexes() {
-        let root = temp_root("index-cross-store");
+    fn budget_enforcement_counts_other_stores_artifacts() {
+        let root = temp_root("cross-store");
         let policy = crate::CachePolicy::default().with_max_bytes(200);
         // Two stores sharing one directory, as two CLI processes would.
         let a = DiskStore::with_faults(root.clone(), policy, None);
         let b = DiskStore::with_faults(root.clone(), policy, None);
 
-        b.store(DiskStage::Analyze, 1, &[0u8; 48]);
-        assert_eq!(b.index_rescans(), 1);
-        // A writes behind B's back, bumping the generation counter.
-        a.store(DiskStage::Analyze, 2, &[0u8; 48]);
-        // B's next insert sees the bump, rescans, and accounts for A's
-        // artifact when enforcing the budget.
-        b.store(DiskStage::Analyze, 3, &[0u8; 48]);
-        assert_eq!(b.index_rescans(), 2);
+        b.store(Stage::Analyze, 1, &[0u8; 48]);
+        // A writes behind B's back.
+        a.store(Stage::Analyze, 2, &[0u8; 48]);
+        // B's next insert accounts for A's artifact when enforcing the
+        // budget, and evicts by stamp across both stores.
+        b.store(Stage::Analyze, 3, &[0u8; 48]);
         let on_disk = scan_entries(&root).unwrap();
         let total: u64 = on_disk.iter().map(|e| e.bytes).sum();
         assert!(total <= 200, "cache over budget: {total}");
         let mut keys: Vec<u64> = on_disk.iter().map(|e| e.key).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![2, 3], "LRU evicted the oldest key across stores");
+        let _ = fs::remove_dir_all(&root);
+    }
 
-        // Offline gc bumps the counter too, so live stores re-examine the
-        // directory instead of trusting a stale index.
-        let before = a.index_rescans();
-        crate::cache::gc(&root, &crate::CachePolicy::default().with_max_bytes(100)).unwrap();
-        a.store(DiskStage::Analyze, 9, &[0u8; 48]);
-        assert!(a.index_rescans() > before);
+    #[test]
+    #[cfg(unix)]
+    fn disk_hits_restamp_the_artifact_in_place() {
+        let root = temp_root("restamp");
+        let disk = DiskStore::with_faults(root.clone(), crate::CachePolicy::default(), None);
+        disk.store(Stage::Analyze, 1, b"older");
+        disk.store(Stage::Analyze, 2, b"newer");
+        let stamp_of = |key: u64| {
+            let entries = scan_entries(&root).unwrap();
+            entries.iter().find(|e| e.key == key).unwrap().stamp
+        };
+        assert!(stamp_of(1) < stamp_of(2), "inserts are stamped in order");
+        let inode = |key: u64| {
+            use std::os::unix::fs::MetadataExt as _;
+            fs::metadata(disk.file_path(Stage::Analyze, key))
+                .unwrap()
+                .ino()
+        };
+        let before = inode(1);
+        assert!(matches!(disk.load(Stage::Analyze, 1), DiskLookup::Hit(_)));
+        assert!(stamp_of(1) > stamp_of(2), "a hit makes the artifact newest");
+        assert_eq!(inode(1), before, "a hit rewrites no file");
+        let names: Vec<String> = fs::read_dir(root.join(Stage::Analyze.dir()))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 2, "only the two artifacts: {names:?}");
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -178,9 +178,8 @@ pub struct DeterrentConfig {
     /// thread knob, the cache directory never affects results (artifacts
     /// round-trip bit-exactly) and is excluded from every cache key.
     pub cache_dir: Option<PathBuf>,
-    /// Size budget and codec options of the persistent cache's disk tier.
-    /// The default is unbounded with the full-fidelity codec (PR 4
-    /// behaviour). When [`CachePolicy::max_bytes`] is unset, sessions fall
+    /// Size budget of the persistent cache's disk tier. The default is
+    /// unbounded. When [`CachePolicy::max_bytes`] is unset, sessions fall
     /// back to the `DETERRENT_CACHE_MAX_BYTES` environment variable (a
     /// byte count, optionally with a `k`/`m`/`g` suffix — see
     /// [`crate::parse_bytes`]). Like `cache_dir`, the policy never affects

@@ -90,10 +90,10 @@ pub use artifact::{
     TrainedPolicy,
 };
 pub use cache::{
-    parse_bytes, CacheError, CacheErrorKind, CacheEvents, CachePolicy, CacheStats, Eviction,
-    GcReport, StageUsage, VerifyReport,
+    parse_bytes, CacheError, CacheErrorKind, CacheEvents, CachePolicy, CacheStats, GcReport,
+    StageUsage, VerifyReport,
 };
-pub use codec::{decode_record, encode_record, QUIET_ENV_VAR, SLIM_LOSS_KEEP};
+pub use codec::{decode_record, encode_record, QUIET_ENV_VAR};
 pub use compat::{
     CompatStats, CompatStrategy, CompatibilityGraph, FunnelOptions, MAX_ENUMERATION_SUPPORT,
 };

@@ -113,7 +113,7 @@ impl<'a> DeterrentSession<'a> {
     /// config names a cache directory (the `cache_dir` knob or the
     /// `DETERRENT_CACHE_DIR` environment variable,
     /// [`DeterrentConfig::resolved_cache_dir`]), the store is backed by the
-    /// persistent disk tier there — bounded and slimmed per the config's
+    /// persistent disk tier there — bounded per the config's
     /// [`DeterrentConfig::resolved_cache_policy`] — so artifacts survive
     /// the process and a repeat invocation recomputes nothing.
     #[must_use]

@@ -50,6 +50,14 @@ impl fmt::Display for NetlistError {
                 got,
                 min,
                 max,
+            } if *max == usize::MAX => {
+                write!(f, "gate `{gate}` has {got} fanins, expected at least {min}")
+            }
+            NetlistError::BadFanin {
+                gate,
+                got,
+                min,
+                max,
             } => write!(
                 f,
                 "gate `{gate}` has {got} fanins, expected between {min} and {max}"
@@ -84,5 +92,15 @@ mod tests {
         };
         let text = err.to_string();
         assert!(text.contains("g7") && text.contains('0') && text.contains('1'));
+        let unbounded = NetlistError::BadFanin {
+            gate: "g8".into(),
+            got: 0,
+            min: 1,
+            max: usize::MAX,
+        };
+        assert_eq!(
+            unbounded.to_string(),
+            "gate `g8` has 0 fanins, expected at least 1"
+        );
     }
 }

@@ -194,21 +194,6 @@ impl AdamSnapshot {
         }
     }
 
-    /// A snapshot with zeroed moment vectors of length `num_params` — what
-    /// a *slim* persisted snapshot restores to. Zeroed moments change
-    /// nothing for frozen-policy use (the optimizer never steps); continued
-    /// training would restart its moment estimates, which is why slim
-    /// persistence is opt-in.
-    #[must_use]
-    pub fn zeroed(learning_rate: f64, num_params: usize, steps: u64) -> Self {
-        Self {
-            learning_rate,
-            m: vec![0.0; num_params],
-            v: vec![0.0; num_params],
-            steps,
-        }
-    }
-
     fn restore(&self) -> Adam {
         Adam::from_raw_state(
             self.learning_rate,
@@ -254,41 +239,6 @@ pub struct PolicySnapshot {
     pub policy_opt: AdamSnapshot,
     /// Value optimizer state.
     pub value_opt: AdamSnapshot,
-}
-
-impl PolicySnapshot {
-    /// A slimmed copy for compact persistence: the Adam moment vectors are
-    /// zeroed (see [`AdamSnapshot::zeroed`]) and the loss history keeps
-    /// only its `keep_losses` most recent entries. Frozen-policy behaviour
-    /// of a trainer restored from the slim copy is bit-identical to the
-    /// full one — network weights, step counters, and configuration are
-    /// untouched; only continued-training momentum and the older loss
-    /// curve are lost.
-    #[must_use]
-    pub fn slimmed(&self, keep_losses: usize) -> Self {
-        let tail = self.loss_history.len().saturating_sub(keep_losses);
-        Self {
-            config: self.config.clone(),
-            num_actions: self.num_actions,
-            total_steps: self.total_steps,
-            total_updates: self.total_updates,
-            loss_history: self.loss_history[tail..].to_vec(),
-            policy_layer_sizes: self.policy_layer_sizes.clone(),
-            policy_params: self.policy_params.clone(),
-            value_layer_sizes: self.value_layer_sizes.clone(),
-            value_params: self.value_params.clone(),
-            policy_opt: AdamSnapshot::zeroed(
-                self.policy_opt.learning_rate,
-                self.policy_opt.m.len(),
-                self.policy_opt.steps,
-            ),
-            value_opt: AdamSnapshot::zeroed(
-                self.value_opt.learning_rate,
-                self.value_opt.m.len(),
-                self.value_opt.steps,
-            ),
-        }
-    }
 }
 
 /// PPO agent: policy network, value network, and their optimizers.
@@ -851,63 +801,6 @@ mod tests {
             "frozen sampling must match given the same RNG stream"
         );
         assert_eq!(restored.pending_transitions(), 0, "buffer not captured");
-    }
-
-    #[test]
-    fn slimmed_snapshot_preserves_frozen_behaviour() {
-        let config = PpoConfig {
-            batch_size: 8,
-            hidden_sizes: vec![8],
-            ..PpoConfig::default()
-        };
-        let mut trainer = PpoTrainer::new(2, 3, &config, 13);
-        let state = vec![-0.2, 0.9];
-        for _ in 0..64 {
-            let (action, log_prob, value) = trainer.select_action(&state, &[]);
-            trainer.record(Transition {
-                state: state.clone(),
-                mask: vec![],
-                action,
-                reward: f64::from(u8::from(action == 0)),
-                done: true,
-                log_prob,
-                value,
-            });
-            trainer.update_if_ready();
-        }
-        let full = trainer.snapshot();
-        assert!(full.loss_history.len() > 2);
-        let slim = full.slimmed(2);
-
-        // Weights, counters, and config are untouched; moments zeroed; only
-        // the most recent loss entries survive.
-        assert_eq!(slim.policy_params, full.policy_params);
-        assert_eq!(slim.value_params, full.value_params);
-        assert_eq!(slim.total_steps, full.total_steps);
-        assert_eq!(slim.policy_opt.steps, full.policy_opt.steps);
-        assert!(slim.policy_opt.m.iter().all(|&m| m == 0.0));
-        assert_eq!(slim.policy_opt.m.len(), full.policy_opt.m.len());
-        assert_eq!(slim.loss_history.len(), 2);
-        assert_eq!(
-            slim.loss_history.as_slice(),
-            &full.loss_history[full.loss_history.len() - 2..]
-        );
-
-        // Frozen-policy behaviour of the restored trainers is identical.
-        let restored_full = PpoTrainer::from_snapshot(&full, 13);
-        let restored_slim = PpoTrainer::from_snapshot(&slim, 13);
-        assert_eq!(
-            restored_full.best_action(&state, &[]),
-            restored_slim.best_action(&state, &[])
-        );
-        let mut a = StdRng::seed_from_u64(5);
-        let mut b = StdRng::seed_from_u64(5);
-        assert_eq!(
-            restored_full.policy_step(&state, &[], &mut a),
-            restored_slim.policy_step(&state, &[], &mut b)
-        );
-        // Slimming more entries than exist keeps everything.
-        assert_eq!(full.slimmed(1000).loss_history, full.loss_history);
     }
 
     #[test]

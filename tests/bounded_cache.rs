@@ -1,13 +1,12 @@
-//! The bounded disk cache: budgets, LRU sidecar order, read pinning, slim
-//! policy artifacts, and the offline maintenance API.
+//! The bounded disk cache: budgets, LRU order, read pinning, and the
+//! offline maintenance API.
 //!
 //! The contract under test extends `tests/disk_cache.rs`: with a
 //! [`CachePolicy`] attached, the cache directory never exceeds its byte
 //! budget after an insert; victims are chosen least-recently-used by the
-//! `.lru` sidecar stamps (which survive process boundaries — emulated here
-//! with fresh stores on one directory); artifacts *read* by a store are
-//! never evicted by that same store; and the slim train-stage codec
-//! variant changes file sizes, never results.
+//! artifacts' modification-time stamps (which survive process boundaries —
+//! emulated here with fresh stores on one directory); and artifacts *read*
+//! by a store are never evicted by that same store.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -16,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use deterrent_repro::deterrent_core::cache::{cache_stats, gc, verify};
 use deterrent_repro::deterrent_core::{
-    ArtifactStore, CachePolicy, DeterrentConfig, DeterrentResult, DeterrentSession, SLIM_LOSS_KEEP,
+    ArtifactStore, CachePolicy, DeterrentConfig, DeterrentResult, DeterrentSession,
 };
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::netlist::Netlist;
@@ -49,7 +48,7 @@ fn run_with(netlist: &Netlist, config: DeterrentConfig, store: &ArtifactStore) -
     DeterrentSession::with_store(netlist, config, store.clone()).run()
 }
 
-/// Every cache file (artifacts and sidecars) under `dir` with its size.
+/// Every file in the stage directories under `dir` with its size.
 fn cache_files(dir: &Path) -> BTreeMap<PathBuf, u64> {
     let mut files = BTreeMap::new();
     let Ok(stages) = fs::read_dir(dir) else {
@@ -184,7 +183,7 @@ fn lru_order_is_respected_across_processes() {
     let _ = run_with(&nl, test_config(2), &writer);
     let both = total_bytes(&dir);
 
-    // "Process" 2 (a fresh store) re-reads seed 1, refreshing its sidecar
+    // "Process" 2 (a fresh store) re-reads seed 1, refreshing its access
     // stamps — now seed *2* is the least recently used.
     let toucher = ArtifactStore::with_disk(&dir);
     let warm = run_with(&nl, test_config(1), &toucher);
@@ -250,63 +249,6 @@ fn eviction_never_claims_an_artifact_read_by_the_current_run() {
         );
     }
     let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn slim_and_full_policy_artifacts_produce_identical_greedy_rollouts() {
-    let nl = test_netlist();
-    let full_dir = temp_cache_dir("full");
-    let slim_dir = temp_cache_dir("slim");
-
-    let full_store = ArtifactStore::with_disk(&full_dir);
-    let slim_store =
-        ArtifactStore::with_disk_policy(&slim_dir, CachePolicy::default().with_slim_policy(true));
-    let cold_full = run_with(&nl, test_config(1), &full_store);
-    let cold_slim = run_with(&nl, test_config(1), &slim_store);
-    // The slim knob changes what is persisted, never the live results.
-    assert_eq!(cold_full.patterns, cold_slim.patterns);
-    assert_eq!(
-        cold_full.metrics.loss_history,
-        cold_slim.metrics.loss_history
-    );
-
-    // Slim train-stage files are substantially smaller (the Adam moments
-    // alone are ~2/3 of a full snapshot's floats).
-    let train_size = |dir: &Path| -> u64 {
-        fs::read_dir(dir.join("train"))
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "dtc"))
-            .filter_map(|e| e.metadata().ok().map(|m| m.len()))
-            .sum()
-    };
-    let (full_size, slim_size) = (train_size(&full_dir), train_size(&slim_dir));
-    assert!(
-        slim_size * 2 < full_size,
-        "slim policy file ({slim_size} B) should be well under half the full one ({full_size} B)"
-    );
-
-    // Warm restarts that *re-roll* greedily from the restored policy
-    // (a changed select section invalidates the sets artifact but not the
-    // policy artifact) must agree bit-for-bit between slim and full.
-    let reroll = test_config(1).with_eval_rollouts(12);
-    let warm_full = run_with(&nl, reroll.clone(), &ArtifactStore::with_disk(&full_dir));
-    let warm_slim = run_with(&nl, reroll, &ArtifactStore::with_disk(&slim_dir));
-    assert_eq!(warm_full.sets, warm_slim.sets, "greedy rollouts differ");
-    assert_eq!(warm_full.patterns, warm_slim.patterns);
-    assert_eq!(
-        warm_full.metrics.max_compatible_set,
-        warm_slim.metrics.max_compatible_set
-    );
-    // The documented slim trade-off: the warm loss history is truncated.
-    assert!(warm_slim.metrics.loss_history.len() <= SLIM_LOSS_KEEP);
-    assert_eq!(
-        warm_full.metrics.loss_history.len(),
-        cold_full.metrics.loss_history.len()
-    );
-
-    let _ = fs::remove_dir_all(&full_dir);
-    let _ = fs::remove_dir_all(&slim_dir);
 }
 
 #[test]
@@ -398,14 +340,15 @@ fn maintenance_api_stats_verify_and_gc() {
     assert!(clean.is_clean(), "{clean:?}");
     assert_eq!(clean.valid, 12);
 
-    // Corrupt one artifact and orphan one sidecar.
+    // Corrupt one artifact and leave an access-stamp sidecar behind, as a
+    // cache written by an older format version would.
     let victim = artifact_paths(&dir).pop().unwrap();
     let mut bytes = fs::read(&victim).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
     fs::write(&victim, &bytes).unwrap();
-    let orphan = dir.join("analyze").join("deadbeefdeadbeef.lru");
-    fs::write(&orphan, 7u64.to_le_bytes()).unwrap();
+    let leftover = dir.join("analyze").join("deadbeefdeadbeef.lru");
+    fs::write(&leftover, 7u64.to_le_bytes()).unwrap();
 
     // Report-only verify finds it and leaves it in place; healing verify
     // deletes it; afterwards the cache is clean again.
@@ -418,11 +361,11 @@ fn maintenance_api_stats_verify_and_gc() {
     assert!(!victim.exists(), "healing removes the corrupt file");
     assert!(verify(&dir, true).is_clean());
 
-    // gc removes the orphan sidecar and prunes LRU-first to a budget.
+    // gc removes the leftover `.lru` and prunes LRU-first to a budget.
     let before = cache_stats(&dir).unwrap().total_bytes();
     let report = gc(&dir, &CachePolicy::default().with_max_bytes(before / 2)).expect("gc");
-    assert_eq!(report.orphan_sidecars_removed, 1);
-    assert!(!orphan.exists());
+    assert_eq!(report.stale_removed, 1);
+    assert!(!leftover.exists());
     assert!(report.evicted_files > 0);
     assert!(report.bytes_remaining <= before / 2);
     assert_eq!(report.bytes_remaining, total_bytes(&dir));
