@@ -29,14 +29,6 @@ const SCHEMA_VERSION: u32 = 1;
 
 const THETAS: [f64; 4] = [0.10, 0.11, 0.12, 0.14];
 
-fn out_path() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_sweep.json".to_string())
-}
-
 /// One full-pipeline pass over every θ; returns total patterns generated
 /// (a cheap checksum that the sweep really ran end to end).
 fn run_sweep(netlist: &netlist::Netlist, options: &HarnessOptions, store: &ArtifactStore) -> usize {
@@ -129,15 +121,19 @@ fn main() {
         stages_json(&zero, &after_cold),
         stages_json(&after_cold, &after_warm),
     );
-    let path = out_path();
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    let path = options
+        .out
+        .clone()
+        .unwrap_or_else(|| "BENCH_sweep.json".into());
+    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 
     eprintln!(
         "[sweep] {} θ values on {} ({} gates): cold {cold_seconds:.3}s, warm {warm_seconds:.3}s, \
-         1 estimation — report at {path}",
+         1 estimation — report at {}",
         THETAS.len(),
         profile.name,
-        netlist.num_logic_gates()
+        netlist.num_logic_gates(),
+        path.display()
     );
     print_store_summary(&store);
     if options.expect_warm {

@@ -75,6 +75,9 @@ pub struct HarnessOptions {
     /// `None` with no variable disables telemetry entirely. Tracing is
     /// out-of-band: stdout is byte-identical with or without it.
     pub trace_out: Option<PathBuf>,
+    /// `--out FILE`: where the `sweep` binary writes its JSON report; the
+    /// other binaries ignore it.
+    pub out: Option<PathBuf>,
 }
 
 impl Default for HarnessOptions {
@@ -88,61 +91,23 @@ impl Default for HarnessOptions {
             cache_max_bytes: None,
             expect_warm: false,
             trace_out: None,
+            out: None,
         }
     }
 }
 
 impl HarnessOptions {
-    /// Parses command-line arguments: `--full` (paper-sized), `--scale N`,
-    /// `--trojans N`, `--width N`, `--seed N`, `--cache-dir DIR`,
-    /// `--cache-max-bytes N[k|m|g]`, `--expect-warm`,
-    /// `--trace-out FILE`.
+    /// Parses the process arguments with [`HarnessOptions::parse`], then
+    /// falls back to `DETERRENT_TRACE_OUT` when `--trace-out` was not
+    /// given. A bad flag or value prints `error: …` and exits with status 2
+    /// before any experiment runs.
     #[must_use]
     pub fn from_args() -> Self {
-        let mut options = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => {
-                    options.scale = 1;
-                    options.num_trojans = 100;
-                }
-                "--scale" if i + 1 < args.len() => {
-                    options.scale = args[i + 1].parse().unwrap_or(options.scale);
-                    i += 1;
-                }
-                "--trojans" if i + 1 < args.len() => {
-                    options.num_trojans = args[i + 1].parse().unwrap_or(options.num_trojans);
-                    i += 1;
-                }
-                "--width" if i + 1 < args.len() => {
-                    options.trigger_width = args[i + 1].parse().unwrap_or(options.trigger_width);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    options.seed = args[i + 1].parse().unwrap_or(options.seed);
-                    i += 1;
-                }
-                "--cache-dir" if i + 1 < args.len() => {
-                    options.cache_dir = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--cache-max-bytes" if i + 1 < args.len() => {
-                    options.cache_max_bytes = deterrent_core::parse_bytes(&args[i + 1]);
-                    i += 1;
-                }
-                "--expect-warm" => {
-                    options.expect_warm = true;
-                }
-                "--trace-out" if i + 1 < args.len() => {
-                    options.trace_out = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut options = Self::parse(&args).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        });
         if options.trace_out.is_none() {
             if let Ok(path) = std::env::var(TRACE_OUT_ENV_VAR) {
                 if !path.trim().is_empty() {
@@ -151,6 +116,49 @@ impl HarnessOptions {
             }
         }
         options
+    }
+
+    /// Parses command-line arguments (without the program name): `--full`
+    /// (paper-sized), `--scale N`, `--trojans N`, `--width N`, `--seed N`,
+    /// `--cache-dir DIR`, `--cache-max-bytes N[k|m|g]`, `--expect-warm`,
+    /// `--trace-out FILE`, and `--out FILE`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a flag missing its value, or a value that does not
+    /// parse.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+            raw.parse().map_err(|_| format!("bad {flag} value {raw:?}"))
+        }
+        let mut options = Self::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--full" => {
+                    options.scale = 1;
+                    options.num_trojans = 100;
+                }
+                "--scale" => options.scale = number(flag, value()?)?,
+                "--trojans" => options.num_trojans = number(flag, value()?)?,
+                "--width" => options.trigger_width = number(flag, value()?)?,
+                "--seed" => options.seed = number(flag, value()?)?,
+                "--cache-dir" => options.cache_dir = Some(PathBuf::from(value()?)),
+                "--cache-max-bytes" => {
+                    let raw = value()?;
+                    options.cache_max_bytes = Some(
+                        deterrent_core::parse_bytes(raw)
+                            .ok_or_else(|| format!("bad {flag} value {raw:?}"))?,
+                    );
+                }
+                "--expect-warm" => options.expect_warm = true,
+                "--trace-out" => options.trace_out = Some(PathBuf::from(value()?)),
+                "--out" => options.out = Some(PathBuf::from(value()?)),
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        Ok(options)
     }
 
     /// A telemetry handle honouring `--trace-out` / `DETERRENT_TRACE_OUT`:
@@ -516,6 +524,44 @@ mod tests {
         assert_eq!(options.scale, 20);
         let nl = options.netlist(&BenchmarkProfile::c2670());
         assert!(nl.num_logic_gates() < 200);
+    }
+
+    fn parse(line: &str) -> Result<HarnessOptions, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        HarnessOptions::parse(&args)
+    }
+
+    #[test]
+    fn parse_accepts_a_valid_command_line() {
+        let options =
+            parse("--scale 40 --seed 7 --cache-dir d --cache-max-bytes 12k --expect-warm").unwrap();
+        assert_eq!(
+            options,
+            HarnessOptions {
+                scale: 40,
+                seed: 7,
+                cache_dir: Some(PathBuf::from("d")),
+                cache_max_bytes: Some(12 * 1024),
+                expect_warm: true,
+                ..HarnessOptions::default()
+            }
+        );
+        assert_eq!(parse("").unwrap(), HarnessOptions::default());
+    }
+
+    #[test]
+    fn parse_rejects_bad_flags_and_values() {
+        for (line, expected) in [
+            ("--cache-dir d --expect-wram", "unknown flag --expect-wram"),
+            ("--scale", "--scale needs a value"),
+            ("--scale abc", "bad --scale value \"abc\""),
+            (
+                "--cache-max-bytes 12q",
+                "bad --cache-max-bytes value \"12q\"",
+            ),
+        ] {
+            assert_eq!(parse(line), Err(expected.to_string()), "{line}");
+        }
     }
 
     #[test]

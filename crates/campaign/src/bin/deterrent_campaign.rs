@@ -25,8 +25,8 @@
 //! | `--checkpoint FILE` | record completed cells; resume skips them | off |
 //! | `--max-retries N` | retries per cell after a failed attempt | `2` |
 //! | `--cell-deadline-secs F` | per-attempt wall-clock budget | unlimited |
-//! | `--fail-fast` | cancel unstarted cells after the first terminal failure | off |
-//! | `--max-failures N` | cancel after N terminal failures | never |
+//! | `--max-failures N` | cancel unstarted cells after N ≥ 1 terminal failures | never |
+//! | `--fail-fast` | shorthand for `--max-failures 1` | off |
 //! | `--fault-plan SPEC` | inject faults (else `DETERRENT_FAULT_PLAN`) | none |
 //! | `--trace-out FILE` | machine-readable JSONL trace (else `DETERRENT_TRACE_OUT`) | off |
 //! | `--metrics-out FILE` | Prometheus-text metric dump after the run | off |
@@ -61,7 +61,6 @@ struct Args {
     checkpoint: Option<PathBuf>,
     max_retries: u32,
     cell_deadline: Option<Duration>,
-    fail_fast: bool,
     max_failures: Option<usize>,
     fault_plan: Option<FaultPlan>,
     trace_out: Option<PathBuf>,
@@ -81,7 +80,6 @@ impl Default for Args {
             checkpoint: None,
             max_retries: RunPolicy::default().max_retries,
             cell_deadline: None,
-            fail_fast: false,
             max_failures: None,
             fault_plan: None,
             trace_out: None,
@@ -162,9 +160,13 @@ fn parse_args() -> Result<(Args, CampaignPlan), String> {
                 }
                 args.cell_deadline = Some(Duration::from_secs_f64(secs));
             }
-            "--fail-fast" => args.fail_fast = true,
+            "--fail-fast" => args.max_failures = Some(1),
             "--max-failures" => {
-                args.max_failures = Some(value(&mut i)?.parse().map_err(|_| "bad --max-failures")?);
+                let limit: usize = value(&mut i)?.parse().map_err(|_| "bad --max-failures")?;
+                if limit == 0 {
+                    return Err("bad --max-failures (at least 1)".into());
+                }
+                args.max_failures = Some(limit);
             }
             "--fault-plan" => args.fault_plan = Some(FaultPlan::parse(&value(&mut i)?)?),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value(&mut i)?)),
@@ -251,7 +253,6 @@ fn main() -> ExitCode {
     let policy = RunPolicy {
         max_retries: args.max_retries,
         cell_deadline: args.cell_deadline,
-        fail_fast: args.fail_fast,
         max_failures: args.max_failures,
         faults: args.fault_plan.clone(),
         checkpoint: args.checkpoint.clone(),

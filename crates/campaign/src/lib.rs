@@ -36,7 +36,7 @@
 //! paths are ordinary tested code and a faulted run's report is
 //! byte-identical to a clean run's in every data column. A
 //! [`Checkpoint`] file records completed rows so a killed campaign
-//! resumes without recomputing them; `fail_fast` / `max_failures` cancel
+//! resumes without recomputing them; [`RunPolicy::max_failures`] cancels
 //! the remaining cells once real (non-recoverable) failures accumulate.
 //!
 //! # Example
@@ -72,14 +72,14 @@ mod trace;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use deterrent_core::{
     ArtifactStore, CacheEvents, DeterrentConfig, DeterrentResult, DeterrentSession, FaultKind,
     FaultPlan, Stage, StoreCounters, QUIET_ENV_VAR,
 };
-use exec::{catch_task, split_seed, CancelToken, Exec, ExecStats};
+use exec::{catch_task, split_seed, Exec, ExecStats};
 use netlist::synth::BenchmarkProfile;
 use netlist::Netlist;
 use telemetry::{Counter, Span, SpanContext, Telemetry, Value, NONDET_VARY_KEY};
@@ -245,9 +245,9 @@ impl CampaignPlan {
     /// optional per-cell wall-clock deadline converts runaway cells into
     /// [`CellOutcome::TimedOut`], a [`deterrent_core::FaultPlan`] injects
     /// deterministic panics/timeouts for testing, completed rows persist
-    /// to a [`Checkpoint`] for kill-and-resume, and `fail_fast` /
-    /// `max_failures` cancel the rest of the grid once terminal failures
-    /// accumulate.
+    /// to a [`Checkpoint`] for kill-and-resume, and
+    /// [`RunPolicy::max_failures`] cancels the rest of the grid once
+    /// terminal failures accumulate.
     ///
     /// Because injected faults fire at most once per cell and retried
     /// attempts recompute from the same deterministic inputs, every
@@ -263,8 +263,8 @@ impl CampaignPlan {
         let netlists: Vec<Netlist> = self.netlists.iter().map(NetlistSpec::build).collect();
         let cells = self.cells();
         let checkpoint = policy.checkpoint.as_ref().map(Checkpoint::open);
-        // A fresh token per run: cancellation never leaks across runs.
-        let cancel = CancelToken::new();
+        // A fresh flag per run: cancellation never leaks across runs.
+        let cancel = AtomicBool::new(false);
         let failures = AtomicUsize::new(0);
         let tele = &policy.telemetry;
         let mut run_span = tele.span("campaign");
@@ -387,14 +387,10 @@ impl CampaignPlan {
                     };
                 }
                 Err(err) => {
-                    let message = err
-                        .panic_message()
-                        .unwrap_or("attempt cancelled")
-                        .to_string();
-                    let failure = if message.contains(DEADLINE_MARKER) {
+                    let failure = if err.message.contains(DEADLINE_MARKER) {
                         AttemptFailure::Timeout
                     } else {
-                        AttemptFailure::Panic(message)
+                        AttemptFailure::Panic(err.message)
                     };
                     attempt_span.attr_str(
                         "result",
@@ -515,10 +511,9 @@ pub struct RunPolicy {
     /// stage; an attempt past it panics with [`DEADLINE_MARKER`] (contained
     /// and classified as [`CellOutcome::TimedOut`]). `None` = unlimited.
     pub cell_deadline: Option<Duration>,
-    /// Cancel every not-yet-started cell after the first terminal
-    /// (non-recovered) cell failure.
-    pub fail_fast: bool,
-    /// Cancel after this many terminal cell failures. `None` = never.
+    /// Cancel every not-yet-started cell once this many cells have failed
+    /// terminally (not recovered by a retry); `Some(1)` is fail-fast.
+    /// `None` = never.
     pub max_failures: Option<usize>,
     /// Deterministic fault-injection schedule for the cell failure
     /// domains. (Thread the same plan into the store via
@@ -540,7 +535,6 @@ impl Default for RunPolicy {
         Self {
             max_retries: 2,
             cell_deadline: None,
-            fail_fast: false,
             max_failures: None,
             faults: None,
             checkpoint: None,
@@ -565,7 +559,7 @@ struct CellEnv<'a> {
     store: &'a ArtifactStore,
     policy: &'a RunPolicy,
     checkpoint: Option<&'a Checkpoint>,
-    cancel: &'a CancelToken,
+    cancel: &'a AtomicBool,
     failures: &'a AtomicUsize,
     run_ctx: &'a SpanContext,
     checkpoint_writes: &'a Counter,
@@ -615,7 +609,7 @@ impl CellEnv<'_> {
             });
             match resolved {
                 Ok(cache_hit) => span.vary("cache_hit", Value::Bool(cache_hit)),
-                Err(err) => span.vary_str("error", err.panic_message().unwrap_or("panicked")),
+                Err(err) => span.vary_str("error", &err.message),
             }
             span.close();
         });
@@ -623,7 +617,7 @@ impl CellEnv<'_> {
 
     /// Runs one cell end to end: checkpoint restore, cancellation check,
     /// the retry loop ([`CampaignPlan::run_cell`]), checkpoint recording,
-    /// and failure accounting for `fail_fast` / `max_failures`.
+    /// and failure accounting for [`RunPolicy::max_failures`].
     fn execute(&self, cell: &CampaignCell) -> CellResult {
         let tele = &self.policy.telemetry;
         let key = self.plan.cell_key(cell);
@@ -639,7 +633,7 @@ impl CellEnv<'_> {
             close_cell_span(cell_span, &row);
             return row;
         }
-        if self.cancel.is_cancelled() {
+        if self.cancel.load(Ordering::Relaxed) {
             let row =
                 CellResult::unrun(cell, netlist, CellOutcome::Failed("cancelled".to_string()));
             // Which cells a fail-fast cancellation catches unstarted
@@ -678,9 +672,8 @@ impl CellEnv<'_> {
             }
         } else {
             let seen = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.policy.fail_fast || self.policy.max_failures.is_some_and(|limit| seen >= limit)
-            {
-                self.cancel.cancel();
+            if self.policy.max_failures.is_some_and(|limit| seen >= limit) {
+                self.cancel.store(true, Ordering::Relaxed);
             }
         }
         close_cell_span(cell_span, &row);
@@ -772,18 +765,6 @@ fn finish_run_span(
         run_span.vary_u64(
             "exec.busy_nanos",
             exec_after.busy_nanos.saturating_sub(exec_before.busy_nanos),
-        );
-        run_span.vary_u64(
-            "exec.panics_caught",
-            exec_after
-                .panics_caught
-                .saturating_sub(exec_before.panics_caught),
-        );
-        run_span.vary_u64(
-            "exec.tasks_cancelled",
-            exec_after
-                .tasks_cancelled
-                .saturating_sub(exec_before.tasks_cancelled),
         );
     }
     run_span.close();
@@ -1300,7 +1281,7 @@ mod tests {
         let policy = RunPolicy {
             max_retries: 0,
             cell_deadline: Some(Duration::ZERO),
-            fail_fast: true,
+            max_failures: Some(1),
             ..RunPolicy::default()
         };
         // Serial executor: the first cell times out, cancelling the rest.
@@ -1310,6 +1291,24 @@ mod tests {
             report.cells[1].outcome,
             CellOutcome::Failed("cancelled".to_string())
         );
+    }
+
+    #[test]
+    fn max_failures_cancels_after_the_threshold() {
+        let plan = tiny_plan();
+        let policy = RunPolicy {
+            max_retries: 0,
+            cell_deadline: Some(Duration::ZERO),
+            max_failures: Some(2),
+            ..RunPolicy::default()
+        };
+        // Serial executor: cells 0 and 1 time out, the second failure
+        // reaches the threshold, and cells 2..8 never start.
+        let report = plan.run_with_policy(&ArtifactStore::new(), &Exec::serial(), &policy);
+        let outcomes: Vec<String> = report.cells.iter().map(|r| r.outcome.column()).collect();
+        let mut expected = vec!["timeout".to_string(); 2];
+        expected.resize(8, "failed:cancelled".to_string());
+        assert_eq!(outcomes, expected);
     }
 
     #[test]

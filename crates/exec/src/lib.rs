@@ -30,19 +30,15 @@
 //! to hold between calls, ~20–100 µs to dispatch) and splits work with one
 //! static chunk rule, so a caller's results depend only on the inputs.
 //!
-//! # Fault containment
+//! # Failures
 //!
-//! Panics and cancellation are part of the execution contract rather than
-//! process-fatal events. The isolated combinators
-//! ([`Exec::par_map_isolated`], [`Exec::try_par_map`]) wrap each task in
-//! [`std::panic::catch_unwind`] and convert a panic into a [`TaskError`]
-//! carrying the task index and payload message, so one exploding task cannot
-//! tear down the pool. A cooperative [`CancelToken`] (shared via
-//! [`Exec::cancel_token`]) is consulted at chunk and task boundaries; after
-//! it fires, unstarted tasks report [`TaskFailure::Cancelled`]. The legacy
-//! infallible combinators still propagate panics, but re-raised with the
-//! failing task index and message attached instead of a bare join failure.
-//! [`ExecStats`] counts both contained panics and cancelled tasks.
+//! Every combinator has one failure contract: a panicking task propagates
+//! to the caller, re-raised with the failing task index and the downcast
+//! payload message attached instead of a bare join failure. Containing a
+//! panic is the caller's choice: [`catch_task`] runs one task body under
+//! [`std::panic::catch_unwind`] and returns a [`TaskError`] carrying the
+//! index and message, which is how the campaign gives each cell attempt its
+//! own failure domain.
 //!
 //! # Example
 //!
@@ -68,9 +64,9 @@ mod stats;
 mod task;
 
 pub use pool::Exec;
-pub use seed::{split_seed, SeedStream};
+pub use seed::split_seed;
 pub use stats::ExecStats;
-pub use task::{catch_task, CancelToken, TaskError, TaskFailure};
+pub use task::{catch_task, TaskError};
 
 /// Environment variable consulted by [`Exec::new`] when the thread knob is 0.
 pub const THREADS_ENV_VAR: &str = "DETERRENT_THREADS";

@@ -7,7 +7,7 @@ use std::time::Instant;
 use telemetry::{Counter, Histogram, SpanContext, Telemetry};
 
 use crate::stats::StatsCell;
-use crate::task::{catch_task, payload_message, CancelToken, TaskError};
+use crate::task::{catch_task, payload_message};
 use crate::{ExecStats, THREADS_ENV_VAR};
 
 /// The chunk-splitting rule of [`Exec`]: `0..n` divides into contiguous
@@ -26,8 +26,6 @@ struct ExecTelemetry {
     parent: Option<SpanContext>,
     calls: Counter,
     tasks: Counter,
-    panics: Counter,
-    cancelled: Counter,
     call_wall: Histogram,
 }
 
@@ -40,16 +38,13 @@ struct ExecTelemetry {
 /// and results are merged in chunk order — so outputs are independent of
 /// scheduling and thread count.
 ///
-/// Two failure modes are first-class: the *isolated* combinators
-/// ([`Exec::par_map_isolated`], [`Exec::try_par_map`],
-/// [`Exec::try_par_index_map`]) contain per-task panics as [`TaskError`]
-/// values, and every executor carries a [`CancelToken`] consulted at chunk
-/// and task boundaries so a cooperative shutdown skips unstarted work.
+/// A panicking task propagates to the caller, re-raised with its task index
+/// and message attached; callers that need a failure domain of their own
+/// wrap the task body in [`crate::catch_task`].
 #[derive(Debug)]
 pub struct Exec {
     threads: usize,
     stats: StatsCell,
-    cancel: CancelToken,
     telemetry: Option<Box<ExecTelemetry>>,
 }
 
@@ -81,7 +76,6 @@ impl Exec {
         Self {
             threads,
             stats: StatsCell::default(),
-            cancel: CancelToken::new(),
             telemetry: None,
         }
     }
@@ -94,23 +88,13 @@ impl Exec {
         Self {
             threads: 1,
             stats: StatsCell::default(),
-            cancel: CancelToken::new(),
             telemetry: None,
         }
     }
 
-    /// Attaches a telemetry handle (builder style); see
-    /// [`Exec::set_telemetry`].
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry, parent: Option<SpanContext>) -> Self {
-        self.set_telemetry(telemetry, parent);
-        self
-    }
-
     /// Attaches a telemetry handle. Every parallel dispatch then emits one
     /// `exec.call` span (child of `parent` when given) and maintains the
-    /// `exec.calls` / `exec.tasks` / `exec.panics_caught` /
-    /// `exec.tasks_cancelled` counters and the `exec.call_wall_nanos`
+    /// `exec.calls` / `exec.tasks` counters and the `exec.call_wall_nanos`
     /// histogram, mirroring [`ExecStats`] exactly. Telemetry is strictly
     /// out-of-band: chunking, ordering, and results are unaffected.
     /// A disabled handle detaches.
@@ -119,30 +103,11 @@ impl Exec {
             Box::new(ExecTelemetry {
                 calls: telemetry.counter("exec.calls"),
                 tasks: telemetry.counter("exec.tasks"),
-                panics: telemetry.counter("exec.panics_caught"),
-                cancelled: telemetry.counter("exec.tasks_cancelled"),
                 call_wall: telemetry.histogram("exec.call_wall_nanos"),
                 parent,
                 telemetry,
             })
         });
-    }
-
-    /// Replaces the executor's cancel token (builder style), so several
-    /// executors — or an executor and its driving loop — can share one flag.
-    #[must_use]
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// A handle to the executor's cancel token. Cancelling it makes the
-    /// isolated combinators skip all not-yet-started tasks (reported as
-    /// [`crate::TaskFailure::Cancelled`]); the legacy infallible combinators
-    /// always run to completion.
-    #[must_use]
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// The resolved worker count (always at least 1).
@@ -155,11 +120,6 @@ impl Exec {
     #[must_use]
     pub fn stats(&self) -> ExecStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the accumulated counters to zero.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     /// Splits `0..n` into one contiguous range per worker, runs `work` on
@@ -281,84 +241,6 @@ impl Exec {
         .collect()
     }
 
-    /// Applies `f(index, item)` to every item, containing per-task panics:
-    /// the result vector holds, in item order, either the task's value or a
-    /// [`TaskError`] with its index and downcast panic message. One failing
-    /// task never prevents the others from running.
-    ///
-    /// Cancellation (via [`Exec::cancel_token`]) is checked before each
-    /// task: once the token fires, remaining tasks report
-    /// [`crate::TaskFailure::Cancelled`] without running. Tasks already in
-    /// flight complete normally.
-    pub fn par_map_isolated<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, TaskError>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.par_ranges(items.len(), |range| {
-            let mut out = Vec::with_capacity(range.len());
-            for i in range {
-                if self.cancel.is_cancelled() {
-                    self.stats.record_task_cancelled();
-                    if let Some(t) = &self.telemetry {
-                        t.cancelled.inc(1);
-                    }
-                    out.push(Err(TaskError::cancelled(i)));
-                    continue;
-                }
-                let result = catch_task(i, || f(i, &items[i]));
-                if result.is_err() {
-                    self.stats.record_panic_caught();
-                    if let Some(t) = &self.telemetry {
-                        t.panics.inc(1);
-                    }
-                }
-                out.push(result);
-            }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Fallible variant of [`Exec::par_map`]: all tasks run isolated, and
-    /// the lowest-index failure (if any) is returned as the error.
-    ///
-    /// Because each chunk contains panics independently and results merge in
-    /// index order, the reported error is the globally first failing task —
-    /// identical at any thread count for deterministic task bodies.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`TaskError`] of the lowest-index task that panicked or
-    /// was skipped by cancellation.
-    pub fn try_par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, TaskError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.par_map_isolated(items, f).into_iter().collect()
-    }
-
-    /// Fallible variant of [`Exec::par_index_map`]; see
-    /// [`Exec::try_par_map`] for the error contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`TaskError`] of the lowest-index task that panicked or
-    /// was skipped by cancellation.
-    pub fn try_par_index_map<R, F>(&self, n: usize, f: F) -> Result<Vec<R>, TaskError>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let indices: Vec<usize> = (0..n).collect();
-        self.try_par_map(&indices, |_, &i| f(i))
-    }
-
     /// Applies `f(index, item)` to every item and returns the results in
     /// item order.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -394,28 +276,6 @@ impl Exec {
         .into_iter()
         .flatten()
         .collect()
-    }
-
-    /// Splits `items` into fixed-size chunks of `chunk_len`, applies
-    /// `f(first_index, chunk)` to each, and returns the per-chunk results in
-    /// chunk order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is zero.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_len: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        let chunks = items.len().div_ceil(chunk_len);
-        self.par_index_map(chunks, |c| {
-            let lo = c * chunk_len;
-            let hi = (lo + chunk_len).min(items.len());
-            f(lo, &items[lo..hi])
-        })
     }
 
     /// Runs `a` and `b` as two tasks — concurrently when the executor has
@@ -559,16 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_sees_fixed_chunks_in_order() {
-        let exec = Exec::new(3);
-        let items: Vec<u8> = (0..10).collect();
-        let sums = exec.par_chunks(&items, 4, |lo, chunk| {
-            (lo, chunk.iter().map(|&x| u32::from(x)).sum::<u32>())
-        });
-        assert_eq!(sums, vec![(0, 6), (4, 22), (8, 17)]);
-    }
-
-    #[test]
     fn stats_count_calls_and_tasks() {
         let exec = Exec::new(2);
         let _ = exec.par_index_map(10, |i| i);
@@ -577,107 +427,6 @@ mod tests {
         assert_eq!(s.calls, 2);
         assert_eq!(s.tasks, 15);
         assert!(s.speedup() > 0.0);
-        exec.reset_stats();
-        assert_eq!(exec.stats().calls, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk length")]
-    fn zero_chunk_len_panics() {
-        let _ = Exec::serial().par_chunks(&[1, 2, 3], 0, |_, _| ());
-    }
-
-    #[test]
-    fn isolated_map_contains_panics_at_any_thread_count() {
-        for threads in [1, 4] {
-            let exec = Exec::new(threads);
-            let items: Vec<u32> = (0..16).collect();
-            let out = exec.par_map_isolated(&items, |_, &x| {
-                assert!(x != 5 && x != 11, "task {x} exploded");
-                x * 2
-            });
-            assert_eq!(out.len(), 16);
-            for (i, r) in out.iter().enumerate() {
-                if i == 5 || i == 11 {
-                    let err = r.as_ref().unwrap_err();
-                    assert_eq!(err.index, i);
-                    assert!(
-                        err.panic_message().unwrap().contains("exploded"),
-                        "got: {err}"
-                    );
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), (i as u32) * 2);
-                }
-            }
-            assert_eq!(exec.stats().panics_caught, 2, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn try_par_map_reports_lowest_failing_index() {
-        for threads in [1, 4] {
-            let exec = Exec::new(threads);
-            let items: Vec<u32> = (0..64).collect();
-            let err = exec
-                .try_par_map(&items, |_, &x| {
-                    assert!(x != 9 && x != 40, "boom at {x}");
-                    x
-                })
-                .unwrap_err();
-            assert_eq!(err.index, 9, "threads={threads}");
-            assert_eq!(
-                exec.try_par_map(&items[..5], |_, &x| x).unwrap(),
-                vec![0, 1, 2, 3, 4]
-            );
-        }
-    }
-
-    #[test]
-    fn cancelled_token_skips_unstarted_tasks() {
-        for threads in [1, 4] {
-            let exec = Exec::new(threads);
-            exec.cancel_token().cancel();
-            let items: Vec<u32> = (0..8).collect();
-            let out = exec.par_map_isolated(&items, |_, &x| x);
-            assert!(out
-                .iter()
-                .all(|r| matches!(r, Err(e) if e.panic_message().is_none())));
-            assert_eq!(exec.stats().tasks_cancelled, 8, "threads={threads}");
-            // Reset re-arms the same executor.
-            exec.cancel_token().reset();
-            assert!(exec
-                .par_map_isolated(&items, |_, &x| x)
-                .iter()
-                .all(Result::is_ok));
-        }
-    }
-
-    #[test]
-    fn mid_run_cancellation_is_observed_serially() {
-        // On the serial path tasks run strictly in index order, so a token
-        // fired by task 2 deterministically cancels tasks 3..8.
-        let exec = Exec::serial();
-        let token = exec.cancel_token();
-        let items: Vec<u32> = (0..8).collect();
-        let out = exec.par_map_isolated(&items, |i, &x| {
-            if i == 2 {
-                token.cancel();
-            }
-            x
-        });
-        assert!(out[..3].iter().all(Result::is_ok));
-        assert!(out[3..].iter().all(Result::is_err));
-        assert_eq!(exec.stats().tasks_cancelled, 5);
-    }
-
-    #[test]
-    fn shared_token_spans_executors() {
-        let token = CancelToken::new();
-        let a = Exec::serial().with_cancel_token(token.clone());
-        let b = Exec::new(4).with_cancel_token(token.clone());
-        token.cancel();
-        assert!(a.par_map_isolated(&[1], |_, &x| x)[0].is_err());
-        assert!(b.par_map_isolated(&[1, 2], |_, &x| x)[1].is_err());
     }
 
     #[test]
@@ -686,20 +435,15 @@ mod tests {
         for threads in [1, 4] {
             let sink = MemorySink::new();
             let tele = Telemetry::new(vec![Box::new(sink.clone())]);
-            let exec = Exec::new(threads).with_telemetry(tele.clone(), None);
+            let mut exec = Exec::new(threads);
+            exec.set_telemetry(tele.clone(), None);
             let items: Vec<u32> = (0..32).collect();
-            let _ = exec.par_map_isolated(&items, |_, &x| {
-                assert!(x != 3, "pow");
-                x
-            });
+            let _ = exec.par_map(&items, |_, &x| x);
             let _ = exec.par_index_map(8, |i| i);
             let stats = exec.stats();
+            assert_eq!((stats.calls, stats.tasks), (2, 40));
             assert_eq!(tele.counter("exec.calls").get(), stats.calls);
             assert_eq!(tele.counter("exec.tasks").get(), stats.tasks);
-            assert_eq!(
-                tele.counter("exec.panics_caught").get(),
-                stats.panics_caught
-            );
             // One "exec.call" span per dispatch, with the task count as a
             // deterministic attribute.
             let spans: Vec<_> = sink

@@ -25,45 +25,6 @@ pub fn split_seed(seed: u64, stream: u64) -> u64 {
     mix(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
-/// A master seed viewed as an indexable family of per-task seeds.
-///
-/// Thin convenience wrapper over [`split_seed`] for call sites that pass the
-/// family around (e.g. episode collection handing stream `i` to episode `i`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedStream {
-    seed: u64,
-}
-
-impl SeedStream {
-    /// Wraps a master seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self { seed }
-    }
-
-    /// The master seed.
-    #[must_use]
-    pub fn master(&self) -> u64 {
-        self.seed
-    }
-
-    /// The split seed of stream `i`.
-    #[must_use]
-    pub fn stream(&self, i: u64) -> u64 {
-        split_seed(self.seed, i)
-    }
-
-    /// A derived family whose streams are disjoint from this one's (for
-    /// independent sub-purposes of one master seed, e.g. training rollouts vs
-    /// greedy evaluation rollouts).
-    #[must_use]
-    pub fn fork(&self, label: u64) -> Self {
-        Self {
-            seed: split_seed(self.seed ^ 0xF0E2_5EED_C0FF_EE01, label),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,14 +48,5 @@ mod tests {
             (16..=48).contains(&differing),
             "only {differing} bits differ"
         );
-    }
-
-    #[test]
-    fn seed_stream_matches_split_seed() {
-        let fam = SeedStream::new(9);
-        assert_eq!(fam.stream(3), split_seed(9, 3));
-        assert_eq!(fam.master(), 9);
-        assert_ne!(fam.fork(0).stream(0), fam.stream(0));
-        assert_ne!(fam.fork(0), fam.fork(1));
     }
 }

@@ -19,12 +19,6 @@ pub struct ExecStats {
     pub busy_nanos: u64,
     /// Summed wall time of the parallel calls, in nanoseconds.
     pub wall_nanos: u64,
-    /// Panics contained by the isolated combinators (converted into
-    /// [`crate::TaskError`] values instead of unwinding the caller).
-    pub panics_caught: u64,
-    /// Tasks skipped because a [`crate::CancelToken`] fired before they
-    /// started.
-    pub tasks_cancelled: u64,
 }
 
 impl ExecStats {
@@ -47,8 +41,6 @@ pub(crate) struct StatsCell {
     tasks: AtomicU64,
     busy_nanos: AtomicU64,
     wall_nanos: AtomicU64,
-    panics_caught: AtomicU64,
-    tasks_cancelled: AtomicU64,
 }
 
 impl StatsCell {
@@ -62,32 +54,13 @@ impl StatsCell {
         self.busy_nanos.fetch_add(busy_nanos, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_panic_caught(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_task_cancelled(&self) {
-        self.tasks_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn snapshot(&self) -> ExecStats {
         ExecStats {
             calls: self.calls.load(Ordering::Relaxed),
             tasks: self.tasks.load(Ordering::Relaxed),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
             wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
         }
-    }
-
-    pub(crate) fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.tasks.store(0, Ordering::Relaxed);
-        self.busy_nanos.store(0, Ordering::Relaxed);
-        self.wall_nanos.store(0, Ordering::Relaxed);
-        self.panics_caught.store(0, Ordering::Relaxed);
-        self.tasks_cancelled.store(0, Ordering::Relaxed);
     }
 }
 
@@ -101,7 +74,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_accumulates_and_resets() {
+    fn cell_accumulates_calls_and_busy_time() {
         let cell = StatsCell::default();
         cell.record_call(10, 100);
         cell.record_busy(300);
@@ -111,7 +84,5 @@ mod tests {
         assert_eq!(s.wall_nanos, 100);
         assert_eq!(s.busy_nanos, 300);
         assert!((s.speedup() - 3.0).abs() < 1e-12);
-        cell.reset();
-        assert_eq!(cell.snapshot(), ExecStats::default());
     }
 }

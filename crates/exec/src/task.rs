@@ -1,103 +1,27 @@
-//! Task-level fault containment: panic capture and cooperative cancellation.
+//! Task-level panic capture.
 //!
-//! The pool's legacy combinators propagate a worker panic to the caller (with
-//! the task index attached — see [`crate::Exec::par_ranges`]). The *isolated*
-//! combinators ([`crate::Exec::par_map_isolated`],
-//! [`crate::Exec::try_par_map`]) instead wrap every task body in
-//! [`std::panic::catch_unwind`], so one exploding task becomes a
-//! [`TaskError`] value carrying its index and downcast payload message while
-//! every other task still runs to completion.
-//!
-//! Cancellation is cooperative: a [`CancelToken`] is a shared flag that
-//! workers consult at chunk and task boundaries. Tasks that have already
-//! started run to completion; tasks not yet started report
-//! [`TaskFailure::Cancelled`]. Nothing is interrupted mid-flight, so partial
-//! results never exist and determinism of *completed* work is preserved.
+//! Every combinator of [`crate::Exec`] propagates a task's panic to the
+//! caller, re-raised with the task index and message attached (see
+//! [`crate::Exec::par_ranges`]). A caller that wants a failure domain of its
+//! own — the campaign wraps each cell attempt this way — runs the body under
+//! [`catch_task`], which turns a panic into a [`TaskError`] value.
 
 use std::any::Any;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
-/// A shared cooperative cancellation flag.
-///
-/// Cloning yields a handle to the *same* flag. Once [`CancelToken::cancel`]
-/// is called every holder observes it; [`CancelToken::reset`] re-arms the
-/// token for reuse (e.g. between campaign runs sharing one executor).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// Creates a fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// Clears the flag so the token can gate a new run.
-    pub fn reset(&self) {
-        self.flag.store(false, Ordering::Relaxed);
-    }
-}
-
-/// Why an isolated task produced no result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskFailure {
-    /// The task body panicked; the string is the downcast panic payload.
-    Panicked(String),
-    /// The task was skipped because its [`CancelToken`] fired first.
-    Cancelled,
-}
-
-/// A contained per-task failure: which task, and what happened.
+/// A contained task panic: which task, and its downcast payload message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskError {
-    /// Index of the failing task within its parallel call.
+    /// Index of the failing task.
     pub index: usize,
-    /// What went wrong.
-    pub failure: TaskFailure,
-}
-
-impl TaskError {
-    /// A cancellation marker for task `index`.
-    #[must_use]
-    pub fn cancelled(index: usize) -> Self {
-        Self {
-            index,
-            failure: TaskFailure::Cancelled,
-        }
-    }
-
-    /// The panic payload message, if this error came from a panic.
-    #[must_use]
-    pub fn panic_message(&self) -> Option<&str> {
-        match &self.failure {
-            TaskFailure::Panicked(msg) => Some(msg),
-            TaskFailure::Cancelled => None,
-        }
-    }
+    /// The downcast panic payload.
+    pub message: String,
 }
 
 impl fmt::Display for TaskError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.failure {
-            TaskFailure::Panicked(msg) => write!(f, "task {} panicked: {msg}", self.index),
-            TaskFailure::Cancelled => write!(f, "task {} cancelled", self.index),
-        }
+        write!(f, "task {} panicked: {}", self.index, self.message)
     }
 }
 
@@ -128,24 +52,13 @@ pub fn payload_message(payload: &(dyn Any + Send)) -> String {
 pub fn catch_task<R>(index: usize, f: impl FnOnce() -> R) -> Result<R, TaskError> {
     std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| TaskError {
         index,
-        failure: TaskFailure::Panicked(payload_message(payload.as_ref())),
+        message: payload_message(payload.as_ref()),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn token_cancels_and_resets() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        let clone = t.clone();
-        clone.cancel();
-        assert!(t.is_cancelled());
-        t.reset();
-        assert!(!clone.is_cancelled());
-    }
 
     #[test]
     fn catch_task_passes_results_through() {
@@ -156,20 +69,13 @@ mod tests {
     fn catch_task_reports_index_and_message() {
         let err = catch_task::<()>(7, || panic!("boom {}", 13)).unwrap_err();
         assert_eq!(err.index, 7);
-        assert_eq!(err.panic_message(), Some("boom 13"));
+        assert_eq!(err.message, "boom 13");
         assert_eq!(err.to_string(), "task 7 panicked: boom 13");
     }
 
     #[test]
     fn non_string_payload_is_opaque_but_safe() {
         let err = catch_task::<()>(0, || std::panic::panic_any(17_u32)).unwrap_err();
-        assert_eq!(err.panic_message(), Some("<non-string panic payload>"));
-    }
-
-    #[test]
-    fn cancelled_error_displays() {
-        let err = TaskError::cancelled(5);
-        assert_eq!(err.to_string(), "task 5 cancelled");
-        assert_eq!(err.panic_message(), None);
+        assert_eq!(err.message, "<non-string panic payload>");
     }
 }

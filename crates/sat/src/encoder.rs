@@ -1,10 +1,8 @@
 //! Tseitin encoding of gate-level netlists into CNF.
 
-use netlist::{cone, GateKind, NetId, Netlist};
+use netlist::{GateKind, NetId, Netlist};
 
 use crate::types::{Cnf, Lit, Var};
-
-const UNMAPPED: u32 = u32::MAX;
 
 /// Tseitin encoder mapping nets of a [`Netlist`] to CNF variables.
 ///
@@ -14,17 +12,15 @@ const UNMAPPED: u32 = u32::MAX;
 /// constraint on the flop output (full-scan semantics: the flop can be loaded
 /// with any value through the scan chain).
 ///
-/// [`CircuitEncoder::new`] encodes the whole netlist with the identity
-/// net-to-variable mapping. [`CircuitEncoder::for_cone`] encodes only the
-/// transitive fanin of a set of root nets with a compact variable range —
-/// the formula (and the solver built from it) then scales with the cone, not
-/// the design.
+/// The whole netlist is encoded with the identity net-to-variable mapping
+/// (net `i` is variable `i`); auxiliary variables follow the nets.
+/// [`crate::ConeOracle`] reuses the same per-gate clauses to encode fanin
+/// cones lazily.
 #[derive(Debug, Clone)]
 pub struct CircuitEncoder {
     cnf: Cnf,
-    /// Net index -> variable index, [`UNMAPPED`] when the net is outside the
-    /// encoded region.
-    net_vars: Vec<u32>,
+    /// Nets of the encoded netlist: variables `0..num_nets` are nets.
+    num_nets: usize,
     encoded_gates: usize,
 }
 
@@ -39,25 +35,7 @@ impl CircuitEncoder {
         let encoded_gates = encode_nets_into(netlist, &all_nets, &net_vars, &mut cnf);
         Self {
             cnf,
-            net_vars,
-            encoded_gates,
-        }
-    }
-
-    /// Encodes only the transitive fanin cone of `roots` with a compact
-    /// variable numbering. Nets outside the cone have no variable.
-    #[must_use]
-    pub fn for_cone(netlist: &Netlist, roots: &[NetId]) -> Self {
-        let cone_nets = cone::transitive_fanin(netlist, roots);
-        let mut net_vars = vec![UNMAPPED; netlist.num_gates()];
-        for (v, id) in cone_nets.iter().enumerate() {
-            net_vars[id.index()] = v as u32;
-        }
-        let mut cnf = Cnf::with_vars(cone_nets.len());
-        let encoded_gates = encode_nets_into(netlist, &cone_nets, &net_vars, &mut cnf);
-        Self {
-            cnf,
-            net_vars,
+            num_nets: n,
             encoded_gates,
         }
     }
@@ -66,31 +44,21 @@ impl CircuitEncoder {
     ///
     /// # Panics
     ///
-    /// Panics if `net` does not belong to the encoded netlist or lies outside
-    /// the encoded cone.
+    /// Panics if `net` does not belong to the encoded netlist.
     #[must_use]
     pub fn var(&self, net: NetId) -> Var {
-        let v = self.net_vars[net.index()];
-        assert!(v != UNMAPPED, "net {net} is outside the encoded cone");
-        Var(v)
-    }
-
-    /// The CNF variable representing `net`, or `None` when the net lies
-    /// outside the encoded cone.
-    #[must_use]
-    pub fn try_var(&self, net: NetId) -> Option<Var> {
-        match self.net_vars.get(net.index()) {
-            Some(&v) if v != UNMAPPED => Some(Var(v)),
-            _ => None,
-        }
+        assert!(
+            net.index() < self.num_nets,
+            "net {net} is not in the encoded netlist"
+        );
+        Var(net.index() as u32)
     }
 
     /// The literal asserting that `net` carries `value`.
     ///
     /// # Panics
     ///
-    /// Panics if `net` does not belong to the encoded netlist or lies outside
-    /// the encoded cone.
+    /// Panics if `net` does not belong to the encoded netlist.
     #[must_use]
     pub fn lit(&self, net: NetId, value: bool) -> Lit {
         self.var(net).lit(value)
@@ -107,20 +75,14 @@ impl CircuitEncoder {
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
     }
-
-    /// Consumes the encoder and returns the formula.
-    #[must_use]
-    pub fn into_cnf(self) -> Cnf {
-        self.cnf
-    }
 }
 
 /// Emits the Tseitin clauses of every combinational gate in `nets` into
 /// `cnf`, mapping nets to variables through `net_vars` (fanins must be
 /// mapped too). Returns the number of gates encoded.
 ///
-/// Shared by both [`CircuitEncoder`] constructors and the lazy per-cone
-/// encoding of [`crate::ConeOracle`].
+/// Shared by [`CircuitEncoder::new`] and the lazy per-cone encoding of
+/// [`crate::ConeOracle`].
 pub(crate) fn encode_nets_into(
     netlist: &Netlist,
     nets: &[NetId],
@@ -321,45 +283,5 @@ mod tests {
         for (id, _) in nl.iter() {
             assert_eq!(enc.var(id).index(), id.index());
         }
-    }
-
-    #[test]
-    fn cone_encoding_is_smaller_and_agrees_with_full() {
-        let nl = BenchmarkProfile::c2670().scaled(20).generate(6);
-        let full = CircuitEncoder::new(&nl);
-        for &root in nl.internal_nets().iter().take(12) {
-            let cone_enc = CircuitEncoder::for_cone(&nl, &[root]);
-            assert!(cone_enc.cnf().num_vars() <= full.cnf().num_vars());
-            assert!(cone_enc.encoded_gates() <= full.encoded_gates());
-            // Justifiability of the root must agree between the encodings.
-            for value in [false, true] {
-                let mut cone_solver = Solver::from_cnf(cone_enc.cnf());
-                let mut full_solver = Solver::from_cnf(full.cnf());
-                let cone_sat = cone_solver.solve(&[cone_enc.lit(root, value)]).is_sat();
-                let full_sat = full_solver.solve(&[full.lit(root, value)]).is_sat();
-                assert_eq!(cone_sat, full_sat, "net {root} = {value}");
-            }
-        }
-    }
-
-    #[test]
-    fn cone_encoding_excludes_unrelated_nets() {
-        let nl = samples::c17();
-        let g22 = nl.net_by_name("G22").unwrap();
-        let g23 = nl.net_by_name("G23").unwrap();
-        let enc = CircuitEncoder::for_cone(&nl, &[g22]);
-        assert!(enc.try_var(g22).is_some());
-        // G23's cone overlaps G22's, but G23 itself is not in G22's fanin.
-        assert!(enc.try_var(g23).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the encoded cone")]
-    fn var_outside_cone_panics() {
-        let nl = samples::c17();
-        let g22 = nl.net_by_name("G22").unwrap();
-        let g23 = nl.net_by_name("G23").unwrap();
-        let enc = CircuitEncoder::for_cone(&nl, &[g22]);
-        let _ = enc.var(g23);
     }
 }

@@ -12,8 +12,8 @@
 //!   restarts, activity-based learned-clause deletion, incremental solving
 //!   under assumptions) configured through [`SolverConfig`].
 //! * [`dimacs`] — DIMACS CNF reading/writing for interoperability.
-//! * [`CircuitEncoder`] — Tseitin encoding of a [`netlist::Netlist`], either
-//!   whole-design or restricted to a fanin cone.
+//! * [`CircuitEncoder`] — whole-design Tseitin encoding of a
+//!   [`netlist::Netlist`].
 //! * [`CircuitOracle`] — the high-level interface used by the rest of the
 //!   workspace: "give me an input pattern that justifies these `(net, value)`
 //!   targets, or prove none exists".
