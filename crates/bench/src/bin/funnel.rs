@@ -4,8 +4,10 @@
 //! Builds the pairwise-compatibility graph of a scaled benchmark profile
 //! twice — once with the paper's all-SAT offline phase and once with the
 //! three-tier funnel — verifies the adjacency matrices are bit-identical,
-//! and reports how each tier resolved the pairs plus the reduction in
-//! pairwise SAT queries. The offline phase (probability estimation, witness
+//! and reports how each tier resolved the pairs (tier 3 split into pairs
+//! struck by implication probing, pairs struck by a resimulated sweep model,
+//! and pairs given a SAT query of their own) plus the reduction in pairwise
+//! SAT queries. The offline phase (probability estimation, witness
 //! harvest, funnel tiers) is additionally timed at one thread and at
 //! `--threads` workers; the deterministic exec runtime guarantees both runs
 //! produce the identical graph, so the ratio is a pure wall-clock speedup.
@@ -328,6 +330,14 @@ fn main() {
     println!(
         "{:<34} {:>12} {:>12}",
         "  tier 2: cone-enumerated", along.pairs_cone_enumerated, fs.pairs_cone_enumerated
+    );
+    println!(
+        "{:<34} {:>12} {:>12}",
+        "  tier 3: probe-struck", along.pairs_probe_struck, fs.pairs_probe_struck
+    );
+    println!(
+        "{:<34} {:>12} {:>12}",
+        "  tier 3: sweep-struck", along.pairs_sweep_struck, fs.pairs_sweep_struck
     );
     println!(
         "{:<34} {:>12} {:>12}",

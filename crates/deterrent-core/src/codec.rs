@@ -87,8 +87,9 @@ const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 /// SAT solver counters and self-tuned enumeration-budget fields; version 5
 /// dropped the budget fields again with the single fixed enumeration cost
 /// model; version 6 dropped the train-stage variant byte with the one
-/// remaining variant.
-pub(crate) const FORMAT_VERSION: u32 = 6;
+/// remaining variant; version 7 added the tier-3 probe and sweep pair
+/// counters to `CompatStats`.
+pub(crate) const FORMAT_VERSION: u32 = 7;
 
 const HEADER_LEN: usize = 40;
 
@@ -542,6 +543,8 @@ fn w_stats(w: &mut Writer, stats: &CompatStats) {
     w.u64(stats.pairs_sim_witnessed);
     w.u64(stats.pairs_structurally_pruned);
     w.u64(stats.pairs_cone_enumerated);
+    w.u64(stats.pairs_probe_struck);
+    w.u64(stats.pairs_sweep_struck);
     w.u64(stats.pairs_sat_resolved);
     w.usize(stats.threads_used);
     w.u64(stats.tier1_nanos);
@@ -567,6 +570,8 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
         pairs_sim_witnessed: r.u64()?,
         pairs_structurally_pruned: r.u64()?,
         pairs_cone_enumerated: r.u64()?,
+        pairs_probe_struck: r.u64()?,
+        pairs_sweep_struck: r.u64()?,
         pairs_sat_resolved: r.u64()?,
         threads_used: r.usize()?,
         tier1_nanos: r.u64()?,

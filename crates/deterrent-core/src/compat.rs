@@ -20,18 +20,38 @@
 //!    ([`sim::ConeSimulator`]): unlike random witnesses this proves
 //!    *incompatibility* too, discharging the pairs that would otherwise
 //!    always fall through to SAT. No pairwise SAT either way.
-//! 3. **Tier 3 — cone-restricted incremental SAT.** Only the survivors reach
-//!    a solver, and each worker poses them as assumptions against one
-//!    persistent [`sat::ConeOracle`] that encodes the union of the two fanin
-//!    cones on demand instead of re-encoding the whole netlist per query.
+//!    A pair is only handed to enumeration when its union support (one
+//!    popcount over the two support rows) is under the ceiling, so the many
+//!    wide pairs never pay for a cone walk.
+//! 3. **Tier 3 — implication probing, then SAT sweeping.** Only the
+//!    survivors reach a solver, always a lazily cone-encoded
+//!    [`sat::ConeOracle`], in two exact steps:
+//!    - *Probing* (the static learning of SOCRATES, Schulz et al. 1988):
+//!      every kept rare net's rare value is propagated — unit propagation
+//!      only, no search — on one oracle with every kept cone encoded. A
+//!      pair is incompatible when either net's rare value forces the other
+//!      to its non-rare value.
+//!    - *Sweeping* (the counterexample resimulation of FRAIG sweeping,
+//!      Mishchenko et al. 2005): the remaining pairs are solved in input
+//!      order, in rounds of 64 spread over [`SWEEP_LANES`] persistent
+//!      oracles. Each SAT model, its inputs outside the pair's union support
+//!      filled pseudo-randomly, is resimulated 64 to a word, and every later
+//!      pending pair whose two rare values one model drives is compatible
+//!      without a query of its own.
+//!
+//!    Every strike is a logical consequence or a concrete simulated witness,
+//!    so the adjacency stays bit-identical to all-SAT. The lane count is a
+//!    constant, so the models — and with them every tier count and CDCL
+//!    counter — do not depend on the thread count.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use exec::Exec;
 use netlist::{InputSupports, NetId, Netlist};
 use sat::{CircuitOracle, ConeOracle, SolverConfig, SolverStats};
 use sim::rare::{RareNet, RareNetAnalysis};
-use sim::{ConeSimulator, TestPattern, WitnessBank};
+use sim::{ConeSimulator, Simulator, TestPattern, WitnessBank};
 
 /// Below this many pairs the tier-1 witness sweep stays on the calling
 /// thread: each check is a handful of word ANDs, so spawning workers would
@@ -41,6 +61,15 @@ const TIER1_PARALLEL_MIN_PAIRS: usize = 4096;
 /// Largest union support bounded cone enumeration sweeps (`2^26` packed
 /// assignments); [`FunnelOptions::max_support`] is clamped to it.
 pub const MAX_ENUMERATION_SUPPORT: u32 = 26;
+
+/// Persistent oracles the tier-3 sweep spreads each round over, scheduled on
+/// the executor. A constant rather than the thread count: models depend on
+/// solver state, so fixed lanes keep every tier count and CDCL counter
+/// independent of how many threads run them.
+const SWEEP_LANES: usize = 2;
+
+/// SAT queries per sweep round: one model per bit of a simulation word.
+const SWEEP_ROUND: usize = 64;
 
 /// Word-op-equivalent fixed cost of one cone-restricted SAT query (encoding
 /// and solver setup) in the enumeration cost model.
@@ -74,8 +103,8 @@ fn admits(max_support: u32, support: u32, cone: usize) -> bool {
 }
 
 /// Per-tier toggles of the compatibility funnel. Disabling a tier pushes its
-/// pairs down to the next one; tier 3 always runs on cone-restricted
-/// oracles.
+/// pairs down to the next one; tier 3 (probing and sweeping on
+/// cone-restricted oracles) always runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunnelOptions {
     /// Tier 1: resolve pairs from retained simulation witnesses.
@@ -114,7 +143,8 @@ pub enum CompatStrategy {
     /// paper's offline phase, and the reference the funnel is checked
     /// against).
     AllSat,
-    /// The three-tier simulation-first funnel.
+    /// The three-tier simulation-first funnel, with probing and sweeping
+    /// in tier 3.
     Funnel(FunnelOptions),
 }
 
@@ -144,7 +174,13 @@ pub struct CompatStats {
     pub pairs_structurally_pruned: u64,
     /// Pairs resolved by tier 2 (bounded exhaustive cone enumeration).
     pub pairs_cone_enumerated: u64,
-    /// Pairs resolved by tier 3 (one SAT query each).
+    /// Pairs struck incompatible by tier-3 implication probing (no query).
+    pub pairs_probe_struck: u64,
+    /// Pairs struck compatible by a resimulated tier-3 sweep model (no
+    /// query of their own).
+    pub pairs_sweep_struck: u64,
+    /// Pairs resolved by a SAT query of their own (tier 3). The six pair
+    /// counters partition [`CompatStats::pairs_total`].
     pub pairs_sat_resolved: u64,
     /// Worker threads the parallel tiers ran on.
     pub threads_used: usize,
@@ -153,18 +189,19 @@ pub struct CompatStats {
     /// Wall nanoseconds spent in tier 2 (structural pruning + bounded cone
     /// enumeration).
     pub tier2_nanos: u64,
-    /// Wall nanoseconds spent in tier 3 (SAT on the survivors).
+    /// Wall nanoseconds spent in tier 3 (probing and sweeping the
+    /// survivors).
     pub tier3_nanos: u64,
     /// Aggregate CDCL statistics over every solver the build created
-    /// (singleton oracle + per-worker tier-3 oracles). Totals depend on how
-    /// tier 3 was chunked across workers, so they are
-    /// scheduling-dependent — unlike the adjacency and the tier pair
-    /// counts.
+    /// (singleton oracle, probe oracle and sweep lanes). A funnel build's
+    /// totals are independent of the thread count, like its adjacency and
+    /// tier counts; an all-SAT build's depend on how its pairs were chunked
+    /// across workers.
     pub solver: SolverStats,
 }
 
 impl CompatStats {
-    /// Pairwise SAT queries spent (one per tier-3 pair).
+    /// Pairwise SAT queries spent (one per SAT-resolved pair).
     #[must_use]
     pub fn pairwise_sat_queries(&self) -> u64 {
         self.pairs_sat_resolved
@@ -192,10 +229,10 @@ impl CompatStats {
     }
 }
 
-/// The SAT oracle a strategy resolves singletons and pairs with, so both
-/// strategies share one code path: the funnel uses lazy cone-restricted
-/// oracles, all-SAT uses whole-netlist oracles (one per worker, as the paper
-/// does).
+/// The SAT oracle a strategy resolves singletons with (and all-SAT its
+/// pairs), so both strategies share one code path: the funnel uses lazy
+/// cone-restricted oracles, all-SAT uses whole-netlist oracles (one per
+/// worker, as the paper does).
 enum PairOracle<'a> {
     Cone(Box<ConeOracle<'a>>),
     Full(Box<CircuitOracle>),
@@ -223,6 +260,196 @@ impl<'a> PairOracle<'a> {
             PairOracle::Cone(o) => o.solver_stats(),
             PairOracle::Full(o) => o.solver_stats(),
         }
+    }
+}
+
+/// Square bit matrix over rare-net indices, one bitset row per net.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Self {
+            words,
+            bits: vec![0; n * words],
+        }
+    }
+
+    fn set(&mut self, i: usize, j: usize) {
+        self.bits[i * self.words + j / 64] |= 1 << (j % 64);
+    }
+
+    fn contains(&self, i: usize, j: usize) -> bool {
+        self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+}
+
+/// Tier 3, step 1 — implication probing. Propagates every rare net's rare
+/// value on one fresh oracle with every cone encoded, and returns the
+/// refutations: bit `j` of row `i` is set when `i`'s rare value forces `j`
+/// to its non-rare value, so no pattern drives both. The probe oracle's
+/// counters are merged into `solver_stats`.
+fn probe_refutations(
+    netlist: &Netlist,
+    rare_nets: &[RareNet],
+    config: SolverConfig,
+    solver_stats: &mut SolverStats,
+) -> BitRows {
+    let mut oracle = ConeOracle::with_config(netlist, config);
+    for r in rare_nets {
+        oracle.encode_cone(r.net);
+    }
+    // (code of j's non-rare literal, j), sorted for lookup by literal.
+    let mut non_rare: Vec<(usize, usize)> = rare_nets
+        .iter()
+        .enumerate()
+        .map(|(j, r)| {
+            let lit = oracle.lit(r.net, !r.rare_value).expect("cone encoded");
+            (lit.code(), j)
+        })
+        .collect();
+    non_rare.sort_unstable();
+    let mut refuted = BitRows::new(rare_nets.len());
+    for (i, r) in rare_nets.iter().enumerate() {
+        // A kept net is justifiable, so its probe is never refuted.
+        let Some(implied) = oracle.probe(&[(r.net, r.rare_value)]) else {
+            continue;
+        };
+        for lit in implied {
+            let from = non_rare.partition_point(|&(code, _)| code < lit.code());
+            for &(_, j) in non_rare[from..]
+                .iter()
+                .take_while(|&&(c, _)| c == lit.code())
+            {
+                refuted.set(i, j);
+            }
+        }
+    }
+    solver_stats.merge(&oracle.solver_stats());
+    refuted
+}
+
+/// Tier 3, step 2 — SAT sweeping over the pairs probing left.
+struct Sweep<'a> {
+    netlist: &'a Netlist,
+    rare_nets: &'a [RareNet],
+    supports: &'a InputSupports,
+    config: SolverConfig,
+}
+
+impl Sweep<'_> {
+    /// Resolves `pending` (in input order) in rounds of [`SWEEP_ROUND`]
+    /// queries spread over [`SWEEP_LANES`] persistent oracles. After each
+    /// round its models are resimulated 64 to a word, and every later
+    /// pending pair some model drives both nets of to their rare values is
+    /// struck compatible.
+    fn run(
+        &self,
+        mut pending: Vec<(usize, usize)>,
+        exec: &Exec,
+        adjacency: &mut [bool],
+        stats: &mut CompatStats,
+    ) {
+        let n = self.rare_nets.len();
+        let lanes: Vec<Mutex<ConeOracle<'_>>> = (0..SWEEP_LANES)
+            .map(|_| Mutex::new(ConeOracle::with_config(self.netlist, self.config)))
+            .collect();
+        let sim = Simulator::new(self.netlist);
+        let mut rare_words = vec![0u64; n];
+        let mut round = 0u64;
+        while !pending.is_empty() {
+            let batch: Vec<(usize, usize)> =
+                pending.drain(..SWEEP_ROUND.min(pending.len())).collect();
+            // Lane `l` solves slots l, l + SWEEP_LANES, … in slot order.
+            let per_lane: Vec<Vec<Option<Vec<bool>>>> = exec.par_index_map(SWEEP_LANES, |lane| {
+                let mut oracle = lanes[lane].lock().expect("lane oracle");
+                batch
+                    .iter()
+                    .skip(lane)
+                    .step_by(SWEEP_LANES)
+                    .map(|&(i, j)| oracle.justify(&self.targets(i, j)))
+                    .collect()
+            });
+            let mut per_lane: Vec<_> = per_lane.into_iter().map(Vec::into_iter).collect();
+            let mut models = Vec::with_capacity(batch.len());
+            let mut solved = Vec::with_capacity(batch.len());
+            for (slot, &(i, j)) in batch.iter().enumerate() {
+                let model = per_lane[slot % SWEEP_LANES]
+                    .next()
+                    .expect("one verdict per slot");
+                adjacency[i * n + j] = model.is_some();
+                adjacency[j * n + i] = model.is_some();
+                if let Some(bits) = model {
+                    models.push(self.fill_dont_cares(bits, i, j, round, slot));
+                    solved.push((i, j));
+                }
+            }
+            stats.pairs_sat_resolved += batch.len() as u64;
+            round += 1;
+            if models.is_empty() || pending.is_empty() {
+                continue;
+            }
+            let values = sim.run_batch(&models);
+            let mask = u64::MAX >> (64 - models.len());
+            for (word, r) in rare_words.iter_mut().zip(self.rare_nets) {
+                let w = values.word(r.net);
+                *word = if r.rare_value { w } else { !w } & mask;
+            }
+            debug_assert!(
+                solved
+                    .iter()
+                    .enumerate()
+                    .all(|(b, &(i, j))| (rare_words[i] & rare_words[j]) >> b & 1 == 1),
+                "every sweep model must drive its own pair"
+            );
+            pending.retain(|&(i, j)| {
+                if rare_words[i] & rare_words[j] == 0 {
+                    return true;
+                }
+                adjacency[i * n + j] = true;
+                adjacency[j * n + i] = true;
+                stats.pairs_sweep_struck += 1;
+                false
+            });
+        }
+        for lane in lanes {
+            let oracle = lane.into_inner().expect("lane oracle");
+            stats.solver.merge(&oracle.solver_stats());
+        }
+    }
+
+    fn targets(&self, i: usize, j: usize) -> [(NetId, bool); 2] {
+        let (a, b) = (self.rare_nets[i], self.rare_nets[j]);
+        [(a.net, a.rare_value), (b.net, b.rare_value)]
+    }
+
+    /// The pattern of a model of pair `(i, j)`: the model's bits on the
+    /// pair's union support (which decide both nets), and outside it bits
+    /// hashed from `(round, slot)`, so the pattern also samples the rest of
+    /// the design.
+    fn fill_dont_cares(
+        &self,
+        mut bits: Vec<bool>,
+        i: usize,
+        j: usize,
+        round: u64,
+        slot: usize,
+    ) -> TestPattern {
+        let (row_i, row_j) = (self.supports.row(i), self.supports.row(j));
+        let key = round << 6 | slot as u64;
+        for (block, chunk) in bits.chunks_mut(64).enumerate() {
+            let support = row_i[block] | row_j[block];
+            let fill = exec::split_seed(key, block as u64);
+            for (bit, value) in chunk.iter_mut().enumerate() {
+                if support >> bit & 1 == 0 {
+                    *value = fill >> bit & 1 == 1;
+                }
+            }
+        }
+        TestPattern::new(bits)
     }
 }
 
@@ -397,10 +624,17 @@ impl CompatibilityGraph {
         stats.tier1_nanos = tier1_start.elapsed().as_nanos() as u64;
 
         // ── Tier 2: disjoint cone supports, then bounded enumeration. ──────
+        // The funnel computes the supports once: they also gate enumeration
+        // and mask the sweep's don't-care inputs in tier 3.
         let tier2_start = Instant::now();
-        if funnel.structural_pruning && !unresolved.is_empty() {
-            let roots: Vec<NetId> = rare_nets.iter().map(|r| r.net).collect();
-            let supports = InputSupports::compute(netlist, &roots);
+        let supports = match strategy {
+            CompatStrategy::Funnel(_) if !unresolved.is_empty() => {
+                let roots: Vec<NetId> = rare_nets.iter().map(|r| r.net).collect();
+                Some(InputSupports::compute(netlist, &roots))
+            }
+            _ => None,
+        };
+        if let Some(supports) = supports.as_ref().filter(|_| funnel.structural_pruning) {
             unresolved.retain(|&(i, j)| {
                 if supports.disjoint(i, j) {
                     // Both nets are individually justifiable (singleton stage)
@@ -414,15 +648,23 @@ impl CompatibilityGraph {
                 }
             });
         }
-        if cone_sim.is_some() && !unresolved.is_empty() {
+        if let Some(supports) = supports
+            .as_ref()
+            .filter(|_| cone_sim.is_some() && !unresolved.is_empty())
+        {
             // Enumeration is the funnel's dominant SAT-free cost (up to
             // `2^ceiling` packed assignments per pair), so it fans out across
             // pair chunks with one scratch ConeSimulator per worker. Each
             // verdict depends only on its pair — the merge is order-exact.
+            // A pair over the support ceiling is declined before its cone
+            // walk: `decide_if` would decline it too, after the walk.
             let verdicts: Vec<Option<bool>> = exec.par_map_with(
                 &unresolved,
                 || ConeSimulator::new(netlist, max_support),
                 |cone_sim, _, &(i, j)| {
+                    if supports.union_size(i, j) > max_support as usize {
+                        return None;
+                    }
                     cone_sim.decide_if(
                         &[
                             (rare_nets[i].net, rare_nets[i].rare_value),
@@ -447,8 +689,32 @@ impl CompatibilityGraph {
         }
         stats.tier2_nanos = tier2_start.elapsed().as_nanos() as u64;
 
-        // ── Tier 3: SAT on the survivors. ──────────────────────────────────
+        // ── Tier 3: probing and sweeping (funnel), else SAT per pair. ──────
         let tier3_start = Instant::now();
+        if let Some(supports) = supports.as_ref().filter(|_| !unresolved.is_empty()) {
+            // The refutation rows are dropped, with the probe oracle, before
+            // the sweep's lanes grow their own.
+            let refuted = probe_refutations(netlist, &rare_nets, funnel.solver, &mut stats.solver);
+            unresolved.retain(|&(i, j)| {
+                let struck = refuted.contains(i, j) || refuted.contains(j, i);
+                stats.pairs_probe_struck += u64::from(struck);
+                !struck
+            });
+            drop(refuted);
+            let sweep = Sweep {
+                netlist,
+                rare_nets: &rare_nets,
+                supports,
+                config: funnel.solver,
+            };
+            sweep.run(
+                std::mem::take(&mut unresolved),
+                exec,
+                &mut adjacency,
+                &mut stats,
+            );
+        }
+        // All-SAT, the reference: one query per pair.
         stats.pairs_sat_resolved += unresolved.len() as u64;
         let results: Vec<(usize, usize, bool)> = if unresolved.is_empty() {
             Vec::new()
@@ -668,6 +934,59 @@ mod tests {
     use netlist::samples;
     use netlist::synth::BenchmarkProfile;
 
+    /// The six pair tiers, summed.
+    fn pairs_partitioned(s: &CompatStats) -> u64 {
+        s.pairs_sim_witnessed
+            + s.pairs_structurally_pruned
+            + s.pairs_cone_enumerated
+            + s.pairs_probe_struck
+            + s.pairs_sweep_struck
+            + s.pairs_sat_resolved
+    }
+
+    /// Probing and sweeping strike real pairs, stay exact, and route every
+    /// pair identically — with identical CDCL counters — at any thread
+    /// count.
+    #[test]
+    fn probe_and_sweep_are_exact_and_thread_independent() {
+        let nl = BenchmarkProfile::c5315().scaled(10).generate(3);
+        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 2048, 2);
+        let reference =
+            CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
+        // Without witnesses or enumeration, tier 3 sees most pairs.
+        let strategy = CompatStrategy::Funnel(FunnelOptions {
+            sim_witnesses: false,
+            max_support: 0,
+            ..FunnelOptions::default()
+        });
+        let build =
+            |threads| CompatibilityGraph::build_on(&nl, &analysis, strategy, &Exec::new(threads));
+        let serial = build(1);
+        let s = *serial.stats();
+        assert_eq!(serial.adjacency, reference.adjacency);
+        assert_eq!(pairs_partitioned(&s), s.pairs_total);
+        assert!(s.pairs_probe_struck > 0, "{s:?}");
+        assert!(s.pairs_sweep_struck > 0, "{s:?}");
+        assert!(s.pairs_sat_resolved < s.pairs_total / 2, "{s:?}");
+        for threads in [2, 4] {
+            let g = build(threads);
+            assert_eq!(g.adjacency, reference.adjacency);
+            let t = *g.stats();
+            let tiers = |s: &CompatStats| {
+                [
+                    s.pairs_sim_witnessed,
+                    s.pairs_structurally_pruned,
+                    s.pairs_cone_enumerated,
+                    s.pairs_probe_struck,
+                    s.pairs_sweep_struck,
+                    s.pairs_sat_resolved,
+                ]
+            };
+            assert_eq!(tiers(&t), tiers(&s), "{threads} threads");
+            assert_eq!(t.solver, s.solver, "{threads} threads");
+        }
+    }
+
     #[test]
     fn graph_is_symmetric_and_irreflexive() {
         let nl = BenchmarkProfile::c2670().scaled(20).generate(7);
@@ -793,13 +1112,7 @@ mod tests {
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 4096, 4);
         let graph = CompatibilityGraph::build(&nl, &analysis, 2);
         let s = graph.stats();
-        assert_eq!(
-            s.pairs_sim_witnessed
-                + s.pairs_structurally_pruned
-                + s.pairs_cone_enumerated
-                + s.pairs_sat_resolved,
-            s.pairs_total
-        );
+        assert_eq!(pairs_partitioned(s), s.pairs_total);
         assert_eq!(s.kept_rare_nets, graph.len());
         assert!(s.kept_rare_nets <= s.candidate_rare_nets);
         assert_eq!(
@@ -890,13 +1203,7 @@ mod tests {
         }
         // Every pair is accounted for by exactly one tier.
         let s = graph.stats();
-        assert_eq!(
-            s.pairs_sim_witnessed
-                + s.pairs_structurally_pruned
-                + s.pairs_cone_enumerated
-                + s.pairs_sat_resolved,
-            s.pairs_total
-        );
+        assert_eq!(pairs_partitioned(s), s.pairs_total);
     }
 
     #[test]

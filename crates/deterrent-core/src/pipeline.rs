@@ -33,12 +33,18 @@ pub struct TrainingMetrics {
     /// Pairs resolved by disjoint cone supports (tier 2, no SAT).
     pub compat_pairs_pruned: u64,
     /// Pairs resolved by bounded exhaustive cone enumeration (tier 2, no
-    /// SAT). Witnessed + pruned + enumerated + SAT partition the total.
+    /// SAT).
     pub compat_pairs_enumerated: u64,
-    /// Pairs that needed a SAT query (tier 3).
+    /// Pairs struck incompatible by implication probing (tier 3, no query).
+    pub compat_pairs_probe_struck: u64,
+    /// Pairs struck compatible by a resimulated sweep model (tier 3, no
+    /// query of their own).
+    pub compat_pairs_sweep_struck: u64,
+    /// Pairs that needed a SAT query (tier 3). Witnessed + pruned +
+    /// enumerated + probe-struck + sweep-struck + SAT partition the total.
     pub compat_pairs_sat: u64,
     /// Aggregate CDCL solver counters across every solver the graph build
-    /// created (singleton oracle and tier-3 workers).
+    /// created (singleton oracle, tier-3 probe oracle and sweep lanes).
     pub compat_solver: sat::SolverStats,
     /// Exact SAT checks performed inside the environment (non-zero only for
     /// the naive all-SAT formulation).

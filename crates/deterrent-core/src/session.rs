@@ -402,9 +402,11 @@ impl<'a> DeterrentSession<'a> {
             }
         };
         if let Some(trace) = trace.as_mut() {
-            // The aggregate solver counters depend on how tier-3 work was
-            // chunked across workers (each worker owns an incremental solver
-            // whose learned clauses carry across its chunk) → vary.
+            // An all-SAT build's solver counters depend on how its pairs
+            // were chunked across workers (each worker owns an incremental
+            // solver whose learned clauses carry across its chunk) → vary.
+            // The funnel's fixed sweep lanes make its counters
+            // thread-independent, but one key cannot be both.
             let s = artifact.graph().stats();
             let span = &mut trace.span;
             span.vary_u64("sat_decisions", s.solver.decisions);
@@ -613,6 +615,8 @@ impl<'a> DeterrentSession<'a> {
             compat_pairs_witnessed: stats.pairs_sim_witnessed,
             compat_pairs_pruned: stats.pairs_structurally_pruned,
             compat_pairs_enumerated: stats.pairs_cone_enumerated,
+            compat_pairs_probe_struck: stats.pairs_probe_struck,
+            compat_pairs_sweep_struck: stats.pairs_sweep_struck,
             compat_pairs_sat: stats.pairs_sat_resolved,
             compat_solver: stats.solver,
             env_sat_checks: trained.env_sat_checks + selected.eval_env_sat_checks,

@@ -135,9 +135,36 @@ impl InputSupports {
     /// Panics if `i` or `j` is out of range.
     #[must_use]
     pub fn disjoint(&self, i: usize, j: usize) -> bool {
-        let a = &self.bits[i * self.num_blocks..(i + 1) * self.num_blocks];
-        let b = &self.bits[j * self.num_blocks..(j + 1) * self.num_blocks];
-        a.iter().zip(b).all(|(&x, &y)| x & y == 0)
+        self.row(i)
+            .iter()
+            .zip(self.row(j))
+            .all(|(&x, &y)| x & y == 0)
+    }
+
+    /// Number of scan inputs in the union of the supports of roots `i` and
+    /// `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is out of range.
+    #[must_use]
+    pub fn union_size(&self, i: usize, j: usize) -> usize {
+        self.row(i)
+            .iter()
+            .zip(self.row(j))
+            .map(|(&x, &y)| (x | y).count_ones() as usize)
+            .sum()
+    }
+
+    /// The support of root `i` as a bitset over scan-input positions: bit
+    /// `p % 64` of word `p / 64` is set when position `p` is in the support.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.num_blocks..(i + 1) * self.num_blocks]
     }
 
     /// The scan-input positions in the support of root `i`, ascending.
@@ -147,9 +174,8 @@ impl InputSupports {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn support_positions(&self, i: usize) -> Vec<usize> {
-        let row = &self.bits[i * self.num_blocks..(i + 1) * self.num_blocks];
         let mut out = Vec::with_capacity(self.support_sizes[i] as usize);
-        for (block, &word) in row.iter().enumerate() {
+        for (block, &word) in self.row(i).iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 let bit = w.trailing_zeros() as usize;
@@ -203,6 +229,10 @@ mod tests {
         assert!(!supports.disjoint(1, 2));
         assert_eq!(supports.support_size(0), 2);
         assert_eq!(supports.support_size(2), 4);
+        assert_eq!(supports.union_size(0, 1), 4);
+        assert_eq!(supports.union_size(0, 2), 4);
+        assert_eq!(supports.union_size(1, 1), 2);
+        assert_eq!(supports.row(0), &[0b0011]);
         assert_eq!(supports.support_positions(0), vec![0, 1]);
         assert_eq!(supports.support_positions(1), vec![2, 3]);
     }

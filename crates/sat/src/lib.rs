@@ -10,7 +10,8 @@
 //! * [`Solver`] — a CDCL SAT solver (two-watched literals, first-UIP clause
 //!   learning, VSIDS-style activities, phase saving, Luby or geometric
 //!   restarts, activity-based learned-clause deletion, incremental solving
-//!   under assumptions) configured through [`SolverConfig`].
+//!   under assumptions, propagation-only probes) configured through
+//!   [`SolverConfig`].
 //! * [`dimacs`] — DIMACS CNF reading/writing for interoperability.
 //! * [`CircuitEncoder`] — whole-design Tseitin encoding of a
 //!   [`netlist::Netlist`].

@@ -176,8 +176,8 @@ impl<'a> ConeOracle<'a> {
     }
 
     /// Adds the Tseitin clauses for every not-yet-encoded gate in the fanin
-    /// cone of `root`.
-    fn ensure_encoded(&mut self, root: NetId) {
+    /// cone of `root` (a no-op when the cone is already encoded).
+    pub fn encode_cone(&mut self, root: NetId) {
         if self.net_vars[root.index()] != UNENCODED {
             // The root has a variable, which by construction means its whole
             // cone is already encoded.
@@ -219,6 +219,35 @@ impl<'a> ConeOracle<'a> {
         }
     }
 
+    /// The solver literal asserting `net = value`, or `None` while the
+    /// net's cone is not encoded.
+    #[must_use]
+    pub fn lit(&self, net: NetId, value: bool) -> Option<Lit> {
+        let v = self.net_vars[net.index()];
+        (v != UNENCODED).then(|| Var(v).lit(value))
+    }
+
+    /// Unit propagation from `targets` without search ([`Solver::probe`]),
+    /// encoding their cones on demand: the literals every input pattern that
+    /// drives all targets must also satisfy, or `None` when propagation
+    /// alone refutes the targets. Nets are mapped back through
+    /// [`ConeOracle::lit`].
+    pub fn probe(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<Lit>> {
+        let assumptions = self.assumptions(targets);
+        self.solver.probe(&assumptions)
+    }
+
+    /// Encodes the targets' cones and returns their literals.
+    fn assumptions(&mut self, targets: &[(NetId, bool)]) -> Vec<Lit> {
+        for &(net, _) in targets {
+            self.encode_cone(net);
+        }
+        targets
+            .iter()
+            .map(|&(net, value)| Var(self.net_vars[net.index()]).lit(value))
+            .collect()
+    }
+
     /// Searches for a scan-input assignment that simultaneously drives every
     /// `(net, value)` pair in `targets`, encoding the union of their cones on
     /// demand. Returns the pattern bits (in scan-input order; inputs outside
@@ -226,13 +255,7 @@ impl<'a> ConeOracle<'a> {
     /// jointly unjustifiable.
     pub fn justify(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<bool>> {
         self.queries += 1;
-        for &(net, _) in targets {
-            self.ensure_encoded(net);
-        }
-        let assumptions: Vec<Lit> = targets
-            .iter()
-            .map(|&(net, value)| Var(self.net_vars[net.index()]).lit(value))
-            .collect();
+        let assumptions = self.assumptions(targets);
         match self.solver.solve(&assumptions) {
             SolveResult::Sat(model) => Some(
                 self.scan_inputs
@@ -399,6 +422,25 @@ mod tests {
         assert!(oracle.is_compatible(&[(g23, true)]));
         assert!(oracle.encoded_gates() > after_first);
         assert!(oracle.encoded_gates() <= nl.num_logic_gates() as u64);
+    }
+
+    #[test]
+    fn cone_oracle_probe_propagates_through_the_cone() {
+        let nl = samples::c17();
+        let mut oracle = ConeOracle::new(&nl);
+        let [g1, g3, g10, g22] = ["G1", "G3", "G10", "G22"].map(|n| nl.net_by_name(n).unwrap());
+        assert_eq!(oracle.lit(g10, false), None);
+        // G10 = NAND(G1, G3) = 0 forces both inputs to 1.
+        let implied = oracle.probe(&[(g10, false)]).expect("consistent");
+        for net in [g1, g3] {
+            assert!(implied.contains(&oracle.lit(net, true).unwrap()));
+        }
+        // Probing encodes no more than the queried cone, and answers no
+        // justification query.
+        assert_eq!(oracle.lit(g22, true), None);
+        assert_eq!(oracle.num_queries(), 0);
+        assert_eq!(oracle.probe(&[(g10, false), (g1, false)]), None);
+        assert!(oracle.is_compatible(&[(g10, false)]));
     }
 
     #[test]

@@ -858,16 +858,7 @@ impl Solver {
     /// The solver state (learned clauses, activities, saved phases) persists
     /// across calls, making repeated related queries fast.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.conflict_assumptions.clear();
-        if self.unsat {
-            return SolveResult::Unsat;
-        }
-        for lit in assumptions {
-            self.reserve_vars(lit.var().index() + 1);
-        }
-        self.backtrack_to(0);
-        if self.propagate().is_some() {
-            self.unsat = true;
+        if !self.enter_root(assumptions) {
             return SolveResult::Unsat;
         }
 
@@ -890,6 +881,49 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// The common start of [`Solver::solve`] and [`Solver::probe`]: clears
+    /// the last unsat core, allocates the assumptions' variables, and
+    /// propagates at level 0. Returns `false` when the formula is UNSAT
+    /// whatever the assumptions.
+    fn enter_root(&mut self, assumptions: &[Lit]) -> bool {
+        self.conflict_assumptions.clear();
+        if self.unsat {
+            return false;
+        }
+        for lit in assumptions {
+            self.reserve_vars(lit.var().index() + 1);
+        }
+        self.backtrack_to(0);
+        if self.propagate().is_some() {
+            self.unsat = true;
+            return false;
+        }
+        true
+    }
+
+    /// Unit propagation under `assumptions`, without search: the
+    /// assumptions are asserted together at one decision level, propagated
+    /// to fixpoint, and the solver backtracks to level 0 before returning.
+    ///
+    /// Returns the literals that became true at that level (the
+    /// assumptions included, literals already fixed at level 0 excluded) —
+    /// each holds in every model of the formula under the assumptions — or
+    /// `None` when propagation alone proves the assumptions UNSAT. This is
+    /// the static-learning probe of SOCRATES: cheap, sound, and incomplete
+    /// (a `Some` does not mean the assumptions are satisfiable).
+    pub fn probe(&mut self, assumptions: &[Lit]) -> Option<Vec<Lit>> {
+        if !self.enter_root(assumptions) {
+            return None;
+        }
+        self.trail_lim.push(self.trail.len());
+        let start = self.trail.len();
+        let consistent = assumptions.iter().all(|&lit| self.enqueue(lit, usize::MAX))
+            && self.propagate().is_none();
+        let implied = consistent.then(|| self.trail[start..].to_vec());
+        self.backtrack_to(0);
+        implied
     }
 
     fn search(&mut self, assumptions: &[Lit], conflict_budget: u64) -> SearchOutcome {

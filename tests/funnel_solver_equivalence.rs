@@ -9,14 +9,16 @@
 //! - bit-identical adjacency matrices (and identical kept rare-net lists)
 //!   across every solver × thread combination;
 //! - identical tier verdict counts (sim-witnessed / structurally pruned /
-//!   cone-enumerated / SAT-resolved pair totals and the singleton split) —
-//!   the funnel's routing is solver-independent; only timings and raw CDCL
-//!   work counters may differ between configurations.
+//!   cone-enumerated / probe-struck / sweep-struck / SAT-resolved pair
+//!   totals and the singleton split) — the funnel's routing is
+//!   solver-independent; only timings and raw CDCL work counters may differ
+//!   between configurations.
 //!
 //! The default funnel resolves both workloads without a single SAT query,
 //! so its tier verdicts are pinned (any routing drift fails) and a second
 //! pass turns off witnesses and enumeration to force every singleton and
-//! every pair through the solvers under comparison.
+//! every pair into tier 3, where the solvers under comparison probe, sweep
+//! and decide the whole graph.
 
 use deterrent_repro::deterrent_core::{CompatStrategy, CompatibilityGraph, FunnelOptions};
 use deterrent_repro::exec::Exec;
@@ -42,7 +44,7 @@ fn build(
 
 /// The solver-independent slice of [`deterrent_repro::deterrent_core::CompatStats`]:
 /// everything except timings and CDCL work counters.
-fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 8] {
+fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 10] {
     let s = g.stats();
     [
         s.candidate_rare_nets as u64,
@@ -52,6 +54,8 @@ fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 8] {
         s.pairs_sim_witnessed,
         s.pairs_structurally_pruned,
         s.pairs_cone_enumerated,
+        s.pairs_probe_struck,
+        s.pairs_sweep_struck,
         s.pairs_sat_resolved,
     ]
 }
@@ -98,12 +102,14 @@ fn assert_solver_and_thread_independent(
 }
 
 /// `default_verdicts` pins the default funnel's tier verdicts;
-/// `forced_queries` pins the (singleton, pair) SAT queries of the forced pass.
+/// `forced_queries` pins the (singleton, pair) SAT queries of the forced pass
+/// and `forced_strikes` its (probe-struck, sweep-struck) pairs.
 fn assert_equivalent_on(
     netlist: &Netlist,
     label: &str,
-    default_verdicts: [u64; 8],
+    default_verdicts: [u64; 10],
     forced_queries: (u64, u64),
+    forced_strikes: (u64, u64),
 ) {
     let analysis = RareNetAnalysis::estimate(netlist, 0.2, 8192, 17);
     let reference = build(netlist, &analysis, FunnelOptions::default(), 1);
@@ -120,8 +126,9 @@ fn assert_equivalent_on(
         label,
     );
 
-    // Without witnesses or enumeration every singleton and every pair is a
-    // SAT query, so the solvers under comparison decide the whole graph.
+    // Without witnesses or enumeration every singleton is a SAT query and
+    // every pair reaches tier 3, so the solvers under comparison decide the
+    // whole graph.
     let forced = FunnelOptions {
         sim_witnesses: false,
         max_support: 0,
@@ -140,8 +147,22 @@ fn assert_equivalent_on(
         "{sat_label}: a singleton bypassed SAT"
     );
     assert_eq!(
-        s.pairs_sat_resolved, s.pairs_total,
-        "{sat_label}: a pair bypassed SAT"
+        (s.pairs_probe_struck, s.pairs_sweep_struck),
+        forced_strikes,
+        "{sat_label}: tier-3 strike counts drifted"
+    );
+    assert_eq!(
+        (s.pairs_sim_witnessed, s.pairs_cone_enumerated),
+        (0, 0),
+        "{sat_label}: a pair bypassed tier 3"
+    );
+    assert_eq!(
+        s.pairs_structurally_pruned
+            + s.pairs_probe_struck
+            + s.pairs_sweep_struck
+            + s.pairs_sat_resolved,
+        s.pairs_total,
+        "{sat_label}: the tiers do not partition the pairs"
     );
 }
 
@@ -151,8 +172,9 @@ fn clean_netlist_adjacency_is_solver_and_thread_independent() {
     assert_equivalent_on(
         &netlist,
         "clean c2670@20",
-        [19, 17, 19, 0, 50, 0, 86, 0],
-        (19, 136),
+        [19, 17, 19, 0, 50, 0, 86, 0, 0, 0],
+        (19, 59),
+        (77, 0),
     );
 }
 
@@ -168,7 +190,8 @@ fn infected_netlist_adjacency_is_solver_and_thread_independent() {
     assert_equivalent_on(
         &infected,
         "infected c2670@20",
-        [21, 18, 21, 0, 57, 0, 96, 0],
-        (21, 153),
+        [21, 18, 21, 0, 57, 0, 96, 0, 0, 0],
+        (21, 65),
+        (87, 1),
     );
 }

@@ -15,6 +15,10 @@
 //! - after UNSAT under assumptions, each solver's reported unsat-assumption
 //!   subset draws only from the assumption set and is itself UNSAT in
 //!   conjunction with the formula (verified by brute force);
+//! - every literal `Solver::probe` reports implied holds in every model of
+//!   the formula under the probed assumptions, a refuted probe means the
+//!   assumptions really are UNSAT, and a probe leaves the solver's verdicts
+//!   untouched;
 //! - a failing case dumps a `dimacs::write_repro` file to the temp dir and
 //!   names it in the failure message, so the instance replays offline.
 //!
@@ -190,6 +194,55 @@ proptest! {
             verdicts.windows(2).all(|w| w[0] == w[1]),
             "configurations disagree: {verdicts:?}"
         );
+    }
+
+    /// Unit-propagation probes against brute force, on a solver that has
+    /// already searched (so learned clauses take part in the propagation).
+    #[test]
+    fn probe_implications_hold_in_every_model(
+        num_vars in 3usize..=10,
+        clause_specs in prop::collection::vec(
+            prop::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 1..4),
+            1..37,
+        ),
+        assumption_specs in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<bool>()),
+            0..4,
+        ),
+    ) {
+        let mut cnf = Cnf::with_vars(num_vars);
+        for spec in &clause_specs {
+            cnf.add_clause(build_clause(spec, num_vars));
+        }
+        let assumptions: Vec<Lit> = assumption_specs
+            .iter()
+            .map(|(idx, pol)| Var(idx.index(num_vars) as u32).lit(*pol))
+            .collect();
+        let expected = brute_force_sat(&cnf, &assumptions);
+        for (name, config) in [("modern", SolverConfig::default()), ("stress", stress_config())] {
+            let mut solver = Solver::from_cnf_with_config(&cnf, config);
+            solver.reserve_vars(num_vars);
+            let _ = solver.solve(&[]);
+            match solver.probe(&assumptions) {
+                None => {
+                    if expected {
+                        let repro = dump_repro(&cnf, &assumptions, &format!("{name}-probe"));
+                        prop_assert!(false, "{name}: probe refuted SAT assumptions ({repro})");
+                    }
+                }
+                Some(implied) => {
+                    for &l in &implied {
+                        let mut refuting = assumptions.clone();
+                        refuting.push(!l);
+                        if brute_force_sat(&cnf, &refuting) {
+                            let repro = dump_repro(&cnf, &assumptions, &format!("{name}-probe"));
+                            prop_assert!(false, "{name}: implied {l} fails in a model ({repro})");
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(solver.solve(&assumptions).is_sat(), expected, "{} after probe", name);
+        }
     }
 
     /// DIMACS round-trip: parse(write(cnf)) reproduces the formula, and the
