@@ -60,7 +60,7 @@ impl TestGenerator for Tarmac {
         let n = rare.len();
         let mut memo: Vec<Option<bool>> = vec![None; n * n];
         let compatible =
-            |oracle: &mut CircuitOracle, memo: &mut Vec<Option<bool>>, i: usize, j: usize| {
+            |oracle: &mut CircuitOracle<'_>, memo: &mut Vec<Option<bool>>, i: usize, j: usize| {
                 if i == j {
                     return false;
                 }

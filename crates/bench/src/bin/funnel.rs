@@ -14,13 +14,10 @@
 //!
 //! Usage: `funnel [--scale N] [--seed N] [--theta F] [--patterns N]
 //! [--threads N] [--limit K] [--min-speedup F] [--cache-dir DIR]
-//! [--solver modern|legacy] [--expect-reduction] [--max-decision-regression P]
-//! [--cap-min N]`
-//! (defaults match the
-//! acceptance profile: c2670 at scale 20, θ = 0.2, and the paper's 100k
-//! random-pattern budget). The enumeration tier runs the per-pair cost model
-//! up to a union support of 26 scan inputs; `--limit K` lowers that ceiling
-//! to K (`--limit 0` disables enumeration, K > 26 is a usage error).
+//! [--expect-reduction] [--cap-min N]` (defaults match the acceptance
+//! profile: c2670 at scale 20, θ = 0.2, and the paper's 100k random-pattern
+//! budget). The enumeration tier runs the per-pair cost model up to a union
+//! support of 26 scan inputs; `--limit K` lowers that ceiling to K (`--limit 0` disables enumeration, K > 26 is a usage error).
 //! `--threads 0` resolves via `DETERRENT_THREADS`/available cores. A
 //! non-zero `--min-speedup` turns the speedup report into a gate, skipped
 //! when the host has fewer cores than workers (a 1-core box cannot exhibit
@@ -30,15 +27,11 @@
 //! untimed step; the timed funnel phases always recompute — they are the
 //! measurement.
 //!
-//! `--solver legacy` selects the pre-deletion CDCL configuration (geometric
-//! restarts, no learned-clause deletion) for differential comparisons.
 //! `--expect-reduction` gates on the learned-clause database actually being
 //! reduced at least once (and staying bounded below the total learned).
-//! `--max-decision-regression P` rebuilds the funnel with the legacy solver
-//! and fails if the modern configuration spends more than P% extra SAT
-//! decisions. `--cap-min N` forces the learned-clause cap floor to N (and
-//! drops the `originals / 3` term), so reductions demonstrably fire even on
-//! small instances that learn few clauses.
+//! `--cap-min N` forces the learned-clause cap floor to N (and drops the
+//! `originals / 3` term), so reductions demonstrably fire even on small
+//! instances that learn few clauses.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -64,13 +57,8 @@ struct Args {
     min_speedup: f64,
     /// Persistent artifact-cache directory for the all-SAT reference graph.
     cache_dir: Option<PathBuf>,
-    /// `true` selects the pre-deletion solver (geometric restarts, no
-    /// learned-clause deletion).
-    solver_legacy: bool,
     /// Gate: the learned-clause database must have been reduced ≥ 1 time.
     expect_reduction: bool,
-    /// Gate: max % of extra SAT decisions vs. the legacy solver (0 = off).
-    max_decision_regression: f64,
     /// Override of the solver's learned-clause cap floor. Also drops the
     /// MiniSat-style `originals / 3` term so the override actually binds on
     /// small instances (where few clauses are ever learned).
@@ -79,11 +67,7 @@ struct Args {
 
 impl Args {
     fn solver(&self) -> SolverConfig {
-        let mut config = if self.solver_legacy {
-            SolverConfig::legacy()
-        } else {
-            SolverConfig::default()
-        };
+        let mut config = SolverConfig::default();
         if let Some(cap) = self.cap_min {
             config.learnt_cap_min = cap;
             config.learnt_cap_origin_divisor = 0;
@@ -102,9 +86,7 @@ fn parse_args() -> Args {
         max_support: MAX_ENUMERATION_SUPPORT,
         min_speedup: 0.0,
         cache_dir: None,
-        solver_legacy: false,
         expect_reduction: false,
-        max_decision_regression: 0.0,
         cap_min: None,
     };
     // A typo here would otherwise run the acceptance gate on the default
@@ -128,28 +110,15 @@ fn parse_args() -> Args {
             ("--limit", Some(v)) => args.max_support = parse_or_die("--limit", v),
             ("--min-speedup", Some(v)) => args.min_speedup = parse_or_die("--min-speedup", v),
             ("--cache-dir", Some(v)) => args.cache_dir = Some(PathBuf::from(v)),
-            ("--solver", Some(v)) => {
-                args.solver_legacy = match v.as_str() {
-                    "legacy" => true,
-                    "modern" => false,
-                    other => {
-                        eprintln!("error: --solver must be 'modern' or 'legacy', got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             ("--expect-reduction", _) => {
                 args.expect_reduction = true;
                 i += 1;
                 continue;
             }
-            ("--max-decision-regression", Some(v)) => {
-                args.max_decision_regression = parse_or_die("--max-decision-regression", v);
-            }
             ("--cap-min", Some(v)) => args.cap_min = Some(parse_or_die("--cap-min", v)),
             (flag, _) => {
                 eprintln!(
-                    "error: unknown or valueless flag {flag:?} (expected --scale/--seed/--theta/--patterns/--threads/--limit/--min-speedup/--cache-dir/--solver/--max-decision-regression/--cap-min <value> or --expect-reduction)"
+                    "error: unknown or valueless flag {flag:?} (expected --scale/--seed/--theta/--patterns/--threads/--limit/--min-speedup/--cache-dir/--cap-min <value> or --expect-reduction)"
                 );
                 std::process::exit(2);
             }
@@ -234,14 +203,6 @@ fn main() {
         0 => println!("enumeration: disabled (--limit 0)"),
         k => println!("enumeration: per-pair cost model, max support {k}"),
     }
-    println!(
-        "solver: {}",
-        if args.solver_legacy {
-            "legacy (geometric restarts, no clause deletion)"
-        } else {
-            "modern (Luby restarts, learned-clause deletion)"
-        }
-    );
 
     // ── Deterministic parallel speedup of the offline phase. ───────────────
     let (serial_analysis, serial_graph, serial_time) = timed_phase(&netlist, &args, 1);
@@ -410,46 +371,6 @@ fn main() {
             println!(
                 "acceptance: FAILED — expected learned-clause reduction (reduces={} deleted={} peak={} learned={})",
                 sv.reduces, sv.deleted_clauses, sv.peak_learnts, sv.learned_clauses
-            );
-            failed = true;
-        }
-    }
-    if args.max_decision_regression > 0.0 {
-        let legacy_args = Args {
-            scale: args.scale,
-            seed: args.seed,
-            theta: args.theta,
-            patterns: args.patterns,
-            threads: args.threads,
-            max_support: args.max_support,
-            min_speedup: 0.0,
-            cache_dir: None,
-            solver_legacy: true,
-            expect_reduction: false,
-            max_decision_regression: 0.0,
-            cap_min: None,
-        };
-        let (_, legacy_graph, _) = offline_phase(&netlist, &legacy_args, threads);
-        assert_eq!(
-            legacy_graph.adjacency(),
-            funnel.adjacency(),
-            "legacy-solver funnel must produce the identical adjacency"
-        );
-        let legacy_decisions = legacy_graph.stats().solver.decisions;
-        let ceiling = legacy_decisions as f64 * (1.0 + args.max_decision_regression / 100.0);
-        println!(
-            "decision comparison: modern={} legacy={} (ceiling {:.0})",
-            sv.decisions, legacy_decisions, ceiling
-        );
-        if (sv.decisions as f64) <= ceiling {
-            println!(
-                "acceptance: SAT decisions within {:.0}% of the legacy solver ✓",
-                args.max_decision_regression
-            );
-        } else {
-            println!(
-                "acceptance: FAILED — modern solver spends {:.1}% more decisions than legacy",
-                100.0 * (sv.decisions as f64 / legacy_decisions.max(1) as f64 - 1.0)
             );
             failed = true;
         }

@@ -120,12 +120,15 @@ fn fp_ppo(fp: Fp, ppo: &PpoConfig) -> Fp {
     fp
 }
 
+/// The constant `0` before the restart unit and `true` after it stand where
+/// a restart-policy tag and a clause-deletion switch used to be hashed.
+/// Config fingerprints feed cache keys, campaign checkpoint keys and
+/// fault-injection sites, so dropping those words would orphan every
+/// existing cache entry and move every injected fault.
 fn fp_solver(fp: Fp, config: &sat::SolverConfig) -> Fp {
-    let fp = match config.restarts {
-        sat::RestartPolicy::Luby { unit } => fp.u64(0).u64(unit),
-        sat::RestartPolicy::Geometric { first } => fp.u64(1).u64(first),
-    };
-    fp.bool(config.clause_deletion)
+    fp.u64(0)
+        .u64(config.restart_unit)
+        .bool(true)
         .u64(config.learnt_cap_min)
         .u64(config.learnt_cap_growth_percent)
         .u64(config.learnt_cap_origin_divisor)
@@ -1072,6 +1075,26 @@ mod tests {
         );
         assert_ne!(rare_key(a, 0.10), rare_key(a, 0.14), "θ layers on top");
         assert_ne!(rare_key(a, 0.10), prob_key(1, &cfg, 7), "distinct tags");
+    }
+
+    /// Config fingerprints key the disk cache, campaign checkpoints and
+    /// fault-injection sites, so refactoring a config type must not move
+    /// them; changing these literals is a deliberate cache-key break.
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        use crate::DeterrentConfig;
+        assert_eq!(
+            DeterrentConfig::default().content_fingerprint(),
+            0x428c_d52f_5207_5df4
+        );
+        assert_eq!(
+            DeterrentConfig::fast_preset().content_fingerprint(),
+            0x2428_8c72_3167_c08c
+        );
+        assert_eq!(
+            DeterrentConfig::paper_preset().content_fingerprint(),
+            0xa9d6_fd78_8420_ea35
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!    wide pairs never pay for a cone walk.
 //! 3. **Tier 3 — implication probing, then SAT sweeping.** Only the
 //!    survivors reach a solver, always a lazily cone-encoded
-//!    [`sat::ConeOracle`], in two exact steps:
+//!    [`sat::CircuitOracle::lazy`], in two exact steps:
 //!    - *Probing* (the static learning of SOCRATES, Schulz et al. 1988):
 //!      every kept rare net's rare value is propagated — unit propagation
 //!      only, no search — on one oracle with every kept cone encoded. A
@@ -49,7 +49,7 @@ use std::time::Instant;
 
 use exec::Exec;
 use netlist::{InputSupports, NetId, Netlist};
-use sat::{CircuitOracle, ConeOracle, SolverConfig, SolverStats};
+use sat::{CircuitOracle, SolverConfig, SolverStats};
 use sim::rare::{RareNet, RareNetAnalysis};
 use sim::{ConeSimulator, Simulator, TestPattern, WitnessBank};
 
@@ -117,11 +117,10 @@ pub struct FunnelOptions {
     /// fixed per-pair cost model decides between enumeration and SAT. `0`
     /// turns enumeration off.
     pub max_support: u32,
-    /// Configuration of every CDCL solver the build creates (restart policy,
-    /// clause deletion). Verdicts — and therefore the adjacency — are
+    /// Configuration of every CDCL solver the build creates (restart unit,
+    /// learned-clause cap). Verdicts — and therefore the adjacency — are
     /// solver-configuration-independent; only the work to reach them
-    /// changes. `SolverConfig::legacy()` selects the pre-deletion solver for
-    /// differential comparisons.
+    /// changes.
     pub solver: SolverConfig,
 }
 
@@ -230,36 +229,13 @@ impl CompatStats {
 }
 
 /// The SAT oracle a strategy resolves singletons with (and all-SAT its
-/// pairs), so both strategies share one code path: the funnel uses lazy
-/// cone-restricted oracles, all-SAT uses whole-netlist oracles (one per
-/// worker, as the paper does).
-enum PairOracle<'a> {
-    Cone(Box<ConeOracle<'a>>),
-    Full(Box<CircuitOracle>),
-}
-
-impl<'a> PairOracle<'a> {
-    fn new(netlist: &'a Netlist, strategy: CompatStrategy) -> Self {
-        match strategy {
-            CompatStrategy::Funnel(f) => {
-                PairOracle::Cone(Box::new(ConeOracle::with_config(netlist, f.solver)))
-            }
-            CompatStrategy::AllSat => PairOracle::Full(Box::new(CircuitOracle::new(netlist))),
-        }
-    }
-
-    fn is_compatible(&mut self, targets: &[(NetId, bool)]) -> bool {
-        match self {
-            PairOracle::Cone(o) => o.is_compatible(targets),
-            PairOracle::Full(o) => o.is_compatible(targets),
-        }
-    }
-
-    fn solver_stats(&self) -> SolverStats {
-        match self {
-            PairOracle::Cone(o) => o.solver_stats(),
-            PairOracle::Full(o) => o.solver_stats(),
-        }
+/// pairs), so both strategies share one code path: the funnel encodes cones
+/// lazily, all-SAT encodes the whole netlist (one oracle per worker, as the
+/// paper does).
+fn strategy_oracle(netlist: &Netlist, strategy: CompatStrategy) -> CircuitOracle<'_> {
+    match strategy {
+        CompatStrategy::Funnel(f) => CircuitOracle::lazy(netlist, f.solver),
+        CompatStrategy::AllSat => CircuitOracle::new(netlist),
     }
 }
 
@@ -298,7 +274,7 @@ fn probe_refutations(
     config: SolverConfig,
     solver_stats: &mut SolverStats,
 ) -> BitRows {
-    let mut oracle = ConeOracle::with_config(netlist, config);
+    let mut oracle = CircuitOracle::lazy(netlist, config);
     for r in rare_nets {
         oracle.encode_cone(r.net);
     }
@@ -354,8 +330,8 @@ impl Sweep<'_> {
         stats: &mut CompatStats,
     ) {
         let n = self.rare_nets.len();
-        let lanes: Vec<Mutex<ConeOracle<'_>>> = (0..SWEEP_LANES)
-            .map(|_| Mutex::new(ConeOracle::with_config(self.netlist, self.config)))
+        let lanes: Vec<Mutex<CircuitOracle<'_>>> = (0..SWEEP_LANES)
+            .map(|_| Mutex::new(CircuitOracle::lazy(self.netlist, self.config)))
             .collect();
         let sim = Simulator::new(self.netlist);
         let mut rare_words = vec![0u64; n];
@@ -538,7 +514,7 @@ impl CompatibilityGraph {
         // ── Singleton stage: keep only individually justifiable nets. ──────
         // The oracle is created on first SAT need; with witnesses attached it
         // usually never is, and when it is, it carries over to tier 3.
-        let mut singleton_oracle: Option<PairOracle<'_>> = None;
+        let mut singleton_oracle: Option<CircuitOracle<'_>> = None;
         let mut rare_nets: Vec<RareNet> = Vec::with_capacity(analysis.len());
         let mut kept_candidate_idx: Vec<usize> = Vec::with_capacity(analysis.len());
         for (ci, r) in analysis.rare_nets().iter().enumerate() {
@@ -555,7 +531,7 @@ impl CompatibilityGraph {
             } else {
                 stats.singleton_sat_queries += 1;
                 singleton_oracle
-                    .get_or_insert_with(|| PairOracle::new(netlist, strategy))
+                    .get_or_insert_with(|| strategy_oracle(netlist, strategy))
                     .is_compatible(&target)
             };
             if justifiable {
@@ -722,7 +698,7 @@ impl CompatibilityGraph {
             // Reuse the singleton-stage oracle when one was built: its
             // encoding work and learned clauses carry over into the pairwise
             // queries.
-            let oracle = singleton_oracle.get_or_insert_with(|| PairOracle::new(netlist, strategy));
+            let oracle = singleton_oracle.get_or_insert_with(|| strategy_oracle(netlist, strategy));
             unresolved
                 .iter()
                 .map(|&(i, j)| {
@@ -740,7 +716,7 @@ impl CompatibilityGraph {
             let rare_nets = &rare_nets;
             let unresolved = &unresolved;
             let per_range: Vec<RangeVerdicts> = exec.par_ranges(unresolved.len(), move |range| {
-                let mut oracle = PairOracle::new(netlist, strategy);
+                let mut oracle = strategy_oracle(netlist, strategy);
                 let verdicts = range
                     .map(|idx| {
                         let (i, j) = unresolved[idx];
@@ -1040,9 +1016,15 @@ mod tests {
                     max_support: 0,
                     ..FunnelOptions::default()
                 },
-                // Legacy solver: geometric restarts, no clause deletion.
+                // A solver that restarts and reduces its learned clauses
+                // constantly.
                 FunnelOptions {
-                    solver: SolverConfig::legacy(),
+                    solver: SolverConfig {
+                        restart_unit: 2,
+                        learnt_cap_min: 4,
+                        learnt_cap_growth_percent: 105,
+                        learnt_cap_origin_divisor: 0,
+                    },
                     ..FunnelOptions::default()
                 },
             ];

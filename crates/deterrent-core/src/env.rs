@@ -34,7 +34,7 @@ pub struct CompatSetEnv<'a> {
     reward_mode: RewardMode,
     masking: bool,
     compat_check: CompatCheck,
-    oracle: Option<CircuitOracle>,
+    oracle: Option<CircuitOracle<'a>>,
     steps_per_episode: usize,
     members: Vec<usize>,
     membership: Vec<bool>,
@@ -53,7 +53,11 @@ impl<'a> CompatSetEnv<'a> {
     ///
     /// Panics if the graph has no rare nets.
     #[must_use]
-    pub fn new(netlist: &Netlist, graph: &'a CompatibilityGraph, config: &DeterrentConfig) -> Self {
+    pub fn new(
+        netlist: &'a Netlist,
+        graph: &'a CompatibilityGraph,
+        config: &DeterrentConfig,
+    ) -> Self {
         assert!(!graph.is_empty(), "environment needs at least one rare net");
         let train = &config.train;
         let oracle = match train.compat_check {

@@ -104,7 +104,5 @@ pub use config::{
 pub use env::CompatSetEnv;
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FAULT_PLAN_ENV_VAR};
 pub use pipeline::{DeterrentResult, TrainingMetrics};
-pub use selection::{
-    generate_patterns, generate_patterns_with, select_k_largest, PatternGenStats, RareNetSet,
-};
+pub use selection::{generate_patterns_with, select_k_largest, PatternGenStats, RareNetSet};
 pub use session::DeterrentSession;

@@ -75,7 +75,7 @@ pub struct PatternGenStats {
 /// preserving order.
 #[must_use]
 pub fn generate_patterns_with(
-    oracle: &mut CircuitOracle,
+    oracle: &mut CircuitOracle<'_>,
     graph: &CompatibilityGraph,
     sets: &[RareNetSet],
 ) -> (Vec<TestPattern>, PatternGenStats) {
@@ -104,16 +104,6 @@ pub fn generate_patterns_with(
         }
     }
     (patterns, stats)
-}
-
-/// [`generate_patterns_with`] without the counters.
-#[must_use]
-pub fn generate_patterns(
-    oracle: &mut CircuitOracle,
-    graph: &CompatibilityGraph,
-    sets: &[RareNetSet],
-) -> Vec<TestPattern> {
-    generate_patterns_with(oracle, graph, sets).0
 }
 
 #[cfg(test)]
@@ -179,7 +169,7 @@ mod tests {
         }
         let selected = select_k_largest(&sets, 4);
         let mut oracle = CircuitOracle::new(&nl);
-        let patterns = generate_patterns(&mut oracle, &graph, &selected);
+        let patterns = generate_patterns_with(&mut oracle, &graph, &selected).0;
         assert!(!patterns.is_empty());
         let sim = Simulator::new(&nl);
         // Every generated pattern must activate at least one rare net at its
@@ -246,7 +236,7 @@ mod tests {
         }
         let mut oracle = CircuitOracle::new(&nl);
         let sets = vec![vec![0], vec![0]];
-        let patterns = generate_patterns(&mut oracle, &graph, &sets);
+        let patterns = generate_patterns_with(&mut oracle, &graph, &sets).0;
         assert_eq!(patterns.len(), 1);
     }
 }

@@ -8,19 +8,17 @@
 //!
 //! * [`Cnf`], [`Lit`], [`Var`] — clause database primitives.
 //! * [`Solver`] — a CDCL SAT solver (two-watched literals, first-UIP clause
-//!   learning, VSIDS-style activities, phase saving, Luby or geometric
-//!   restarts, activity-based learned-clause deletion, incremental solving
-//!   under assumptions, propagation-only probes) configured through
+//!   learning, VSIDS-style activities, phase saving, Luby restarts,
+//!   activity-based learned-clause deletion, incremental solving under
+//!   assumptions, propagation-only probes) configured through
 //!   [`SolverConfig`].
 //! * [`dimacs`] — DIMACS CNF reading/writing for interoperability.
-//! * [`CircuitEncoder`] — whole-design Tseitin encoding of a
-//!   [`netlist::Netlist`].
 //! * [`CircuitOracle`] — the high-level interface used by the rest of the
 //!   workspace: "give me an input pattern that justifies these `(net, value)`
-//!   targets, or prove none exists".
-//! * [`ConeOracle`] — the same interface with lazy cone-restricted encoding
-//!   and one assumption-based solver shared across queries; the workhorse of
-//!   the offline compatibility funnel.
+//!   targets, or prove none exists". It Tseitin-encodes a
+//!   [`netlist::Netlist`] either whole up front ([`CircuitOracle::new`]) or
+//!   cone by cone on demand ([`CircuitOracle::lazy`], the workhorse of the
+//!   offline compatibility funnel).
 //!
 //! # Example
 //!
@@ -46,7 +44,6 @@ mod order;
 mod solver;
 mod types;
 
-pub use encoder::CircuitEncoder;
-pub use oracle::{CircuitOracle, ConeOracle};
-pub use solver::{luby, RestartPolicy, SolveResult, Solver, SolverConfig, SolverStats};
+pub use oracle::CircuitOracle;
+pub use solver::{luby, SolveResult, Solver, SolverConfig, SolverStats};
 pub use types::{Clause, Cnf, Lit, Var};

@@ -1,129 +1,42 @@
-//! High-level justification oracles used by the DETERRENT pipeline.
+//! The justification oracle used by the DETERRENT pipeline.
 //!
-//! Two oracles answer the same question — "is there an input pattern that
-//! drives these nets to these values?" — with different cost profiles:
+//! [`CircuitOracle`] answers "is there an input pattern that drives these
+//! nets to these values?" with one persistent assumption-based CDCL solver.
+//! Its two constructors differ only in when the netlist is encoded:
 //!
-//! * [`CircuitOracle`] Tseitin-encodes the **whole netlist** once and reuses
-//!   one incremental solver under assumptions. Best when queries touch nets
-//!   scattered all over the design.
-//! * [`ConeOracle`] encodes **lazily and cone-restricted**: a query only adds
+//! * [`CircuitOracle::new`] Tseitin-encodes the **whole netlist** up front.
+//!   Best when queries touch nets scattered all over the design.
+//! * [`CircuitOracle::lazy`] encodes **on demand**: a query only adds
 //!   clauses for the not-yet-encoded part of the union of its targets'
-//!   fanin cones, into the same persistent assumption-based solver. Best for
-//!   the offline compatibility phase, where each query touches two small
-//!   cones and most of the design is never mentioned.
+//!   fanin cones. Best for the offline compatibility phase, where each query
+//!   touches two small cones and most of the design is never mentioned.
 
 use netlist::{GateKind, NetId, Netlist};
 
-use crate::encoder::{encode_nets_into, CircuitEncoder};
+use crate::encoder::encode_nets_into;
 use crate::solver::{SolveResult, Solver, SolverConfig};
 use crate::types::{Cnf, Lit, Var};
+
+/// Marks a net whose cone no query has reached yet.
+const UNENCODED: u32 = u32::MAX;
 
 /// Answers "is there an input pattern that drives these nets to these
 /// values?" queries against one netlist.
 ///
-/// The oracle encodes the netlist once and keeps a single incremental
-/// [`Solver`] alive across queries, so the learned clauses from earlier
-/// compatibility checks speed up later ones — this mirrors how the paper
-/// amortizes its offline SAT work.
+/// One incremental [`Solver`] stays alive across queries, which are posed
+/// as assumptions, so the learned clauses from earlier compatibility checks
+/// speed up later ones — this mirrors how the paper amortizes its offline
+/// SAT work. The Tseitin clauses of a gate are added at most once: all of
+/// them at construction ([`CircuitOracle::new`]), or the first time a
+/// query's fanin cone reaches the gate ([`CircuitOracle::lazy`]), so a lazy
+/// formula (and the variable range the decision heuristic scans) grows only
+/// with the union of the cones actually queried.
 ///
 /// Returned patterns are assignments to [`netlist::Netlist::scan_inputs`] in
 /// that order (primary inputs first, then scan flip-flops), i.e. the same
 /// convention as `sim::TestPattern`.
 #[derive(Debug, Clone)]
-pub struct CircuitOracle {
-    encoder: CircuitEncoder,
-    solver: Solver,
-    scan_inputs: Vec<NetId>,
-    queries: u64,
-}
-
-impl CircuitOracle {
-    /// Builds the oracle for `netlist` (performs the Tseitin encoding).
-    #[must_use]
-    pub fn new(netlist: &Netlist) -> Self {
-        Self::with_config(netlist, SolverConfig::default())
-    }
-
-    /// Builds the oracle with an explicit solver configuration (restart
-    /// policy, clause deletion).
-    #[must_use]
-    pub fn with_config(netlist: &Netlist, config: SolverConfig) -> Self {
-        let encoder = CircuitEncoder::new(netlist);
-        let solver = Solver::from_cnf_with_config(encoder.cnf(), config);
-        Self {
-            encoder,
-            solver,
-            scan_inputs: netlist.scan_inputs(),
-            queries: 0,
-        }
-    }
-
-    /// Number of scan inputs (width of returned patterns).
-    #[must_use]
-    pub fn pattern_width(&self) -> usize {
-        self.scan_inputs.len()
-    }
-
-    /// Number of justification queries answered so far.
-    #[must_use]
-    pub fn num_queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Searches for a scan-input assignment that simultaneously drives every
-    /// `(net, value)` pair in `targets`. Returns the pattern bits (in
-    /// scan-input order) or `None` when the targets are jointly
-    /// unjustifiable.
-    pub fn justify(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<bool>> {
-        self.queries += 1;
-        let assumptions: Vec<Lit> = targets
-            .iter()
-            .map(|&(net, value)| self.encoder.lit(net, value))
-            .collect();
-        match self.solver.solve(&assumptions) {
-            SolveResult::Sat(model) => Some(
-                self.scan_inputs
-                    .iter()
-                    .map(|&si| model[self.encoder.var(si).index()])
-                    .collect(),
-            ),
-            SolveResult::Unsat => None,
-        }
-    }
-
-    /// Returns `true` when an input pattern exists that drives every target
-    /// simultaneously (the paper's *compatibility* relation).
-    pub fn is_compatible(&mut self, targets: &[(NetId, bool)]) -> bool {
-        self.justify(targets).is_some()
-    }
-
-    /// The underlying encoder (for advanced uses such as adding side
-    /// constraints to a standalone solver).
-    #[must_use]
-    pub fn encoder(&self) -> &CircuitEncoder {
-        &self.encoder
-    }
-
-    /// Accumulated solver statistics.
-    #[must_use]
-    pub fn solver_stats(&self) -> crate::SolverStats {
-        self.solver.stats()
-    }
-}
-
-const UNENCODED: u32 = u32::MAX;
-
-/// Assumption-based justification oracle with lazy, cone-restricted
-/// encoding.
-///
-/// One persistent CDCL solver is shared by every query; the Tseitin clauses
-/// of a gate are added at most once, the first time a query's fanin cone
-/// reaches it. Queries are posed as solver assumptions, so learned clauses
-/// carry over between queries exactly as in [`CircuitOracle`] — but the
-/// formula (and the variable range the decision heuristic scans) grows only
-/// with the union of the cones actually queried, not the whole design.
-#[derive(Debug)]
-pub struct ConeOracle<'a> {
+pub struct CircuitOracle<'a> {
     netlist: &'a Netlist,
     solver: Solver,
     /// Net index -> solver variable, [`UNENCODED`] until the net's cone is
@@ -134,18 +47,30 @@ pub struct ConeOracle<'a> {
     encoded_gates: u64,
 }
 
-impl<'a> ConeOracle<'a> {
-    /// Creates an empty oracle over `netlist`; no clauses are generated until
-    /// the first query.
+impl<'a> CircuitOracle<'a> {
+    /// Encodes the whole `netlist` (net `i` is variable `i`, XOR-chain
+    /// auxiliaries follow the nets) under the default solver configuration.
     #[must_use]
     pub fn new(netlist: &'a Netlist) -> Self {
-        Self::with_config(netlist, SolverConfig::default())
+        let n = netlist.num_gates();
+        let net_vars: Vec<u32> = (0..n as u32).collect();
+        let nets: Vec<NetId> = netlist.iter().map(|(id, _)| id).collect();
+        let mut cnf = Cnf::with_vars(n);
+        let encoded_gates = encode_nets_into(netlist, &nets, &net_vars, &mut cnf) as u64;
+        Self {
+            netlist,
+            solver: Solver::from_cnf(&cnf),
+            net_vars,
+            scan_inputs: netlist.scan_inputs(),
+            queries: 0,
+            encoded_gates,
+        }
     }
 
-    /// Creates an empty oracle with an explicit solver configuration
-    /// (restart policy, clause deletion).
+    /// Creates an empty oracle over `netlist` that encodes cones on demand;
+    /// no clauses are generated until the first query.
     #[must_use]
-    pub fn with_config(netlist: &'a Netlist, config: SolverConfig) -> Self {
+    pub fn lazy(netlist: &'a Netlist, config: SolverConfig) -> Self {
         Self {
             netlist,
             solver: Solver::with_config(config),
@@ -231,7 +156,7 @@ impl<'a> ConeOracle<'a> {
     /// encoding their cones on demand: the literals every input pattern that
     /// drives all targets must also satisfy, or `None` when propagation
     /// alone refutes the targets. Nets are mapped back through
-    /// [`ConeOracle::lit`].
+    /// [`CircuitOracle::lit`].
     pub fn probe(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<Lit>> {
         let assumptions = self.assumptions(targets);
         self.solver.probe(&assumptions)
@@ -359,7 +284,7 @@ mod tests {
         let analysis = sim::rare::RareNetAnalysis::estimate(&nl, 0.2, 2048, 3);
         let targets = analysis.targets();
         let mut full = CircuitOracle::new(&nl);
-        let mut cone = ConeOracle::new(&nl);
+        let mut cone = CircuitOracle::lazy(&nl, SolverConfig::default());
         // Singletons and all pairs over a prefix must agree exactly.
         let k = targets.len().min(8);
         for i in 0..k {
@@ -378,6 +303,12 @@ mod tests {
             }
         }
         assert_eq!(cone.num_queries(), (k + k * (k - 1) / 2) as u64);
+        // The eager oracle maps net `i` to variable `i` and encodes every
+        // gate up front.
+        for (id, _) in nl.iter() {
+            assert_eq!(full.lit(id, true), Some(Var(id.index() as u32).positive()));
+        }
+        assert_eq!(full.encoded_gates(), nl.num_logic_gates() as u64);
         // Lazy encoding never exceeds the design size and in practice stays
         // well below it on cone-structured queries.
         assert!(cone.encoded_gates() <= nl.num_logic_gates() as u64);
@@ -387,7 +318,7 @@ mod tests {
     fn cone_oracle_patterns_verify_in_simulation() {
         let nl = BenchmarkProfile::c5315().scaled(40).generate(5);
         let analysis = sim::rare::RareNetAnalysis::estimate(&nl, 0.2, 2048, 9);
-        let mut oracle = ConeOracle::new(&nl);
+        let mut oracle = CircuitOracle::lazy(&nl, SolverConfig::default());
         let sim = Simulator::new(&nl);
         let mut justified = 0;
         for rare in analysis.rare_nets() {
@@ -396,7 +327,7 @@ mod tests {
                 let pattern = TestPattern::new(bits);
                 assert!(
                     sim.activates(&pattern, &[(rare.net, rare.rare_value)]),
-                    "cone-oracle pattern must activate {}",
+                    "lazy-oracle pattern must activate {}",
                     nl.net_name(rare.net)
                 );
                 justified += 1;
@@ -408,7 +339,7 @@ mod tests {
     #[test]
     fn cone_oracle_encodes_incrementally() {
         let nl = samples::c17();
-        let mut oracle = ConeOracle::new(&nl);
+        let mut oracle = CircuitOracle::lazy(&nl, SolverConfig::default());
         assert_eq!(oracle.encoded_gates(), 0);
         let g22 = nl.net_by_name("G22").unwrap();
         let g23 = nl.net_by_name("G23").unwrap();
@@ -427,7 +358,7 @@ mod tests {
     #[test]
     fn cone_oracle_probe_propagates_through_the_cone() {
         let nl = samples::c17();
-        let mut oracle = ConeOracle::new(&nl);
+        let mut oracle = CircuitOracle::lazy(&nl, SolverConfig::default());
         let [g1, g3, g10, g22] = ["G1", "G3", "G10", "G22"].map(|n| nl.net_by_name(n).unwrap());
         assert_eq!(oracle.lit(g10, false), None);
         // G10 = NAND(G1, G3) = 0 forces both inputs to 1.
@@ -446,7 +377,7 @@ mod tests {
     #[test]
     fn cone_oracle_rejects_impossible_targets() {
         let nl = samples::c17();
-        let mut oracle = ConeOracle::new(&nl);
+        let mut oracle = CircuitOracle::lazy(&nl, SolverConfig::default());
         let g10 = nl.net_by_name("G10").unwrap();
         let g1 = nl.net_by_name("G1").unwrap();
         assert!(!oracle.is_compatible(&[(g10, false), (g1, false)]));

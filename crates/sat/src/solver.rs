@@ -3,12 +3,10 @@
 //! The implementation follows the classic MiniSat recipe: two watched
 //! literals per clause, first-UIP conflict analysis, activity-based (VSIDS)
 //! decision heuristics with phase saving, restarts, and incremental solving
-//! under assumptions. Two behaviours are configurable via [`SolverConfig`]:
+//! under assumptions. [`SolverConfig`] tunes two fixed mechanisms:
 //!
-//! - **Restart policy** — the default is the Luby sequence
-//!   ([`RestartPolicy::Luby`]); the original fixed geometric schedule
-//!   ([`RestartPolicy::Geometric`]) stays selectable so the two can be
-//!   differentially tested against each other.
+//! - **Luby restarts** — search episode `i` of a solve call may spend
+//!   `restart_unit * luby(i)` conflicts before restarting.
 //! - **Learned-clause deletion** — learned clauses carry their own activity
 //!   (bumped when a clause participates in conflict analysis, decayed per
 //!   conflict); when the live learned-clause count exceeds a cap,
@@ -18,11 +16,9 @@
 //!   and reason indices. The cap grows geometrically after each reduction so
 //!   long searches still converge.
 //!
-//! Both features are on by default; [`SolverConfig::legacy`] reproduces the
-//! pre-deletion solver exactly (geometric restarts, no deletion), which the
-//! differential harness in `tests/sat_differential.rs` exploits: every
-//! generated instance is solved under both configurations and against a
-//! brute-force model enumerator, and the verdicts must agree.
+//! The differential harness in `tests/sat_differential.rs` solves every
+//! generated instance under the default and a stress configuration and
+//! checks each verdict against a brute-force model enumerator.
 //!
 //! When a solve under assumptions returns UNSAT because an assumption is
 //! contradicted, [`Solver::unsat_assumptions`] exposes the subset of the
@@ -57,47 +53,6 @@ impl SolveResult {
     }
 }
 
-/// Restart schedule for [`Solver::solve`].
-///
-/// Each `solve` call starts the schedule from its beginning; the conflict
-/// budget of search episode `i` (1-based, within that call) is:
-///
-/// - `Luby { unit }` — `unit * luby(i)` where `luby` is the Luby sequence
-///   1, 1, 2, 1, 1, 2, 4, 1, … (the universally-optimal restart schedule).
-/// - `Geometric { first }` — `first`, then ×3/2 after every restart (the
-///   original policy of this solver, kept selectable for differential
-///   testing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Luby sequence scaled by `unit` conflicts.
-    Luby {
-        /// Base number of conflicts multiplied by the Luby sequence.
-        unit: u64,
-    },
-    /// Fixed geometric schedule: `first` conflicts, growing ×3/2 per restart.
-    Geometric {
-        /// Conflict budget of the first search episode.
-        first: u64,
-    },
-}
-
-impl RestartPolicy {
-    /// Conflict budget for search episode `episode` (1-based) of a solve call.
-    #[must_use]
-    pub fn budget(self, episode: u64) -> u64 {
-        match self {
-            RestartPolicy::Luby { unit } => unit.saturating_mul(luby(episode)),
-            RestartPolicy::Geometric { first } => {
-                let mut b = first;
-                for _ in 1..episode {
-                    b = b.saturating_mul(3) / 2;
-                }
-                b
-            }
-        }
-    }
-}
-
 /// The Luby sequence: 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, …
 /// (`i` is 1-based).
 #[must_use]
@@ -117,15 +72,14 @@ pub fn luby(mut i: u64) -> u64 {
     }
 }
 
-/// Tunable solver behaviour. `Default` enables the modern configuration
-/// (Luby restarts + clause deletion); [`SolverConfig::legacy`] reproduces the
-/// original solver (geometric restarts, no deletion) exactly.
+/// Tunable solver behaviour: the restart unit and the learned-clause cap.
+/// Restarts always follow the Luby sequence and learned-clause deletion is
+/// always on; `Default` is the configuration every production path uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// Restart schedule.
-    pub restarts: RestartPolicy,
-    /// Whether learned-clause database reduction is enabled.
-    pub clause_deletion: bool,
+    /// Luby restart unit: search episode `i` (1-based, within one `solve`
+    /// call) may spend `restart_unit * luby(i)` conflicts before restarting.
+    pub restart_unit: u64,
     /// Floor of the learned-clause cap. The effective initial cap is
     /// `max(learnt_cap_min, original_clauses / learnt_cap_origin_divisor)`.
     pub learnt_cap_min: u64,
@@ -142,8 +96,7 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
-            restarts: RestartPolicy::Luby { unit: 128 },
-            clause_deletion: true,
+            restart_unit: 128,
             learnt_cap_min: 256,
             learnt_cap_growth_percent: 110,
             learnt_cap_origin_divisor: 3,
@@ -152,19 +105,9 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The pre-deletion solver: fixed geometric restarts (first budget 128,
-    /// ×3/2 per restart), no learned-clause deletion. With this
-    /// configuration the solver's decision/conflict trace is bit-identical
-    /// to the solver as it existed before clause deletion landed.
-    #[must_use]
-    pub fn legacy() -> Self {
-        Self {
-            restarts: RestartPolicy::Geometric { first: 128 },
-            clause_deletion: false,
-            learnt_cap_min: 256,
-            learnt_cap_growth_percent: 110,
-            learnt_cap_origin_divisor: 3,
-        }
+    /// Conflict budget of search episode `episode` (1-based) of a solve call.
+    fn restart_budget(self, episode: u64) -> u64 {
+        self.restart_unit.saturating_mul(luby(episode))
     }
 }
 
@@ -283,7 +226,7 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default (modern) configuration.
+    /// Creates an empty solver with the default configuration.
     #[must_use]
     pub fn new() -> Self {
         Self::with_config(SolverConfig::default())
@@ -864,7 +807,7 @@ impl Solver {
 
         let mut episode = 1u64;
         loop {
-            let budget = self.config.restarts.budget(episode);
+            let budget = self.config.restart_budget(episode);
             match self.search(assumptions, budget) {
                 SearchOutcome::Sat(model) => {
                     self.backtrack_to(0);
@@ -963,7 +906,7 @@ impl Solver {
                 }
                 self.decay_activity();
                 self.decay_clause_activity();
-                if self.config.clause_deletion && self.live_learnts > self.current_learnt_cap() {
+                if self.live_learnts > self.current_learnt_cap() {
                     self.reduce_db();
                 }
                 if conflicts_here >= conflict_budget && self.decision_level() > assumptions.len() {
@@ -1159,38 +1102,19 @@ mod tests {
     #[test]
     fn model_satisfies_random_3sat() {
         use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(99);
         for round in 0..30 {
-            let num_vars = 12;
-            let num_clauses = 40;
-            let mut cnf = Cnf::with_vars(num_vars);
-            for _ in 0..num_clauses {
-                let mut clause = Vec::new();
-                for _ in 0..3 {
-                    let v = rng.gen_range(0..num_vars) as u32;
-                    clause.push(Var(v).lit(rng.gen_bool(0.5)));
-                }
-                cnf.add_clause(clause);
-            }
+            let cnf = random_3sat(&mut rng, 12, 40);
             let mut solver = Solver::from_cnf(&cnf);
             match solver.solve(&[]) {
                 SolveResult::Sat(model) => {
                     assert_eq!(cnf.eval(&model), Some(true), "round {round}: bad model");
                 }
-                SolveResult::Unsat => {
-                    // Verify by brute force that it really is UNSAT.
-                    let mut any = false;
-                    for code in 0u32..(1 << num_vars) {
-                        let assignment: Vec<bool> =
-                            (0..num_vars).map(|i| (code >> i) & 1 == 1).collect();
-                        if cnf.eval(&assignment) == Some(true) {
-                            any = true;
-                            break;
-                        }
-                    }
-                    assert!(!any, "round {round}: solver said UNSAT but a model exists");
-                }
+                SolveResult::Unsat => assert!(
+                    !brute_force_sat(&cnf, &[]),
+                    "round {round}: solver said UNSAT but a model exists"
+                ),
             }
         }
     }
@@ -1205,95 +1129,105 @@ mod tests {
 
     #[test]
     fn restart_budgets_follow_their_policies() {
-        let luby_pol = RestartPolicy::Luby { unit: 100 };
-        assert_eq!(luby_pol.budget(1), 100);
-        assert_eq!(luby_pol.budget(3), 200);
-        assert_eq!(luby_pol.budget(7), 400);
-        let geo = RestartPolicy::Geometric { first: 128 };
-        assert_eq!(geo.budget(1), 128);
-        assert_eq!(geo.budget(2), 192);
-        assert_eq!(geo.budget(3), 288);
+        let config = SolverConfig {
+            restart_unit: 100,
+            ..SolverConfig::default()
+        };
+        assert_eq!(config.restart_budget(1), 100);
+        assert_eq!(config.restart_budget(3), 200);
+        assert_eq!(config.restart_budget(7), 400);
     }
 
-    /// Pigeonhole formula: `pigeons` into `pigeons - 1` holes (UNSAT with
-    /// exponentially many conflicts — the classic CDCL stress instance).
-    fn pigeonhole(pigeons: i64) -> Cnf {
-        let holes = pigeons - 1;
-        let var = |p: i64, h: i64| holes * (p - 1) + h;
-        let mut cnf = Cnf::new();
-        for p in 1..=pigeons {
-            cnf.add_clause((1..=holes).map(|h| Lit::from_dimacs(var(p, h))));
+    /// Brute-force satisfiability of `cnf ∧ assumptions` by total
+    /// enumeration (at most 14 variables).
+    fn brute_force_sat(cnf: &Cnf, assumptions: &[Lit]) -> bool {
+        let n = cnf.num_vars();
+        assert!(n <= 14, "instance too large to enumerate");
+        (0u32..1 << n).any(|mask| {
+            let assignment: Vec<bool> = (0..n).map(|v| mask >> v & 1 == 1).collect();
+            assumptions
+                .iter()
+                .all(|l| assignment[l.var().index()] == l.polarity())
+                && cnf.eval(&assignment) == Some(true)
+        })
+    }
+
+    /// Restarts every 16 conflicts and reduces the learned DB from a floor
+    /// of four clauses, so deletion fires on instances small enough to
+    /// enumerate.
+    fn tiny_cap_config() -> SolverConfig {
+        SolverConfig {
+            restart_unit: 16,
+            learnt_cap_min: 4,
+            learnt_cap_growth_percent: 110,
+            learnt_cap_origin_divisor: 0,
         }
-        for h in 1..=holes {
-            for p1 in 1..=pigeons {
-                for p2 in (p1 + 1)..=pigeons {
-                    cnf.add_clause([Lit::from_dimacs(-var(p1, h)), Lit::from_dimacs(-var(p2, h))]);
-                }
-            }
+    }
+
+    /// A random 3-SAT formula over `num_vars` variables.
+    fn random_3sat(rng: &mut impl rand::Rng, num_vars: usize, num_clauses: usize) -> Cnf {
+        let mut cnf = Cnf::with_vars(num_vars);
+        for _ in 0..num_clauses {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Var(rng.gen_range(0..num_vars) as u32).lit(rng.gen_bool(0.5)))
+                .collect();
+            cnf.add_clause(clause);
         }
         cnf
     }
 
-    /// A conflict-rich instance solved with an artificially tiny cap: clause
-    /// deletion must fire, keep the live count within the (growing) cap, and
-    /// agree with the legacy no-deletion configuration on the verdict.
+    /// Random instances at the 3-SAT phase transition solved with an
+    /// artificially tiny cap: clause deletion must fire, keep the live count
+    /// within the (growing) cap, and agree with brute-force enumeration on
+    /// every verdict.
     #[test]
     fn reduce_db_fires_and_preserves_verdicts() {
-        let tiny = SolverConfig {
-            restarts: RestartPolicy::Luby { unit: 16 },
-            clause_deletion: true,
-            learnt_cap_min: 8,
-            learnt_cap_growth_percent: 110,
-            learnt_cap_origin_divisor: 0,
-        };
-        let cnf = pigeonhole(6);
-        let mut modern = Solver::from_cnf_with_config(&cnf, tiny);
-        let mut legacy = Solver::from_cnf_with_config(&cnf, SolverConfig::legacy());
-        assert_eq!(modern.solve(&[]), SolveResult::Unsat);
-        assert_eq!(legacy.solve(&[]), SolveResult::Unsat);
-        let st = modern.stats();
-        assert!(st.reduces > 0, "no reduction fired: {st:?}");
-        assert!(st.deleted_clauses > 0);
-        assert!(modern.live_learnts() <= modern.learnt_cap());
-        assert!(st.peak_learnts >= modern.live_learnts());
-        assert_eq!(legacy.stats().reduces, 0, "legacy must never reduce");
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut total = SolverStats::default();
+        for round in 0..40 {
+            let cnf = random_3sat(&mut rng, 14, 60);
+            let mut solver = Solver::from_cnf_with_config(&cnf, tiny_cap_config());
+            let result = solver.solve(&[]);
+            assert_eq!(result.is_sat(), brute_force_sat(&cnf, &[]), "round {round}");
+            if let SolveResult::Sat(m) = &result {
+                assert_eq!(cnf.eval(m), Some(true), "round {round}: bad model");
+            }
+            assert!(
+                solver.live_learnts() <= solver.learnt_cap(),
+                "round {round}"
+            );
+            assert!(solver.stats().peak_learnts >= solver.live_learnts());
+            total.merge(&solver.stats());
+        }
+        assert!(total.reduces > 0, "no reduction fired: {total:?}");
+        assert!(total.deleted_clauses > 0);
     }
 
     /// Clause deletion must stay sound across incremental solve calls: the
     /// same solver instance is queried repeatedly under assumptions while
-    /// its learned DB is being reduced.
+    /// its learned DB is being reduced, and every verdict matches
+    /// brute-force enumeration.
     #[test]
     fn reduce_db_sound_under_incremental_assumptions() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let tiny = SolverConfig {
-            restarts: RestartPolicy::Luby { unit: 16 },
-            clause_deletion: true,
-            learnt_cap_min: 8,
-            learnt_cap_growth_percent: 110,
-            learnt_cap_origin_divisor: 0,
-        };
         let mut rng = StdRng::seed_from_u64(21);
         let num_vars = 14;
-        let mut cnf = Cnf::with_vars(num_vars);
-        for _ in 0..56 {
-            let mut clause = Vec::new();
-            for _ in 0..3 {
-                let v = rng.gen_range(0..num_vars) as u32;
-                clause.push(Var(v).lit(rng.gen_bool(0.5)));
-            }
-            cnf.add_clause(clause);
-        }
-        let mut modern = Solver::from_cnf_with_config(&cnf, tiny);
-        let mut legacy = Solver::from_cnf_with_config(&cnf, SolverConfig::legacy());
+        let cnf = random_3sat(&mut rng, num_vars, 56);
+        let mut solver = Solver::from_cnf_with_config(&cnf, tiny_cap_config());
         for q in 0..30 {
             let a = Var(rng.gen_range(0..num_vars) as u32).lit(rng.gen_bool(0.5));
             let b = Var(rng.gen_range(0..num_vars) as u32).lit(rng.gen_bool(0.5));
             let assumptions = [a, b];
-            let mr = modern.solve(&assumptions);
-            let lr = legacy.solve(&assumptions);
-            assert_eq!(mr.is_sat(), lr.is_sat(), "query {q}: verdicts differ");
-            if let SolveResult::Sat(m) = &mr {
+            let result = solver.solve(&assumptions);
+            assert_eq!(
+                result.is_sat(),
+                brute_force_sat(&cnf, &assumptions),
+                "query {q}: verdict differs from brute force"
+            );
+            if let SolveResult::Sat(m) = &result {
                 assert_eq!(cnf.eval(m), Some(true), "query {q}: bad model");
                 assert!(assumptions
                     .iter()

@@ -15,7 +15,7 @@ use crate::Trojan;
 #[derive(Debug)]
 pub struct TrojanGenerator<'a> {
     netlist: &'a Netlist,
-    oracle: CircuitOracle,
+    oracle: CircuitOracle<'a>,
     rng: StdRng,
     attempts: u64,
     rejected: u64,

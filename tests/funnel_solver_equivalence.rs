@@ -1,30 +1,28 @@
-//! Funnel equivalence under solver-configuration changes.
+//! Funnel equivalence across thread counts, with pinned SAT work.
 //!
-//! The raw-speed SAT core (Luby restarts, learned-clause deletion) is a pure
-//! performance layer: every verdict it returns must match the legacy
-//! pre-deletion solver exactly. This suite builds the compatibility graph on
-//! a scaled c2670 and on a planted-Trojan variant of it, with the modern and
-//! the legacy solver, at one and at four worker threads, and demands:
+//! This suite builds the compatibility graph on a scaled c2670 and on a
+//! planted-Trojan variant of it, at one and at four worker threads, and
+//! demands:
 //!
-//! - bit-identical adjacency matrices (and identical kept rare-net lists)
-//!   across every solver × thread combination;
+//! - bit-identical adjacency matrices (and identical kept rare-net lists);
 //! - identical tier verdict counts (sim-witnessed / structurally pruned /
 //!   cone-enumerated / probe-struck / sweep-struck / SAT-resolved pair
-//!   totals and the singleton split) — the funnel's routing is
-//!   solver-independent; only timings and raw CDCL work counters may differ
-//!   between configurations.
+//!   totals and the singleton split);
+//! - identical CDCL work counters: tier 3 runs on a fixed number of solver
+//!   lanes, so the solvers' decisions do not depend on the thread count.
 //!
 //! The default funnel resolves both workloads without a single SAT query,
 //! so its tier verdicts are pinned (any routing drift fails) and a second
 //! pass turns off witnesses and enumeration to force every singleton and
-//! every pair into tier 3, where the solvers under comparison probe, sweep
-//! and decide the whole graph.
+//! every pair into tier 3, where the solver probes, sweeps and decides the
+//! whole graph. That pass pins its SAT queries, its strikes and the
+//! solver's (decisions, conflicts, propagations), so any change to the
+//! solver's search shows up here as a counter drift.
 
 use deterrent_repro::deterrent_core::{CompatStrategy, CompatibilityGraph, FunnelOptions};
 use deterrent_repro::exec::Exec;
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::netlist::Netlist;
-use deterrent_repro::sat::SolverConfig;
 use deterrent_repro::sim::rare::RareNetAnalysis;
 use deterrent_repro::trojan::TrojanGenerator;
 
@@ -42,7 +40,7 @@ fn build(
     )
 }
 
-/// The solver-independent slice of [`deterrent_repro::deterrent_core::CompatStats`]:
+/// The routing slice of [`deterrent_repro::deterrent_core::CompatStats`]:
 /// everything except timings and CDCL work counters.
 fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 10] {
     let s = g.stats();
@@ -60,56 +58,55 @@ fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 10] {
     ]
 }
 
-/// Builds `funnel` with both solvers at 1 and 4 threads and checks each
-/// build against `reference`: same kept rare nets, same adjacency, and the
-/// same tier verdicts as the modern solver on one thread.
-fn assert_solver_and_thread_independent(
+/// Builds `funnel` at 1 and 4 threads and checks each build against
+/// `reference`: same kept rare nets, same adjacency, and the same tier
+/// verdicts and solver counters as the build on one thread. Returns the
+/// one-thread build.
+fn assert_thread_independent(
     netlist: &Netlist,
     analysis: &RareNetAnalysis,
     funnel: FunnelOptions,
     reference: &CompatibilityGraph,
     label: &str,
-) {
-    let verdicts = tier_verdicts(&build(netlist, analysis, funnel, 1));
+) -> CompatibilityGraph {
+    let single = build(netlist, analysis, funnel, 1);
     for threads in [1usize, 4] {
-        for (solver_name, solver) in [
-            ("modern", SolverConfig::default()),
-            ("legacy", SolverConfig::legacy()),
-        ] {
-            let g = build(
-                netlist,
-                analysis,
-                FunnelOptions { solver, ..funnel },
-                threads,
-            );
-            assert_eq!(
-                g.rare_nets(),
-                reference.rare_nets(),
-                "{label}: kept rare nets differ ({solver_name}, {threads} threads)"
-            );
-            assert_eq!(
-                g.adjacency(),
-                reference.adjacency(),
-                "{label}: adjacency differs ({solver_name}, {threads} threads)"
-            );
-            assert_eq!(
-                tier_verdicts(&g),
-                verdicts,
-                "{label}: tier verdict counts differ ({solver_name}, {threads} threads)"
-            );
-        }
+        let g = build(netlist, analysis, funnel, threads);
+        assert_eq!(
+            g.rare_nets(),
+            reference.rare_nets(),
+            "{label}: kept rare nets differ ({threads} threads)"
+        );
+        assert_eq!(
+            g.adjacency(),
+            reference.adjacency(),
+            "{label}: adjacency differs ({threads} threads)"
+        );
+        assert_eq!(
+            tier_verdicts(&g),
+            tier_verdicts(&single),
+            "{label}: tier verdict counts differ ({threads} threads)"
+        );
+        assert_eq!(
+            g.stats().solver,
+            single.stats().solver,
+            "{label}: solver counters differ ({threads} threads)"
+        );
     }
+    single
 }
 
 /// `default_verdicts` pins the default funnel's tier verdicts;
-/// `forced_queries` pins the (singleton, pair) SAT queries of the forced pass
-/// and `forced_strikes` its (probe-struck, sweep-struck) pairs.
+/// `forced_queries` pins the (singleton, pair) SAT queries of the forced pass,
+/// `forced_strikes` its (probe-struck, sweep-struck) pairs and
+/// `forced_solver` its solver's (decisions, conflicts, propagations).
 fn assert_equivalent_on(
     netlist: &Netlist,
     label: &str,
     default_verdicts: [u64; 10],
     forced_queries: (u64, u64),
     forced_strikes: (u64, u64),
+    forced_solver: (u64, u64, u64),
 ) {
     let analysis = RareNetAnalysis::estimate(netlist, 0.2, 8192, 17);
     let reference = build(netlist, &analysis, FunnelOptions::default(), 1);
@@ -118,7 +115,7 @@ fn assert_equivalent_on(
         default_verdicts,
         "{label}: default funnel routing drifted"
     );
-    assert_solver_and_thread_independent(
+    assert_thread_independent(
         netlist,
         &analysis,
         FunnelOptions::default(),
@@ -127,16 +124,14 @@ fn assert_equivalent_on(
     );
 
     // Without witnesses or enumeration every singleton is a SAT query and
-    // every pair reaches tier 3, so the solvers under comparison decide the
-    // whole graph.
+    // every pair reaches tier 3, so the solver decides the whole graph.
     let forced = FunnelOptions {
         sim_witnesses: false,
         max_support: 0,
         ..FunnelOptions::default()
     };
     let sat_label = format!("{label}, forced SAT");
-    assert_solver_and_thread_independent(netlist, &analysis, forced, &reference, &sat_label);
-    let s = *build(netlist, &analysis, forced, 1).stats();
+    let s = *assert_thread_independent(netlist, &analysis, forced, &reference, &sat_label).stats();
     assert_eq!(
         (s.singleton_sat_queries, s.pairs_sat_resolved),
         forced_queries,
@@ -150,6 +145,15 @@ fn assert_equivalent_on(
         (s.pairs_probe_struck, s.pairs_sweep_struck),
         forced_strikes,
         "{sat_label}: tier-3 strike counts drifted"
+    );
+    assert_eq!(
+        (
+            s.solver.decisions,
+            s.solver.conflicts,
+            s.solver.propagations
+        ),
+        forced_solver,
+        "{sat_label}: solver counters drifted"
     );
     assert_eq!(
         (s.pairs_sim_witnessed, s.pairs_cone_enumerated),
@@ -175,6 +179,7 @@ fn clean_netlist_adjacency_is_solver_and_thread_independent() {
         [19, 17, 19, 0, 50, 0, 86, 0, 0, 0],
         (19, 59),
         (77, 0),
+        (598, 11, 3653),
     );
 }
 
@@ -193,5 +198,6 @@ fn infected_netlist_adjacency_is_solver_and_thread_independent() {
         [21, 18, 21, 0, 57, 0, 96, 0, 0, 0],
         (21, 65),
         (87, 1),
+        (654, 15, 4128),
     );
 }

@@ -1,15 +1,14 @@
 //! Differential-testing harness guarding the raw-speed SAT core.
 //!
-//! Every generated instance is solved three ways — the modern default
-//! configuration (Luby restarts + learned-clause deletion), a stress
-//! configuration with pathologically tight restart/deletion knobs (restart
-//! every handful of conflicts, reduce the clause DB from a floor of four),
-//! and the legacy pre-deletion configuration — and cross-checked against a
-//! brute-force model enumerator (instances stay ≤ 2^12 assignments, well
+//! Every generated instance is solved two ways — the default configuration
+//! and a stress configuration with pathologically tight restart/deletion
+//! knobs (restart every handful of conflicts, reduce the clause DB from a
+//! floor of four) — and cross-checked against a brute-force model
+//! enumerator (instances stay ≤ 2^12 assignments, well
 //! inside enumeration range and inside the debug-build per-decision
 //! heap-vs-linear-scan assert budget). The checks:
 //!
-//! - all three solver configurations report the same verdict as brute force,
+//! - both solver configurations report the same verdict as brute force,
 //!   both on the initial clause set and after an incremental clause add;
 //! - every SAT model actually satisfies the formula and the assumptions;
 //! - after UNSAT under assumptions, each solver's reported unsat-assumption
@@ -27,9 +26,7 @@
 
 use std::fmt::Write as _;
 
-use deterrent_repro::sat::{
-    dimacs, Cnf, Lit, RestartPolicy, SolveResult, Solver, SolverConfig, Var,
-};
+use deterrent_repro::sat::{dimacs, Cnf, Lit, SolveResult, Solver, SolverConfig, Var};
 use proptest::prelude::*;
 
 /// Restarts every few conflicts and reduces the learned DB from a floor of
@@ -37,8 +34,7 @@ use proptest::prelude::*;
 /// and Luby scheduling fire constantly even on tiny instances.
 fn stress_config() -> SolverConfig {
     SolverConfig {
-        restarts: RestartPolicy::Luby { unit: 2 },
-        clause_deletion: true,
+        restart_unit: 2,
         learnt_cap_min: 4,
         learnt_cap_growth_percent: 105,
         learnt_cap_origin_divisor: 0,
@@ -126,7 +122,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1100))]
     /// The main differential sweep: ≥1000 random instances, each solved in
     /// two increments (initial clause set, then an incremental add) under a
-    /// random assumption set, on all three solver configurations.
+    /// random assumption set, on both solver configurations.
     #[test]
     fn solver_configurations_agree_with_brute_force(
         num_vars in 3usize..=10,
@@ -159,11 +155,7 @@ proptest! {
             full.add_clause(c.iter().copied());
         }
 
-        let configs = [
-            ("modern", SolverConfig::default()),
-            ("stress", stress_config()),
-            ("legacy", SolverConfig::legacy()),
-        ];
+        let configs = [("default", SolverConfig::default()), ("stress", stress_config())];
         let mut verdicts: Vec<bool> = Vec::new();
         for (name, config) in configs {
             let mut solver = Solver::from_cnf_with_config(&phase1, config);
@@ -219,7 +211,7 @@ proptest! {
             .map(|(idx, pol)| Var(idx.index(num_vars) as u32).lit(*pol))
             .collect();
         let expected = brute_force_sat(&cnf, &assumptions);
-        for (name, config) in [("modern", SolverConfig::default()), ("stress", stress_config())] {
+        for (name, config) in [("default", SolverConfig::default()), ("stress", stress_config())] {
             let mut solver = Solver::from_cnf_with_config(&cnf, config);
             solver.reserve_vars(num_vars);
             let _ = solver.solve(&[]);
