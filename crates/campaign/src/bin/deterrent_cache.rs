@@ -25,7 +25,7 @@
 //!
 //! Exit codes — deliberately distinct so CI can gate on them:
 //!
-//! * `0` — clean: every artifact file's header and FNV-1a checksum
+//! * `0` — clean: every artifact file's header and payload checksum
 //!   validated (or, for `gc`/`stats`, the operation completed).
 //! * `1` — `verify` found corrupt files. With healing (the default) they
 //!   were deleted and will simply recompute on the next run; `--no-heal`

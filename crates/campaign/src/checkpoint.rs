@@ -12,7 +12,7 @@
 //!
 //! The file reuses the artifact codec's versioned record container
 //! ([`deterrent_core::encode_record`]): magic, format version, a
-//! checkpoint-specific tag, and an FNV-1a payload checksum, rewritten
+//! checkpoint-specific tag, and the codec's payload checksum, rewritten
 //! atomically (temp file + rename) after every completed cell. A missing,
 //! torn, corrupt, or version-skewed file loads as an *empty* checkpoint —
 //! the worst case is recomputation, never a wrong report.

@@ -42,8 +42,8 @@ use rl::{PpoConfig, PpoTrainer, TrainReport};
 use sim::rare::RareNetAnalysis;
 use sim::{PatternSource, RareNetEstimate, TestPattern};
 
-use crate::cache::{CacheError, CacheErrorKind, CacheEvents};
-use crate::codec::{self, DiskLookup, DiskStore};
+use crate::cache::CacheEvents;
+use crate::codec::{self, DiskIo, DiskLookup, DiskStore};
 use crate::fault::FaultPlan;
 use crate::{
     AnalysisConfig, CachePolicy, CompatConfig, CompatibilityGraph, PatternGenStats, RareNetSet,
@@ -781,19 +781,7 @@ macro_rules! stage_cache {
             let disk_result = self
                 .disk
                 .as_ref()
-                .map(|disk| match disk.load($stage, key) {
-                    DiskLookup::Hit(payload) => match $decode(key, &payload) {
-                        Ok(artifact) => DiskLookup::Hit(artifact),
-                        Err(e) => DiskLookup::Failed(CacheError::new(
-                            CacheErrorKind::Corrupt,
-                            $stage,
-                            key,
-                            format!("payload decode failed: {e:?}"),
-                        )),
-                    },
-                    DiskLookup::Miss => DiskLookup::Miss,
-                    DiskLookup::Failed(err) => DiskLookup::Failed(err),
-                });
+                .map(|disk| disk.load($stage, key, |payload| $decode(key, payload)));
             if let Some(DiskLookup::Failed(err)) = &disk_result {
                 if let Some(disk) = &self.disk {
                     disk.note_failure(err);
@@ -895,6 +883,15 @@ impl ArtifactStore {
         self.disk
             .as_deref()
             .map(DiskStore::events)
+            .unwrap_or_default()
+    }
+
+    /// `stage`'s disk-tier traffic so far ([`DiskIo`]); all zero for a
+    /// memory-only store.
+    pub(crate) fn disk_io(&self, stage: Stage) -> DiskIo {
+        self.disk
+            .as_deref()
+            .map(|disk| disk.io(stage))
             .unwrap_or_default()
     }
 

@@ -415,7 +415,7 @@ impl VerifyReport {
 }
 
 /// Verifies every artifact file under `root` against the codec's header
-/// and FNV-1a payload checksum. With `heal`, corrupt files are deleted (the
+/// and payload checksum. With `heal`, corrupt files are deleted (the
 /// next run recomputes them); without it they are only reported. I/O
 /// errors (unreadable directories or files) are collected in
 /// [`VerifyReport::io_errors`], never conflated with corruption.
@@ -597,7 +597,7 @@ mod tests {
 
         // The healed cache is simply cold again.
         assert!(matches!(
-            disk.load(Stage::Analyze, 0xFEED),
+            disk.load(Stage::Analyze, 0xFEED, |payload| Ok(payload.len())),
             codec::DiskLookup::Miss
         ));
         let clean = gc(&root, &CachePolicy::default()).expect("second gc");

@@ -13,9 +13,14 @@
 //!               4 select, 5 generate, 6 estimate
 //! 16      8     artifact cache key (u64 LE) — must match the file name
 //! 24      8     payload length in bytes (u64 LE)
-//! 32      8     FNV-1a checksum of the payload bytes (u64 LE)
+//! 32      8     checksum of the payload bytes (u64 LE, see below)
 //! 40      …     payload (stage-specific field stream, all LE)
 //! ```
+//!
+//! The checksum is FNV-1a's xor-multiply step applied to little-endian
+//! `u64` words instead of bytes, in four independent lanes, with the tail
+//! bytes and the payload length folded in (see [`checksum`]). It only
+//! detects corruption; cache keys are a separate field-wise fingerprint.
 //!
 //! Every multi-byte integer and float is little-endian (`f64` as its IEEE-754
 //! bit pattern), so files written on any supported host decode on any other.
@@ -60,7 +65,7 @@ use std::fs;
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use netlist::NetId;
 use rl::{AdamSnapshot, PolicySnapshot, PpoConfig, PpoLosses, PpoTrainer, TrainReport};
@@ -88,8 +93,9 @@ const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 /// dropped the budget fields again with the single fixed enumeration cost
 /// model; version 6 dropped the train-stage variant byte with the one
 /// remaining variant; version 7 added the tier-3 probe and sweep pair
-/// counters to `CompatStats`.
-pub(crate) const FORMAT_VERSION: u32 = 7;
+/// counters to `CompatStats`; version 8 replaced the bytewise FNV-1a
+/// payload checksum with the word-wise [`checksum`] (payloads unchanged).
+pub(crate) const FORMAT_VERSION: u32 = 8;
 
 const HEADER_LEN: usize = 40;
 
@@ -200,8 +206,7 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self) -> Decode<u64> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(le_u64(self.take(8)?))
     }
 
     fn usize(&mut self) -> Decode<usize> {
@@ -225,19 +230,25 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    fn f64_vec(&mut self) -> Decode<Vec<f64>> {
+    /// A length-prefixed run of 8-byte words, bounds-checked once for the
+    /// whole run.
+    fn words(&mut self) -> Decode<std::slice::ChunksExact<'a, u8>> {
         let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        Ok(self.take(n * 8)?.chunks_exact(8))
+    }
+
+    fn f64_vec(&mut self) -> Decode<Vec<f64>> {
+        Ok(self.words()?.map(|w| f64::from_bits(le_u64(w))).collect())
     }
 
     fn u64_vec(&mut self) -> Decode<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+        Ok(self.words()?.map(le_u64).collect())
     }
 
     fn usize_vec(&mut self) -> Decode<Vec<usize>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.usize()).collect()
+        self.words()?
+            .map(|w| usize::try_from(le_u64(w)).map_err(|_| DecodeError::Malformed("usize")))
+            .collect()
     }
 
     fn done(&self) -> Decode<()> {
@@ -249,15 +260,51 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over a byte slice — the payload checksum (same function the cache
-/// keys use, over bytes instead of fields).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// An 8-byte little-endian word.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One checksum step: FNV-1a's xor-multiply on a whole word, then a rotate
+/// so the high bits the multiply produces feed back into the low ones.
+/// For a fixed word it is a bijection of the state, and for a fixed state
+/// a bijection of the word.
+fn mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(FNV_PRIME).rotate_left(31)
+}
+
+/// The payload checksum in file and record headers.
+///
+/// Consecutive 32-byte blocks feed four independent lanes one
+/// little-endian word each, so the lanes' multiplies overlap instead of
+/// forming one dependent chain per byte. The lanes, then the remaining bytes as zero-padded words, then the
+/// length are mixed into one state. Every [`mix`] is a bijection in each
+/// argument, so changing any one aligned word of the payload always
+/// changes the checksum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [
+        FNV_OFFSET,
+        FNV_OFFSET.rotate_left(16),
+        FNV_OFFSET.rotate_left(32),
+        FNV_OFFSET.rotate_left(48),
+    ];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        lanes[0] = mix(lanes[0], le_u64(&block[..8]));
+        lanes[1] = mix(lanes[1], le_u64(&block[8..16]));
+        lanes[2] = mix(lanes[2], le_u64(&block[16..24]));
+        lanes[3] = mix(lanes[3], le_u64(&block[24..]));
     }
-    h
+    let mut state = lanes.into_iter().fold(FNV_OFFSET, mix);
+    for tail in blocks.remainder().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        state = mix(state, u64::from_le_bytes(word));
+    }
+    mix(state, bytes.len() as u64)
 }
 
 // ───────────────────────── shared sub-codecs ─────────────────────────
@@ -367,19 +414,15 @@ fn w_bool_slice_packed(w: &mut Writer, bits: &[bool]) {
 
 fn r_bool_vec_packed(r: &mut Reader<'_>) -> Decode<Vec<bool>> {
     let n = r.usize()?;
-    let words = n.div_ceil(64);
-    if words.checked_mul(8).is_none_or(|total| total > r.buf.len()) {
-        return Err(DecodeError::Truncated);
-    }
+    let bytes = n
+        .div_ceil(64)
+        .checked_mul(8)
+        .ok_or(DecodeError::Truncated)?;
+    let words = r.take(bytes)?;
     let mut bits = Vec::with_capacity(n);
-    for _ in 0..words {
-        let word = r.u64()?;
-        for i in 0..64 {
-            if bits.len() == n {
-                break;
-            }
-            bits.push(word >> i & 1 == 1);
-        }
+    for word in words.chunks_exact(8).map(le_u64) {
+        let count = (n - bits.len()).min(64);
+        bits.extend((0..count).map(|i| word >> i & 1 == 1));
     }
     Ok(bits)
 }
@@ -732,7 +775,7 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
     // The restored action-sampling RNG is seeded from the cache key: the
     // pipeline only uses cached trainers frozen (greedy rollouts), so the
     // stream is never consumed, but the seed must at least be deterministic.
-    let trainer = PpoTrainer::from_snapshot(&snapshot, key);
+    let trainer = PpoTrainer::from_snapshot(snapshot, key);
     Ok(PolicyArtifact::new(
         key,
         TrainedPolicy {
@@ -904,8 +947,8 @@ pub(crate) fn scan_entries(root: &Path) -> std::io::Result<Vec<CacheEntry>> {
 }
 
 /// Classifies `bytes` as a complete artifact file for `(stage, key)`:
-/// magic, format version, stage tag, key, payload length, and FNV-1a
-/// payload checksum. Payload *structure* is not decoded — that happens at
+/// magic, format version, stage tag, key, payload length, and payload
+/// [`checksum`]. Payload *structure* is not decoded — that happens at
 /// load time — but every bit of the file is covered by the checksum.
 ///
 /// An intact header with a different format version classifies as
@@ -944,7 +987,7 @@ pub(crate) fn classify_bytes(bytes: &[u8], stage: Stage, key: u64) -> Result<(),
             "payload length mismatch".to_string(),
         );
     }
-    if field_u64(32) != fnv1a(&bytes[HEADER_LEN..]) {
+    if field_u64(32) != checksum(&bytes[HEADER_LEN..]) {
         return fail(CacheErrorKind::Corrupt, "checksum mismatch".to_string());
     }
     Ok(())
@@ -1045,6 +1088,58 @@ impl EventCell {
     }
 }
 
+/// Disk-tier traffic of one stage: the bytes moved and where the read
+/// time goes. Totals since the store opened; callers diff two snapshots.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DiskIo {
+    /// Artifact-file bytes read, headers included.
+    pub(crate) read_bytes: u64,
+    /// Artifact-file bytes written, headers included.
+    pub(crate) written_bytes: u64,
+    /// Nanoseconds spent opening, reading and validating artifact files
+    /// (header and checksum).
+    pub(crate) read_nanos: u64,
+    /// Nanoseconds spent decoding validated payloads into artifacts.
+    pub(crate) decode_nanos: u64,
+}
+
+impl DiskIo {
+    /// The traffic between `before` and `self`.
+    pub(crate) fn since(self, before: DiskIo) -> DiskIo {
+        DiskIo {
+            read_bytes: self.read_bytes.saturating_sub(before.read_bytes),
+            written_bytes: self.written_bytes.saturating_sub(before.written_bytes),
+            read_nanos: self.read_nanos.saturating_sub(before.read_nanos),
+            decode_nanos: self.decode_nanos.saturating_sub(before.decode_nanos),
+        }
+    }
+}
+
+/// [`DiskIo`] accumulator behind `&DiskStore`.
+#[derive(Debug, Default)]
+struct IoCell {
+    read_bytes: AtomicU64,
+    written_bytes: AtomicU64,
+    read_nanos: AtomicU64,
+    decode_nanos: AtomicU64,
+}
+
+impl IoCell {
+    fn snapshot(&self) -> DiskIo {
+        DiskIo {
+            read_bytes: self.read_bytes.load(Ordering::Relaxed),
+            written_bytes: self.written_bytes.load(Ordering::Relaxed),
+            read_nanos: self.read_nanos.load(Ordering::Relaxed),
+            decode_nanos: self.decode_nanos.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Environment variable that silences the rate-limited heal warning when
 /// set to `1`.
 pub const QUIET_ENV_VAR: &str = "DETERRENT_QUIET";
@@ -1075,6 +1170,8 @@ pub(crate) struct DiskStore {
     faults: Option<FaultPlan>,
     /// Per-kind failure-event counters.
     events: EventCell,
+    /// Per-stage traffic, indexed by [`Stage::tag`] − 1.
+    io: [IoCell; 6],
     /// Whether the one rate-limited heal warning has been printed.
     warned: std::sync::atomic::AtomicBool,
 }
@@ -1091,6 +1188,7 @@ impl DiskStore {
             pinned: std::sync::Mutex::default(),
             faults,
             events: EventCell::default(),
+            io: Default::default(),
             warned: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -1098,6 +1196,15 @@ impl DiskStore {
     /// Snapshot of the per-kind failure-event counters.
     pub(crate) fn events(&self) -> CacheEvents {
         self.events.snapshot()
+    }
+
+    fn io_cell(&self, stage: Stage) -> &IoCell {
+        &self.io[stage.tag() as usize - 1]
+    }
+
+    /// Snapshot of `stage`'s traffic counters.
+    pub(crate) fn io(&self, stage: Stage) -> DiskIo {
+        self.io_cell(stage).snapshot()
     }
 
     /// Counts a classified lookup failure and emits the rate-limited heal
@@ -1143,13 +1250,19 @@ impl DiskStore {
         self.pinned.lock().expect("disk store pin lock poisoned")
     }
 
-    /// Reads and validates the artifact file for `(stage, key)`. A hit
-    /// pins the artifact against eviction by this process and restamps
-    /// the file through the handle it was read from. An attached
+    /// Reads and validates the artifact file for `(stage, key)` and decodes
+    /// its payload in place. A hit pins the artifact against eviction by
+    /// this process and restamps the file through the handle it was read
+    /// from; a payload that fails to decode is a corrupt file. An attached
     /// [`FaultPlan`] may deterministically inject an open error, an
     /// eviction race (reported as a clean miss), a short read, or a
     /// checksum flip.
-    pub(crate) fn load(&self, stage: Stage, key: u64) -> DiskLookup<Vec<u8>> {
+    pub(crate) fn load<T>(
+        &self,
+        stage: Stage,
+        key: u64,
+        decode: impl FnOnce(&[u8]) -> Decode<T>,
+    ) -> DiskLookup<T> {
         let site = Self::fault_site(stage, key);
         if let Some(plan) = &self.faults {
             if plan.should_inject(FaultKind::IoError, site) {
@@ -1162,8 +1275,12 @@ impl DiskStore {
                 ));
             }
         }
+        let io = self.io_cell(stage);
+        let start = Instant::now();
         let read = fs::File::open(self.file_path(stage, key)).and_then(|mut file| {
-            let mut bytes = Vec::new();
+            // Sized from the metadata, so the read never grows the buffer.
+            let len = usize::try_from(file.metadata()?.len()).unwrap_or(0);
+            let mut bytes = Vec::with_capacity(len);
             file.read_to_end(&mut bytes)?;
             Ok((file, bytes))
         });
@@ -1179,6 +1296,8 @@ impl DiskStore {
                 ))
             }
         };
+        io.read_bytes
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         if let Some(plan) = &self.faults {
             if plan.should_inject(FaultKind::EvictionRace, site) {
                 // The file vanished between scan and read: a clean miss.
@@ -1192,19 +1311,36 @@ impl DiskStore {
                 }
             }
         }
-        if let Err(err) = classify_bytes(&bytes, stage, key) {
+        let valid = classify_bytes(&bytes, stage, key);
+        io.read_nanos
+            .fetch_add(nanos_since(start), Ordering::Relaxed);
+        if let Err(err) = valid {
             return DiskLookup::Failed(err);
         }
-        let payload = bytes.split_off(HEADER_LEN);
+        let start = Instant::now();
+        let decoded = decode(&bytes[HEADER_LEN..]);
+        io.decode_nanos
+            .fetch_add(nanos_since(start), Ordering::Relaxed);
+        let artifact = match decoded {
+            Ok(artifact) => artifact,
+            Err(e) => {
+                return DiskLookup::Failed(CacheError::new(
+                    CacheErrorKind::Corrupt,
+                    stage,
+                    key,
+                    format!("payload decode failed: {e:?}"),
+                ))
+            }
+        };
         self.lock_pinned().insert((stage, key));
         // Best-effort: a failed restamp leaves the older stamp, so the
         // artifact is merely evicted sooner.
         let _ = stamp(&file);
-        DiskLookup::Hit(payload)
+        DiskLookup::Hit(artifact)
     }
 
-    /// Atomically writes the artifact file for `(stage, key)`: the header +
-    /// payload go to a process-unique temp file in the destination
+    /// Atomically writes the artifact file for `(stage, key)`: the header
+    /// and the payload go to a process-unique temp file in the destination
     /// directory, which is stamped and then renamed into place (so a
     /// concurrent reader sees the old complete file or the new complete
     /// file, never a partial one). Then enforces the cache policy's
@@ -1225,15 +1361,18 @@ impl DiskStore {
                 return;
             }
         }
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&stage.tag().to_le_bytes());
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        if !write_atomically(&dir, &self.file_path(stage, key), &bytes, key) {
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(&MAGIC);
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&stage.tag().to_le_bytes());
+        header.extend_from_slice(&key.to_le_bytes());
+        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        header.extend_from_slice(&checksum(payload).to_le_bytes());
+        if write_atomically(&dir, &self.file_path(stage, key), &[&header, payload], key) {
+            self.io_cell(stage)
+                .written_bytes
+                .fetch_add((HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
+        } else {
             self.events.io.fetch_add(1, Ordering::Relaxed);
         }
         self.enforce_budget();
@@ -1265,7 +1404,7 @@ const RECORD_HEADER_LEN: usize = 32;
 
 /// Wraps `payload` in the codec's versioned record container: the cache
 /// MAGIC, the current format version, a caller-chosen record `tag`, the
-/// payload length, and an FNV-1a payload checksum (32 bytes of header).
+/// payload length, and the payload checksum (32 bytes of header).
 /// Used for non-artifact files that want the same torn-write and
 /// version-skew protection as artifacts — e.g. campaign checkpoint files.
 #[must_use]
@@ -1275,7 +1414,7 @@ pub fn encode_record(tag: u32, payload: &[u8]) -> Vec<u8> {
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&tag.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    bytes.extend_from_slice(&checksum(payload).to_le_bytes());
     bytes.extend_from_slice(payload);
     bytes
 }
@@ -1312,7 +1451,7 @@ pub fn decode_record(tag: u32, bytes: &[u8]) -> Result<Vec<u8>, String> {
     if field_u64(16) != payload.len() as u64 {
         return Err("payload length mismatch".to_string());
     }
-    if field_u64(24) != fnv1a(payload) {
+    if field_u64(24) != checksum(payload) {
         return Err("checksum mismatch".to_string());
     }
     Ok(payload.to_vec())
@@ -1351,10 +1490,10 @@ pub(crate) fn scan_stale_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(stale)
 }
 
-/// Writes `bytes` to `dest` via a process-unique temp file in `dir`, stamps
-/// it (see [`next_stamp`]; a rename keeps the modification time), and
-/// renames it into place. Returns whether the rename happened.
-fn write_atomically(dir: &Path, dest: &Path, bytes: &[u8], key: u64) -> bool {
+/// Writes `parts` back to back to `dest` via a process-unique temp file in
+/// `dir`, stamps it (see [`next_stamp`]; a rename keeps the modification
+/// time), and renames it into place. Returns whether the rename happened.
+fn write_atomically(dir: &Path, dest: &Path, parts: &[&[u8]], key: u64) -> bool {
     let temp = dir.join(format!(
         ".tmp-{}-{}-{key:016x}",
         std::process::id(),
@@ -1362,7 +1501,9 @@ fn write_atomically(dir: &Path, dest: &Path, bytes: &[u8], key: u64) -> bool {
     ));
     let written = fs::File::create(&temp)
         .and_then(|mut f| {
-            f.write_all(bytes)?;
+            for part in parts {
+                f.write_all(part)?;
+            }
             // Best-effort: unstamped, the file keeps the time of the write.
             let _ = stamp(&f);
             Ok(())
@@ -1388,6 +1529,11 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Loads `(stage, key)` with a decoder that copies the payload out.
+    fn load_bytes(disk: &DiskStore, stage: Stage, key: u64) -> DiskLookup<Vec<u8>> {
+        disk.load(stage, key, |payload| Ok(payload.to_vec()))
     }
 
     fn sample_analysis() -> RareNetAnalysis {
@@ -1447,20 +1593,27 @@ mod tests {
         }
     }
 
+    /// Decodes `payload` cut at every offset (each prefix must be an error,
+    /// not a panic) and with one trailing byte (rejected as such).
+    fn assert_every_cut_fails<T>(payload: &[u8], decode: impl Fn(&[u8]) -> Decode<T>) {
+        assert!(decode(payload).is_ok(), "the whole payload decodes");
+        for cut in 0..payload.len() {
+            assert!(decode(&payload[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut long = payload.to_vec();
+        long.push(0);
+        assert!(matches!(
+            decode(&long),
+            Err(DecodeError::Malformed("trailing bytes"))
+        ));
+    }
+
     #[test]
     fn prob_payload_corruption_is_an_error_not_a_panic() {
         let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
         let artifact = ProbArtifact::new(3, RareNetEstimate::estimate(&nl, 0.25, 512, 9));
         let payload = encode_prob(&artifact);
-        for cut in [0, 1, 7, 8, payload.len() / 2, payload.len() - 1] {
-            assert!(decode_prob(3, &payload[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut long = payload.clone();
-        long.push(0);
-        assert!(matches!(
-            decode_prob(3, &long),
-            Err(DecodeError::Malformed("trailing bytes"))
-        ));
+        assert_every_cut_fails(&payload, |p| decode_prob(3, p));
         // An out-of-domain retain threshold is rejected up front.
         let mut bad = payload;
         bad[..8].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
@@ -1484,13 +1637,13 @@ mod tests {
         bytes.extend_from_slice(&Stage::Analyze.tag().to_le_bytes());
         bytes.extend_from_slice(&key.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        bytes.extend_from_slice(&checksum(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
         let dir = root.join(Stage::Analyze.dir());
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(format!("{key:016x}.{FILE_EXT}")), &bytes).unwrap();
         // The old file classifies as version skew — a clean miss, no panic.
-        match disk.load(Stage::Analyze, key) {
+        match load_bytes(&disk, Stage::Analyze, key) {
             DiskLookup::Failed(err) => {
                 assert_eq!(err.kind, crate::cache::CacheErrorKind::VersionMismatch);
                 disk.note_failure(&err);
@@ -1500,7 +1653,7 @@ mod tests {
         assert_eq!(disk.events().version_mismatch, 1);
         // Recompute-and-overwrite heals it into a servable v3 file.
         disk.store(Stage::Analyze, key, b"fresh v3 payload");
-        match disk.load(Stage::Analyze, key) {
+        match load_bytes(&disk, Stage::Analyze, key) {
             DiskLookup::Hit(fresh) => assert_eq!(fresh, b"fresh v3 payload"),
             _ => panic!("healed file must serve"),
         }
@@ -1581,16 +1734,7 @@ mod tests {
     fn truncated_and_malformed_payloads_are_errors_not_panics() {
         let artifact = RareArtifact::new(1, sample_analysis());
         let payload = encode_rare(&artifact);
-        for cut in [0, 1, 7, 8, payload.len() / 2, payload.len() - 1] {
-            assert!(decode_rare(1, &payload[..cut]).is_err(), "cut at {cut}");
-        }
-        // Trailing garbage is rejected too.
-        let mut long = payload.clone();
-        long.push(0);
-        assert!(matches!(
-            decode_rare(1, &long),
-            Err(DecodeError::Malformed("trailing bytes"))
-        ));
+        assert_every_cut_fails(&payload, |p| decode_rare(1, p));
         // A length field pointing past the buffer fails fast.
         let mut huge = payload;
         let len_at = 8; // rare-net count lives right after the threshold
@@ -1599,18 +1743,221 @@ mod tests {
     }
 
     #[test]
+    fn graph_and_policy_payloads_fail_at_every_cut() {
+        let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
+        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
+        let graph = CompatibilityGraph::build(&nl, &analysis, 1);
+        let graph = GraphArtifact::new(9, graph, analysis.threshold(), 0.5);
+        assert_every_cut_fails(&encode_graph(&graph), |p| decode_graph(9, p));
+        assert_every_cut_fails(&encode_policy(&sample_policy(4)), |p| decode_policy(4, p));
+    }
+
+    #[test]
+    fn bulk_decoders_reject_length_prefixes_past_the_buffer() {
+        // Each prefix is followed by one 8-byte word and claims more. The
+        // huge ones would abort the test if a decoder allocated first.
+        for n in [2u64, 9, 1 << 40, u64::MAX / 8 + 1, u64::MAX] {
+            let mut bytes = n.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0xAB; 8]);
+            let truncated = Some(DecodeError::Truncated);
+            let reader = || Reader::new(&bytes);
+            assert_eq!(reader().f64_vec().err(), truncated, "f64_vec, {n}");
+            assert_eq!(reader().u64_vec().err(), truncated, "u64_vec, {n}");
+            assert_eq!(reader().usize_vec().err(), truncated, "usize_vec, {n}");
+            assert_eq!(r_sets(&mut reader()).err(), truncated, "sets, {n}");
+            assert_eq!(
+                r_rare_nets(&mut reader()).err(),
+                truncated,
+                "rare nets, {n}"
+            );
+        }
+        // One word holds 64 packed bits.
+        for n in [65u64, 1 << 40, u64::MAX] {
+            let mut bytes = n.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0xAB; 8]);
+            assert_eq!(
+                r_bool_vec_packed(&mut Reader::new(&bytes)).err(),
+                Some(DecodeError::Truncated),
+                "packed bits, {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // Two full blocks and a 9-byte tail: every lane and the tail path.
+        let bytes: Vec<u8> = (0u8..73).collect();
+        assert_eq!(checksum(&bytes), 0x8b1d_c77a_4669_a1a5);
+        assert_eq!(checksum(&[]), 0x36d5_de3d_9cb3_9188);
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_change_and_an_appended_zero() {
+        for len in 0..=100usize {
+            let patterned: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(37) ^ 0x5A)
+                .collect();
+            for payload in [patterned, vec![0u8; len]] {
+                let sum = checksum(&payload);
+                for at in 0..len {
+                    for flip in [0x01u8, 0x80, 0xFF] {
+                        let mut changed = payload.clone();
+                        changed[at] ^= flip;
+                        assert_ne!(checksum(&changed), sum, "len {len}, byte {at} ^ {flip:#x}");
+                    }
+                }
+                let mut longer = payload;
+                longer.push(0);
+                assert_ne!(checksum(&longer), sum, "len {len} plus a zero byte");
+            }
+        }
+    }
+
+    /// A small trained policy: enough updates for non-zero Adam moments
+    /// and a loss history.
+    fn sample_policy(key: u64) -> PolicyArtifact {
+        let config = PpoConfig {
+            batch_size: 16,
+            hidden_sizes: vec![8],
+            ..PpoConfig::default()
+        };
+        let mut trainer = PpoTrainer::new(3, 4, &config, 5);
+        let state = vec![1.0, 0.0, 1.0];
+        for _ in 0..48 {
+            let (action, log_prob, value) = trainer.select_action(&state, &[]);
+            trainer.record(rl::Transition {
+                state: state.clone(),
+                mask: vec![],
+                action,
+                reward: f64::from(u8::from(action == 1)),
+                done: true,
+                log_prob,
+                value,
+            });
+            trainer.update_if_ready();
+        }
+        assert!(trainer.total_updates() > 0);
+        let report = TrainReport {
+            episode_rewards: vec![0.5, 1.0],
+            episode_lengths: vec![3, 4],
+            losses: trainer.loss_history().to_vec(),
+            wall_seconds: 0.25,
+        };
+        PolicyArtifact::new(
+            key,
+            TrainedPolicy {
+                trainer,
+                report,
+                harvested_sets: vec![vec![0, 2], vec![1]],
+                env_sat_checks: 3,
+                training_seconds: 0.5,
+                final_mean_reward: 0.75,
+            },
+        )
+    }
+
+    /// Every field of `snapshot`, floats as their bit patterns.
+    fn snapshot_bits(snapshot: &PolicySnapshot) -> Vec<u64> {
+        let floats = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut bits = vec![
+            snapshot.num_actions as u64,
+            snapshot.total_steps,
+            snapshot.total_updates,
+        ];
+        for (steps, l) in &snapshot.loss_history {
+            bits.push(*steps);
+            bits.extend(floats(&[
+                l.policy_loss,
+                l.entropy_loss,
+                l.value_loss,
+                l.total_loss,
+            ]));
+        }
+        let nets = [
+            (
+                &snapshot.policy_layer_sizes,
+                &snapshot.policy_params,
+                &snapshot.policy_opt,
+            ),
+            (
+                &snapshot.value_layer_sizes,
+                &snapshot.value_params,
+                &snapshot.value_opt,
+            ),
+        ];
+        for (sizes, params, opt) in nets {
+            bits.extend(sizes.iter().map(|&n| n as u64));
+            bits.extend(floats(params));
+            bits.push(opt.learning_rate.to_bits());
+            bits.extend(floats(&opt.m));
+            bits.extend(floats(&opt.v));
+            bits.push(opt.steps);
+        }
+        bits
+    }
+
+    #[test]
+    fn policy_restored_through_the_disk_tier_matches_from_snapshot() {
+        let root = temp_root("policy-restore");
+        let disk = DiskStore::with_faults(root.clone(), crate::CachePolicy::default(), None);
+        let key = 0x5eed;
+        let artifact = sample_policy(key);
+        let trained = &artifact.policy().trainer;
+        let snapshot = trained.snapshot();
+        disk.store(Stage::Train, key, &encode_policy(&artifact));
+        let DiskLookup::Hit(restored) = disk.load(Stage::Train, key, |p| decode_policy(key, p))
+        else {
+            panic!("expected a disk hit");
+        };
+        let restored = &restored.policy().trainer;
+        let direct = PpoTrainer::from_snapshot(snapshot.clone(), key);
+
+        let restored_bits = snapshot_bits(&restored.snapshot());
+        assert_eq!(
+            restored_bits,
+            snapshot_bits(&direct.snapshot()),
+            "params, Adam moments and loss history"
+        );
+        assert_eq!(
+            restored_bits,
+            snapshot_bits(&snapshot),
+            "snapshot() is a fixed point"
+        );
+        for state in [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.5, -0.5, 0.25]] {
+            let greedy = trained.best_action(&state, &[]);
+            assert_eq!(restored.best_action(&state, &[]), greedy);
+            assert_eq!(direct.best_action(&state, &[]), greedy);
+            let mask = [true, false, true, true];
+            assert_eq!(
+                restored.best_action(&state, &mask),
+                trained.best_action(&state, &mask)
+            );
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn disk_store_validates_header_version_key_and_checksum() {
         let root = temp_root("header");
         let disk = DiskStore::with_faults(root.clone(), crate::CachePolicy::default(), None);
-        assert!(matches!(disk.load(Stage::Analyze, 7), DiskLookup::Miss));
+        assert!(matches!(
+            load_bytes(&disk, Stage::Analyze, 7),
+            DiskLookup::Miss
+        ));
         disk.store(Stage::Analyze, 7, b"payload bytes");
-        match disk.load(Stage::Analyze, 7) {
+        match load_bytes(&disk, Stage::Analyze, 7) {
             DiskLookup::Hit(payload) => assert_eq!(payload, b"payload bytes"),
             _ => panic!("expected hit"),
         }
         // Wrong stage and wrong key are misses (different files).
-        assert!(matches!(disk.load(Stage::BuildGraph, 7), DiskLookup::Miss));
-        assert!(matches!(disk.load(Stage::Analyze, 8), DiskLookup::Miss));
+        assert!(matches!(
+            load_bytes(&disk, Stage::BuildGraph, 7),
+            DiskLookup::Miss
+        ));
+        assert!(matches!(
+            load_bytes(&disk, Stage::Analyze, 8),
+            DiskLookup::Miss
+        ));
 
         let path = disk.file_path(Stage::Analyze, 7);
         let original = fs::read(&path).unwrap();
@@ -1630,7 +1977,7 @@ mod tests {
         bad[0] ^= 0xFF;
         fs::write(&path, &bad).unwrap();
         assert_eq!(
-            failure_kind(disk.load(Stage::Analyze, 7)),
+            failure_kind(load_bytes(&disk, Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::Corrupt
         );
 
@@ -1640,14 +1987,14 @@ mod tests {
         bad[8] = bad[8].wrapping_add(1);
         fs::write(&path, &bad).unwrap();
         assert_eq!(
-            failure_kind(disk.load(Stage::Analyze, 7)),
+            failure_kind(load_bytes(&disk, Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::VersionMismatch
         );
 
         // Truncated payload.
         fs::write(&path, &original[..original.len() - 3]).unwrap();
         assert_eq!(
-            failure_kind(disk.load(Stage::Analyze, 7)),
+            failure_kind(load_bytes(&disk, Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::Corrupt
         );
 
@@ -1657,7 +2004,7 @@ mod tests {
         bad[last] ^= 0x10;
         fs::write(&path, &bad).unwrap();
         assert_eq!(
-            failure_kind(disk.load(Stage::Analyze, 7)),
+            failure_kind(load_bytes(&disk, Stage::Analyze, 7)),
             crate::cache::CacheErrorKind::Corrupt
         );
 
@@ -1670,7 +2017,10 @@ mod tests {
 
         // Overwriting heals the file.
         disk.store(Stage::Analyze, 7, b"payload bytes");
-        assert!(matches!(disk.load(Stage::Analyze, 7), DiskLookup::Hit(_)));
+        assert!(matches!(
+            load_bytes(&disk, Stage::Analyze, 7),
+            DiskLookup::Hit(_)
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1716,7 +2066,10 @@ mod tests {
                 .ino()
         };
         let before = inode(1);
-        assert!(matches!(disk.load(Stage::Analyze, 1), DiskLookup::Hit(_)));
+        assert!(matches!(
+            load_bytes(&disk, Stage::Analyze, 1),
+            DiskLookup::Hit(_)
+        ));
         assert!(stamp_of(1) > stamp_of(2), "a hit makes the artifact newest");
         assert_eq!(inode(1), before, "a hit rewrites no file");
         let names: Vec<String> = fs::read_dir(root.join(Stage::Analyze.dir()))

@@ -44,6 +44,7 @@ use crate::artifact::{
     graph_key, imported_rare_key, patterns_key, policy_key, prob_key, rare_key, sets_key,
     GeneratedPatterns, PatternsArtifact, ProbArtifact, SelectedSets, TrainedPolicy,
 };
+use crate::codec::DiskIo;
 use crate::{
     generate_patterns_with, select_k_largest, ArtifactStore, CacheEvents, CompatSetEnv,
     CompatibilityGraph, DeterrentConfig, DeterrentResult, GraphArtifact, PolicyArtifact,
@@ -57,6 +58,7 @@ struct StageTrace {
     exec_before: ExecStats,
     counters_before: StageCounters,
     events_before: CacheEvents,
+    io_before: DiskIo,
 }
 
 /// A staged DETERRENT pipeline bound to one netlist and one configuration.
@@ -212,6 +214,7 @@ impl<'a> DeterrentSession<'a> {
             exec_before: self.exec.stats(),
             counters_before: self.store.counters().stage(stage),
             events_before: self.store.cache_events(),
+            io_before: self.store.disk_io(stage),
         })
     }
 
@@ -219,8 +222,10 @@ impl<'a> DeterrentSession<'a> {
     /// cardinality `items` — retained candidate nets (estimate), rare nets
     /// (analyze), resolved pairs (build_graph), episodes (train), selected
     /// sets (select), or generated patterns (generate) — as deterministic
-    /// attributes, and `cache_hit`, the wall time and the cache-tier /
-    /// executor deltas as nondeterministic ones. Everything downstream of
+    /// attributes, and `cache_hit`, the wall time and the cache-tier,
+    /// disk-traffic (`store_read_bytes`, `store_written_bytes`,
+    /// `store_read_ns`, `store_decode_ns`) and executor deltas as
+    /// nondeterministic ones. Everything downstream of
     /// *which session computed a shared artifact* is scheduling-dependent
     /// when the store is shared (a concurrent session may compute the
     /// artifact first), so only the stage identity and its deterministic
@@ -278,6 +283,11 @@ impl<'a> DeterrentSession<'a> {
             "cache_evictions",
             e.budget_evictions.saturating_sub(eb.budget_evictions),
         );
+        let io = self.store.disk_io(stage).since(trace.io_before);
+        span.vary_u64("store_read_bytes", io.read_bytes);
+        span.vary_u64("store_written_bytes", io.written_bytes);
+        span.vary_u64("store_read_ns", io.read_nanos);
+        span.vary_u64("store_decode_ns", io.decode_nanos);
         self.telemetry
             .histogram("stage.wall_nanos")
             .observe_nanos(wall_ns);
@@ -932,6 +942,60 @@ mod tests {
                 assert_eq!(event.path, event.name);
             }
         }
+    }
+
+    #[test]
+    fn stage_spans_report_disk_traffic_as_vary_keys() {
+        use telemetry::{MemorySink, Telemetry};
+
+        let root = std::env::temp_dir().join(format!(
+            "deterrent-disk-io-spans-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let nl = small_netlist();
+        let traced_run = || {
+            let sink = MemorySink::new();
+            let store = ArtifactStore::with_disk(&root);
+            let mut session = DeterrentSession::with_store(&nl, fast_config(), store);
+            session.set_telemetry(Telemetry::new(vec![Box::new(sink.clone())]), None);
+            let _ = session.run();
+            sink.events()
+                .into_iter()
+                .filter(|e| e.attr_str("stage").is_some())
+                .collect::<Vec<_>>()
+        };
+        let keys = [
+            "store_read_bytes",
+            "store_written_bytes",
+            "store_read_ns",
+            "store_decode_ns",
+        ];
+        let cold = traced_run();
+        let warm = traced_run();
+        assert_eq!(cold.len(), 6);
+        assert_eq!(warm.len(), 6);
+        for (cold, warm) in cold.iter().zip(&warm) {
+            for key in keys {
+                assert!(!cold.attrs.contains_key(key), "{key} stays out of attrs");
+                assert!(!warm.attrs.contains_key(key), "{key} stays out of attrs");
+            }
+            let stage = &cold.name;
+            assert!(cold.vary_u64("store_written_bytes").unwrap() > 0, "{stage}");
+            assert_eq!(cold.vary_u64("store_read_bytes"), Some(0), "{stage}");
+            assert_eq!(cold.vary_u64("store_decode_ns"), Some(0), "{stage}");
+            // The warm run reads back exactly what the cold run wrote.
+            assert_eq!(
+                warm.vary_u64("store_read_bytes"),
+                cold.vary_u64("store_written_bytes"),
+                "{stage}"
+            );
+            assert_eq!(warm.vary_u64("store_written_bytes"), Some(0), "{stage}");
+            assert!(warm.vary_u64("store_read_ns").is_some());
+            assert!(warm.vary_u64("store_decode_ns").is_some());
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

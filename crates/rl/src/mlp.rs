@@ -63,6 +63,19 @@ impl Activations {
     }
 }
 
+/// Panics unless `layer_sizes` names at least an input and an output
+/// layer, all of positive size.
+fn check_layer_sizes(layer_sizes: &[usize]) {
+    assert!(
+        layer_sizes.len() >= 2,
+        "need at least input and output sizes"
+    );
+    assert!(
+        layer_sizes.iter().all(|&s| s > 0),
+        "layer sizes must be positive"
+    );
+}
+
 impl Mlp {
     /// Creates a network with the given layer sizes, e.g. `&[4, 32, 32, 2]`
     /// for two hidden layers of 32 units. Weights use Xavier-style
@@ -73,14 +86,7 @@ impl Mlp {
     /// Panics if fewer than two layer sizes are given or any size is zero.
     #[must_use]
     pub fn new(layer_sizes: &[usize], seed: u64) -> Self {
-        assert!(
-            layer_sizes.len() >= 2,
-            "need at least input and output sizes"
-        );
-        assert!(
-            layer_sizes.iter().all(|&s| s > 0),
-            "layer sizes must be positive"
-        );
+        check_layer_sizes(layer_sizes);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut weights: Vec<Vec<f64>> = Vec::new();
         let mut biases: Vec<Vec<f64>> = Vec::new();
@@ -94,6 +100,41 @@ impl Mlp {
             );
             biases.push(vec![0.0; n_out]);
         }
+        Self::from_layers(layer_sizes, weights, biases)
+    }
+
+    /// Rebuilds a network from its layer sizes and a flat parameter vector
+    /// in [`Mlp::parameters`] order, drawing no initialization: the inverse
+    /// of [`Mlp::layer_sizes`] and [`Mlp::parameters`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two layer sizes are given, any size is zero, or
+    /// `params` does not hold exactly the parameters of those layers.
+    #[must_use]
+    pub fn from_parameters(layer_sizes: &[usize], params: &[f64]) -> Self {
+        check_layer_sizes(layer_sizes);
+        let mut weights: Vec<Vec<f64>> = Vec::new();
+        let mut biases: Vec<Vec<f64>> = Vec::new();
+        let mut rest = params;
+        for w in layer_sizes.windows(2) {
+            let (n_in, n_out) = (w[0], w[1]);
+            assert!(
+                rest.len() >= n_in * n_out + n_out,
+                "parameter count mismatch"
+            );
+            let (layer_weights, tail) = rest.split_at(n_in * n_out);
+            let (layer_biases, tail) = tail.split_at(n_out);
+            weights.push(layer_weights.to_vec());
+            biases.push(layer_biases.to_vec());
+            rest = tail;
+        }
+        assert!(rest.is_empty(), "parameter count mismatch");
+        Self::from_layers(layer_sizes, weights, biases)
+    }
+
+    /// A network with the given weights and biases and zeroed gradients.
+    fn from_layers(layer_sizes: &[usize], weights: Vec<Vec<f64>>, biases: Vec<Vec<f64>>) -> Self {
         let grad_weights = weights.iter().map(|w| vec![0.0; w.len()]).collect();
         let grad_biases = biases.iter().map(|b| vec![0.0; b.len()]).collect();
         Self {
@@ -361,6 +402,26 @@ mod tests {
         assert_ne!(net.forward(&[0.5, -0.5], &[]), out_before);
         net.set_parameters(&p);
         assert_eq!(net.forward(&[0.5, -0.5], &[]), out_before);
+    }
+
+    #[test]
+    fn from_parameters_round_trips_parameters() {
+        let net = Mlp::new(&[3, 5, 4, 2], 11);
+        let params = net.parameters();
+        let rebuilt = Mlp::from_parameters(net.layer_sizes(), &params);
+        assert_eq!(rebuilt.layer_sizes(), net.layer_sizes());
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rebuilt.parameters()), bits(&params));
+        assert!(rebuilt.gradients().iter().all(|&g| g.to_bits() == 0));
+        let input = [0.25, -1.0, 0.5];
+        assert_eq!(rebuilt.forward(&input, &[]), net.forward(&input, &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter count mismatch")]
+    fn from_parameters_rejects_wrong_length() {
+        let params = Mlp::new(&[2, 3, 1], 1).parameters();
+        let _ = Mlp::from_parameters(&[2, 3, 1], &params[1..]);
     }
 
     #[test]

@@ -194,13 +194,8 @@ impl AdamSnapshot {
         }
     }
 
-    fn restore(&self) -> Adam {
-        Adam::from_raw_state(
-            self.learning_rate,
-            self.m.clone(),
-            self.v.clone(),
-            self.steps,
-        )
+    fn restore(self) -> Adam {
+        Adam::from_raw_state(self.learning_rate, self.m, self.v, self.steps)
     }
 }
 
@@ -338,9 +333,10 @@ impl PpoTrainer {
         }
     }
 
-    /// Reconstructs a trainer from a [`PolicySnapshot`]. The rollout buffer
-    /// starts empty and the action-sampling RNG is seeded from `seed` (pass
-    /// the training run's master seed for a conventional stream); frozen
+    /// Reconstructs a trainer from a [`PolicySnapshot`], moving its vectors
+    /// in and drawing no network initialization. The rollout buffer starts
+    /// empty and the action-sampling RNG is seeded from `seed` (pass the
+    /// training run's master seed for a conventional stream); frozen
     /// policy/value evaluation is bit-identical to the snapshotted trainer.
     ///
     /// # Panics
@@ -348,15 +344,11 @@ impl PpoTrainer {
     /// Panics if the snapshot's parameter vectors do not match its layer
     /// sizes.
     #[must_use]
-    pub fn from_snapshot(snapshot: &PolicySnapshot, seed: u64) -> Self {
-        let mut policy = Mlp::new(&snapshot.policy_layer_sizes, 0);
-        policy.set_parameters(&snapshot.policy_params);
-        let mut value = Mlp::new(&snapshot.value_layer_sizes, 0);
-        value.set_parameters(&snapshot.value_params);
+    pub fn from_snapshot(snapshot: PolicySnapshot, seed: u64) -> Self {
         Self {
-            config: snapshot.config.clone(),
-            policy,
-            value,
+            policy: Mlp::from_parameters(&snapshot.policy_layer_sizes, &snapshot.policy_params),
+            value: Mlp::from_parameters(&snapshot.value_layer_sizes, &snapshot.value_params),
+            config: snapshot.config,
             policy_opt: snapshot.policy_opt.restore(),
             value_opt: snapshot.value_opt.restore(),
             buffer: RolloutBuffer::new(),
@@ -364,7 +356,7 @@ impl PpoTrainer {
             num_actions: snapshot.num_actions,
             total_steps: snapshot.total_steps,
             total_updates: snapshot.total_updates,
-            loss_history: snapshot.loss_history.clone(),
+            loss_history: snapshot.loss_history,
         }
     }
 
@@ -783,7 +775,7 @@ mod tests {
             trainer.update_if_ready();
         }
         let snapshot = trainer.snapshot();
-        let restored = PpoTrainer::from_snapshot(&snapshot, 7);
+        let restored = PpoTrainer::from_snapshot(snapshot.clone(), 7);
         assert_eq!(restored.snapshot(), snapshot, "snapshot is a fixed point");
         assert_eq!(restored.loss_history(), trainer.loss_history());
         assert_eq!(restored.total_steps(), trainer.total_steps());
