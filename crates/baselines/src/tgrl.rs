@@ -73,6 +73,8 @@ impl TestGenerator for Tgrl {
             ..PpoConfig::default()
         };
         let mut trainer = PpoTrainer::new(width, width, &config, self.seed);
+        // The bit-flip action stream, apart from the pattern stream `rng`.
+        let mut action_rng = StdRng::seed_from_u64(self.seed);
         let steps_per_episode = width.clamp(4, 48);
         let mut emitted: Vec<TestPattern> = Vec::new();
 
@@ -84,7 +86,7 @@ impl TestGenerator for Tgrl {
             }
             for _ in 0..steps_per_episode {
                 let state: Vec<f64> = pattern.iter().map(f64::from).collect();
-                let (bit, log_prob, value) = trainer.select_action(&state, &[]);
+                let (bit, log_prob, value) = trainer.policy_step(&state, &[], &mut action_rng);
                 pattern.flip_bit(bit);
                 let score = Self::score(&sim.run(&pattern), analysis);
                 let reward = score - best_score;
@@ -147,6 +149,39 @@ mod tests {
         let short = Tgrl::new(5, 3).generate(&nl, &analysis).len();
         let long = Tgrl::new(40, 3).generate(&nl, &analysis).len();
         assert!(long >= short);
+    }
+
+    /// 64-bit FNV-1a over the pattern count and every pattern's bits.
+    fn patterns_digest(patterns: &[TestPattern]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |byte: u8| {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        };
+        for byte in (patterns.len() as u64).to_le_bytes() {
+            eat(byte);
+        }
+        for p in patterns {
+            for byte in (p.width() as u64).to_le_bytes() {
+                eat(byte);
+            }
+            p.iter().for_each(|bit| eat(u8::from(bit)));
+        }
+        h
+    }
+
+    #[test]
+    fn emitted_patterns_are_pinned() {
+        // Pins TGRL's bit-flip search, and so the `table2` TGRL row: its
+        // PPO action stream, network initialization and update schedule.
+        let nl = BenchmarkProfile::c2670().scaled(25).generate(4);
+        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 2048, 1);
+        let patterns = Tgrl::new(40, 3).generate(&nl, &analysis);
+        assert_eq!(
+            (patterns.len(), patterns_digest(&patterns)),
+            (684, 0xe5b5_85a8_fad9_a2a3),
+            "TGRL output moved"
+        );
     }
 
     #[test]

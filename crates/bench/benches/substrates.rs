@@ -68,11 +68,12 @@ fn ppo_batch(config: &PpoConfig) -> PpoTrainer {
         .map(|_| (0..NETS).map(|_| rng.gen_bool(0.6)).collect())
         .collect();
     let mut trainer = PpoTrainer::new(NETS, NETS, config, 3);
+    let mut action_rng = StdRng::seed_from_u64(3);
     while trainer.pending_transitions() < 256 {
         let mut state = vec![0.0; NETS];
         let mut mask = vec![true; NETS];
         loop {
-            let (action, log_prob, value) = trainer.select_action(&state, &mask);
+            let (action, log_prob, value) = trainer.policy_step(&state, &mask, &mut action_rng);
             let mut next_state = state.clone();
             next_state[action] = 1.0;
             let next_mask: Vec<bool> = (0..NETS)

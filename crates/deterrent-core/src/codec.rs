@@ -772,10 +772,7 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
     let training_seconds = r.f64()?;
     let final_mean_reward = r.f64()?;
     r.done()?;
-    // The restored action-sampling RNG is seeded from the cache key: the
-    // pipeline only uses cached trainers frozen (greedy rollouts), so the
-    // stream is never consumed, but the seed must at least be deterministic.
-    let trainer = PpoTrainer::from_snapshot(snapshot, key);
+    let trainer = PpoTrainer::from_snapshot(snapshot);
     Ok(PolicyArtifact::new(
         key,
         TrainedPolicy {
@@ -1520,6 +1517,8 @@ fn write_atomically(dir: &Path, dest: &Path, parts: &[&[u8]], key: u64) -> bool 
 mod tests {
     use super::*;
     use netlist::synth::BenchmarkProfile;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1822,9 +1821,10 @@ mod tests {
             ..PpoConfig::default()
         };
         let mut trainer = PpoTrainer::new(3, 4, &config, 5);
+        let mut rng = StdRng::seed_from_u64(5);
         let state = vec![1.0, 0.0, 1.0];
         for _ in 0..48 {
-            let (action, log_prob, value) = trainer.select_action(&state, &[]);
+            let (action, log_prob, value) = trainer.policy_step(&state, &[], &mut rng);
             trainer.record(rl::Transition {
                 state: state.clone(),
                 mask: vec![],
@@ -1910,7 +1910,7 @@ mod tests {
             panic!("expected a disk hit");
         };
         let restored = &restored.policy().trainer;
-        let direct = PpoTrainer::from_snapshot(snapshot.clone(), key);
+        let direct = PpoTrainer::from_snapshot(snapshot.clone());
 
         let restored_bits = snapshot_bits(&restored.snapshot());
         assert_eq!(

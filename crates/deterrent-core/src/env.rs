@@ -19,7 +19,9 @@ use crate::{CompatCheck, CompatibilityGraph, DeterrentConfig, RewardMode};
 ///   mode).
 /// * **Masking** (when enabled) restricts the action set to nets that are
 ///   pairwise compatible with the whole current state and not yet members —
-///   Theorem 3.1 of the paper shows this loses nothing.
+///   Theorem 3.1 of the paper shows this loses nothing. The environment
+///   keeps that set incrementally: admitting a net intersects it with the
+///   net's adjacency row.
 ///
 /// Episode-final states are recorded and can be drained with
 /// [`CompatSetEnv::take_harvest`]; they are the maximal compatible sets the
@@ -37,7 +39,9 @@ pub struct CompatSetEnv<'a> {
     oracle: Option<CircuitOracle<'a>>,
     steps_per_episode: usize,
     members: Vec<usize>,
-    membership: Vec<bool>,
+    /// Nets that may still join: not members, and pairwise compatible with
+    /// every member.
+    allowed: Vec<bool>,
     steps_taken: usize,
     rng: StdRng,
     harvest: Vec<Vec<usize>>,
@@ -72,7 +76,7 @@ impl<'a> CompatSetEnv<'a> {
             oracle,
             steps_per_episode: train.steps_per_episode,
             members: Vec::new(),
-            membership: vec![false; graph.len()],
+            allowed: vec![true; graph.len()],
             steps_taken: 0,
             rng: StdRng::seed_from_u64(config.seed ^ 0x05ee_de0f),
             harvest: Vec::new(),
@@ -100,19 +104,32 @@ impl<'a> CompatSetEnv<'a> {
     }
 
     fn observation(&self) -> Vec<f64> {
-        self.membership
-            .iter()
-            .map(|&m| if m { 1.0 } else { 0.0 })
-            .collect()
+        let mut state = vec![0.0; self.graph.len()];
+        for &m in &self.members {
+            state[m] = 1.0;
+        }
+        state
+    }
+
+    /// Adds `net` to the state and narrows `allowed` to the nets that are
+    /// compatible with it too.
+    fn admit(&mut self, net: usize) {
+        let n = self.graph.len();
+        let row = &self.graph.adjacency()[net * n..(net + 1) * n];
+        for (allowed, &compatible) in self.allowed.iter_mut().zip(row) {
+            *allowed &= compatible;
+        }
+        self.allowed[net] = false;
+        self.members.push(net);
     }
 
     fn is_action_compatible(&mut self, action: usize) -> bool {
-        if self.membership[action] {
-            return false;
-        }
         match self.compat_check {
-            CompatCheck::PairwiseGraph => self.graph.compatible_with_all(&self.members, action),
+            CompatCheck::PairwiseGraph => self.allowed[action],
             CompatCheck::ExactSat => {
+                if self.members.contains(&action) {
+                    return false;
+                }
                 self.exact_sat_checks += 1;
                 let mut set = self.members.clone();
                 set.push(action);
@@ -125,33 +142,19 @@ impl<'a> CompatSetEnv<'a> {
         }
     }
 
-    fn no_action_available(&self) -> bool {
-        (0..self.graph.len())
-            .all(|j| self.membership[j] || !self.graph.compatible_with_all(&self.members, j))
-    }
-
     fn finish_episode(&mut self) {
         self.harvest.push(self.members.clone());
     }
 }
 
 impl Environment for CompatSetEnv<'_> {
-    fn state_dim(&self) -> usize {
-        self.graph.len()
-    }
-
-    fn num_actions(&self) -> usize {
-        self.graph.len()
-    }
-
     fn reset(&mut self) -> Vec<f64> {
         self.members.clear();
-        self.membership.iter_mut().for_each(|m| *m = false);
+        self.allowed.fill(true);
         self.steps_taken = 0;
         // The initial state is a singleton containing a random rare net.
         let seed_net = self.rng.gen_range(0..self.graph.len());
-        self.members.push(seed_net);
-        self.membership[seed_net] = true;
+        self.admit(seed_net);
         self.observation()
     }
 
@@ -159,8 +162,7 @@ impl Environment for CompatSetEnv<'_> {
         let compatible = self.is_action_compatible(action);
         let mut reward = 0.0;
         if compatible {
-            self.members.push(action);
-            self.membership[action] = true;
+            self.admit(action);
             if self.reward_mode == RewardMode::AllSteps {
                 let size = self.members.len() as f64;
                 reward = size * size;
@@ -168,7 +170,7 @@ impl Environment for CompatSetEnv<'_> {
         }
         self.steps_taken += 1;
 
-        let exhausted = self.masking && self.no_action_available();
+        let exhausted = self.masking && !self.allowed.contains(&true);
         let done = self.steps_taken >= self.steps_per_episode || exhausted;
         if done {
             if self.reward_mode == RewardMode::EndOfEpisode {
@@ -185,12 +187,11 @@ impl Environment for CompatSetEnv<'_> {
     }
 
     fn action_mask(&self) -> Vec<bool> {
-        if !self.masking {
-            return Vec::new();
+        if self.masking {
+            self.allowed.clone()
+        } else {
+            Vec::new()
         }
-        (0..self.graph.len())
-            .map(|j| !self.membership[j] && self.graph.compatible_with_all(&self.members, j))
-            .collect()
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -320,6 +321,85 @@ mod tests {
                 2,
                 "pairwise-compatible pair is SAT-compatible"
             );
+        }
+    }
+
+    /// The incremental allowed set against its definition. Random episodes
+    /// of arbitrary actions, with masking on and off and under both
+    /// compatibility checks: every mask, admission, `done` flag, SAT count
+    /// and observation matches a recomputation from the member list.
+    #[test]
+    fn allowed_set_matches_a_recomputation_from_the_members() {
+        let (nl, analysis) = setup();
+        let graph = CompatibilityGraph::build(&nl, &analysis, 2);
+        let n = graph.len();
+        let reference = |members: &[usize]| -> Vec<bool> {
+            (0..n)
+                .map(|j| !members.contains(&j) && graph.compatible_with_all(members, j))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(21);
+        for compat_check in [CompatCheck::PairwiseGraph, CompatCheck::ExactSat] {
+            for masking in [true, false] {
+                let mut config =
+                    DeterrentConfig::fast_preset().with_ablation(RewardMode::AllSteps, masking);
+                config.train.compat_check = compat_check;
+                config.train.steps_per_episode = 2 * n;
+                let mut env = CompatSetEnv::new(&nl, &graph, &config);
+                let mut exhausted = 0;
+                for episode in 0..20 {
+                    env.reseed(episode);
+                    env.reset();
+                    for step in 1.. {
+                        let members = env.members().to_vec();
+                        let allowed = reference(&members);
+                        let mask = env.action_mask();
+                        if masking {
+                            assert_eq!(mask, allowed, "mask of {members:?}");
+                        } else {
+                            assert!(mask.is_empty());
+                        }
+                        // Half the actions are legal, half anything at all.
+                        let legal: Vec<usize> = (0..n).filter(|&j| allowed[j]).collect();
+                        let action = if !legal.is_empty() && rng.gen_bool(0.5) {
+                            legal[rng.gen_range(0..legal.len())]
+                        } else {
+                            rng.gen_range(0..n)
+                        };
+                        let checks = env.exact_sat_checks();
+                        let outcome = env.step(action);
+                        let admitted = env.members().len() > members.len();
+                        match compat_check {
+                            CompatCheck::PairwiseGraph => {
+                                assert_eq!(admitted, allowed[action]);
+                                assert_eq!(env.exact_sat_checks(), 0);
+                            }
+                            CompatCheck::ExactSat => {
+                                let asked = u64::from(!members.contains(&action));
+                                assert_eq!(env.exact_sat_checks(), checks + asked);
+                                assert!(!admitted || allowed[action]);
+                            }
+                        }
+                        let now = env.members();
+                        let none_left = !reference(now).contains(&true);
+                        let limit = step >= config.train.steps_per_episode;
+                        assert_eq!(outcome.done, limit || (masking && none_left));
+                        let indicator: Vec<f64> = (0..n)
+                            .map(|j| f64::from(u8::from(now.contains(&j))))
+                            .collect();
+                        assert_eq!(outcome.state, indicator);
+                        if outcome.done {
+                            exhausted += usize::from(masking && none_left);
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(
+                    exhausted > 0,
+                    masking,
+                    "{compat_check:?}, masking {masking}"
+                );
+            }
         }
     }
 

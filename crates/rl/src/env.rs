@@ -1,6 +1,6 @@
-//! Environment interface and a generic episode-based training loop.
+//! Environment interface and the training report.
 
-use crate::{PpoLosses, PpoTrainer, Transition};
+use crate::PpoLosses;
 
 /// Result of one environment step.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,10 +19,6 @@ pub struct StepOutcome {
 /// the trait is deliberately minimal so baselines and tests can provide toy
 /// environments too.
 pub trait Environment {
-    /// Dimension of the observation vector.
-    fn state_dim(&self) -> usize;
-    /// Number of discrete actions.
-    fn num_actions(&self) -> usize;
     /// Starts a new episode and returns the initial observation.
     fn reset(&mut self) -> Vec<f64>;
     /// Applies `action` and returns the outcome.
@@ -40,27 +36,6 @@ pub trait Environment {
     /// thread count. Deterministic environments can ignore it (the default
     /// does nothing).
     fn reseed(&mut self, _seed: u64) {}
-}
-
-/// Options for [`train`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrainOptions {
-    /// Number of episodes to run.
-    pub episodes: usize,
-    /// Maximum steps per episode (episodes may end earlier via `done`).
-    pub max_steps: usize,
-    /// Seed recorded in the report (the trainer carries its own RNG).
-    pub seed: u64,
-}
-
-impl Default for TrainOptions {
-    fn default() -> Self {
-        Self {
-            episodes: 100,
-            max_steps: 64,
-            seed: 0,
-        }
-    }
 }
 
 /// Summary of a training run.
@@ -89,15 +64,6 @@ impl TrainReport {
         window.iter().sum::<f64>() / window.len() as f64
     }
 
-    /// Best (maximum) episode reward seen.
-    #[must_use]
-    pub fn best_reward(&self) -> f64 {
-        self.episode_rewards
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Episodes completed per minute of wall-clock time.
     #[must_use]
     pub fn episodes_per_minute(&self) -> f64 {
@@ -117,72 +83,22 @@ impl TrainReport {
     }
 }
 
-/// Runs the standard episode loop: sample actions from `trainer`, store
-/// transitions, and trigger PPO updates at episode boundaries.
-pub fn train<E: Environment>(
-    env: &mut E,
-    trainer: &mut PpoTrainer,
-    options: &TrainOptions,
-) -> TrainReport {
-    let start = std::time::Instant::now();
-    let mut report = TrainReport::default();
-    for _ in 0..options.episodes {
-        let mut state = env.reset();
-        let mut total_reward = 0.0;
-        let mut steps = 0usize;
-        for _ in 0..options.max_steps {
-            let mask = env.action_mask();
-            if !mask.is_empty() && !mask.iter().any(|&m| m) {
-                break;
-            }
-            let (action, log_prob, value) = trainer.select_action(&state, &mask);
-            let outcome = env.step(action);
-            total_reward += outcome.reward;
-            steps += 1;
-            trainer.record(Transition {
-                state: std::mem::take(&mut state),
-                mask,
-                action,
-                reward: outcome.reward,
-                done: outcome.done,
-                log_prob,
-                value,
-            });
-            state = outcome.state;
-            if outcome.done {
-                break;
-            }
-        }
-        if let Some(losses) = trainer.update_if_ready() {
-            report.losses.push((trainer.total_steps(), losses));
-        }
-        report.episode_rewards.push(total_reward);
-        report.episode_lengths.push(steps);
-    }
-    report.wall_seconds = start.elapsed().as_secs_f64();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PpoConfig;
+    use crate::{train_parallel, ParallelTrainOptions, PpoConfig, PpoTrainer};
+    use exec::Exec;
 
     /// Corridor environment: the agent starts at position 0 and must walk
     /// right (action 1) to reach position `goal`; walking left ends the
     /// episode with no reward.
+    #[derive(Clone)]
     struct Corridor {
         position: usize,
         goal: usize,
     }
 
     impl Environment for Corridor {
-        fn state_dim(&self) -> usize {
-            1
-        }
-        fn num_actions(&self) -> usize {
-            2
-        }
         fn reset(&mut self) -> Vec<f64> {
             self.position = 0;
             vec![0.0]
@@ -215,7 +131,7 @@ mod tests {
 
     #[test]
     fn ppo_solves_corridor() {
-        let mut env = Corridor {
+        let env = Corridor {
             position: 0,
             goal: 4,
         };
@@ -226,21 +142,18 @@ mod tests {
             ..PpoConfig::default()
         };
         let mut trainer = PpoTrainer::new(1, 2, &config, 2);
-        let report = train(
-            &mut env,
-            &mut trainer,
-            &TrainOptions {
-                episodes: 600,
-                max_steps: 8,
-                seed: 0,
-            },
-        );
+        let options = ParallelTrainOptions {
+            episodes: 600,
+            max_steps: 8,
+            round_episodes: 1,
+            seed: 2,
+        };
+        let report = train_parallel(&env, &mut trainer, &options, &Exec::serial(), |_| ()).report;
         assert!(
             report.mean_reward_last(100) > 0.7,
             "agent should learn to walk right: {}",
             report.mean_reward_last(100)
         );
-        assert!(report.best_reward() >= 1.0);
         assert!(report.episodes_per_minute() > 0.0);
         assert!(report.steps_per_minute() > 0.0);
     }
@@ -249,12 +162,6 @@ mod tests {
     fn default_mask_allows_everything() {
         struct NoMask;
         impl Environment for NoMask {
-            fn state_dim(&self) -> usize {
-                1
-            }
-            fn num_actions(&self) -> usize {
-                3
-            }
             fn reset(&mut self) -> Vec<f64> {
                 vec![0.0]
             }

@@ -1,8 +1,7 @@
 //! Proximal Policy Optimization with clipped surrogate objective.
 
 use exec::Exec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::{Activations, Adam, MaskedCategorical, Mlp};
 
@@ -84,42 +83,42 @@ pub struct Transition {
 
 /// Storage for collected transitions plus GAE(λ) post-processing.
 #[derive(Debug, Clone, Default)]
-pub struct RolloutBuffer {
+pub(crate) struct RolloutBuffer {
     transitions: Vec<Transition>,
 }
 
 impl RolloutBuffer {
     /// Creates an empty buffer.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a transition.
-    pub fn push(&mut self, transition: Transition) {
+    pub(crate) fn push(&mut self, transition: Transition) {
         self.transitions.push(transition);
     }
 
     /// Number of stored transitions.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.transitions.len()
     }
 
     /// Returns `true` if no transitions are stored.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.transitions.is_empty()
     }
 
     /// Removes all transitions.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.transitions.clear();
     }
 
     /// The stored transitions.
     #[must_use]
-    pub fn transitions(&self) -> &[Transition] {
+    pub(crate) fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
 
@@ -129,7 +128,7 @@ impl RolloutBuffer {
     /// step is treated as zero, and the buffer is assumed to end on an episode
     /// boundary (the trainer only updates at episode ends).
     #[must_use]
-    pub fn advantages_and_returns(&self, gamma: f64, lambda: f64) -> (Vec<f64>, Vec<f64>) {
+    pub(crate) fn advantages_and_returns(&self, gamma: f64, lambda: f64) -> (Vec<f64>, Vec<f64>) {
         let n = self.transitions.len();
         let mut advantages = vec![0.0; n];
         let mut gae = 0.0;
@@ -204,12 +203,12 @@ impl AdamSnapshot {
 /// continued optimization — network weights, optimizer moments, step/update
 /// counters, and the loss history.
 ///
-/// Deliberately **not** captured: the in-flight [`RolloutBuffer`] (training
-/// rounds always learn from freshly collected episodes) and the
-/// action-sampling RNG state ([`PpoTrainer::from_snapshot`] reseeds it).
-/// Frozen-policy evaluation ([`PpoTrainer::best_action`],
-/// [`PpoTrainer::policy_step`]) is therefore bit-identical between the
-/// original and a restored trainer.
+/// Deliberately **not** captured: the in-flight rollout buffer (training
+/// rounds always learn from freshly collected episodes). The trainer holds
+/// no RNG — [`PpoTrainer::policy_step`] samples with the caller's — so
+/// frozen-policy evaluation ([`PpoTrainer::best_action`],
+/// [`PpoTrainer::policy_step`]) is bit-identical between the original and a
+/// restored trainer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicySnapshot {
     /// Hyper-parameters the trainer was built with.
@@ -245,7 +244,6 @@ pub struct PpoTrainer {
     policy_opt: Adam,
     value_opt: Adam,
     buffer: RolloutBuffer,
-    rng: StdRng,
     num_actions: usize,
     total_steps: u64,
     total_updates: u64,
@@ -254,7 +252,7 @@ pub struct PpoTrainer {
 
 impl PpoTrainer {
     /// Creates a trainer for observations of dimension `state_dim` and
-    /// `num_actions` discrete actions.
+    /// `num_actions` discrete actions. `seed` draws the initial weights.
     ///
     /// # Panics
     ///
@@ -282,7 +280,6 @@ impl PpoTrainer {
             policy_opt,
             value_opt,
             buffer: RolloutBuffer::new(),
-            rng: StdRng::seed_from_u64(seed),
             num_actions,
             total_steps: 0,
             total_updates: 0,
@@ -335,16 +332,15 @@ impl PpoTrainer {
 
     /// Reconstructs a trainer from a [`PolicySnapshot`], moving its vectors
     /// in and drawing no network initialization. The rollout buffer starts
-    /// empty and the action-sampling RNG is seeded from `seed` (pass the
-    /// training run's master seed for a conventional stream); frozen
-    /// policy/value evaluation is bit-identical to the snapshotted trainer.
+    /// empty; frozen policy/value evaluation is bit-identical to the
+    /// snapshotted trainer.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's parameter vectors do not match its layer
     /// sizes.
     #[must_use]
-    pub fn from_snapshot(snapshot: PolicySnapshot, seed: u64) -> Self {
+    pub fn from_snapshot(snapshot: PolicySnapshot) -> Self {
         Self {
             policy: Mlp::from_parameters(&snapshot.policy_layer_sizes, &snapshot.policy_params),
             value: Mlp::from_parameters(&snapshot.value_layer_sizes, &snapshot.value_params),
@@ -352,7 +348,6 @@ impl PpoTrainer {
             policy_opt: snapshot.policy_opt.restore(),
             value_opt: snapshot.value_opt.restore(),
             buffer: RolloutBuffer::new(),
-            rng: StdRng::seed_from_u64(seed),
             num_actions: snapshot.num_actions,
             total_steps: snapshot.total_steps,
             total_updates: snapshot.total_updates,
@@ -361,22 +356,9 @@ impl PpoTrainer {
     }
 
     /// Samples an action for `state` under `mask` (empty slice = no masking)
-    /// and returns `(action, log_prob, value_estimate)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask disallows every action.
-    pub fn select_action(&mut self, state: &[f64], mask: &[bool]) -> (usize, f64, f64) {
-        let mut rng = self.rng.clone();
-        let out = self.policy_step(state, mask, &mut rng);
-        self.rng = rng;
-        out
-    }
-
-    /// Like [`PpoTrainer::select_action`], but samples with the caller's RNG
-    /// and does not mutate the trainer — the building block of parallel
-    /// rollout collection, where worker threads step a *frozen* policy with
-    /// their own seed-split generators.
+    /// with the caller's `rng` and returns `(action, log_prob,
+    /// value_estimate)`. The trainer is not mutated, so rollout workers can
+    /// step one *frozen* policy with their own seed-split generators.
     ///
     /// # Panics
     ///
@@ -602,6 +584,8 @@ fn adam_step(net: &mut Mlp, opt: &mut Adam) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn gae_on_single_episode_matches_hand_computation() {
@@ -667,10 +651,11 @@ mod tests {
             ..PpoConfig::default()
         };
         let mut trainer = PpoTrainer::new(1, 2, &config, 11);
+        let mut rng = StdRng::seed_from_u64(11);
         let state = vec![1.0];
         let mut last_hundred = Vec::new();
         for episode in 0..400 {
-            let (action, log_prob, value) = trainer.select_action(&state, &[]);
+            let (action, log_prob, value) = trainer.policy_step(&state, &[], &mut rng);
             let reward = if action == 1 { 1.0 } else { 0.0 };
             trainer.record(Transition {
                 state: state.clone(),
@@ -697,10 +682,11 @@ mod tests {
 
     #[test]
     fn masked_actions_are_never_selected() {
-        let mut trainer = PpoTrainer::new(2, 4, &PpoConfig::default(), 5);
+        let trainer = PpoTrainer::new(2, 4, &PpoConfig::default(), 5);
+        let mut rng = StdRng::seed_from_u64(5);
         let mask = vec![false, true, false, true];
         for _ in 0..100 {
-            let (a, _, _) = trainer.select_action(&[0.2, -0.3], &mask);
+            let (a, _, _) = trainer.policy_step(&[0.2, -0.3], &mask, &mut rng);
             assert!(mask[a]);
         }
         assert!(mask[trainer.best_action(&[0.2, -0.3], &mask)]);
@@ -712,9 +698,10 @@ mod tests {
         // retain a more stochastic policy (smaller |entropy loss|).
         let run = |config: PpoConfig| -> f64 {
             let mut trainer = PpoTrainer::new(1, 2, &config, 3);
+            let mut rng = StdRng::seed_from_u64(3);
             let state = vec![1.0];
             for _ in 0..200 {
-                let (action, log_prob, value) = trainer.select_action(&state, &[]);
+                let (action, log_prob, value) = trainer.policy_step(&state, &[], &mut rng);
                 let reward = if action == 1 { 1.0 } else { 0.0 };
                 trainer.record(Transition {
                     state: state.clone(),
@@ -760,9 +747,10 @@ mod tests {
             ..PpoConfig::default()
         };
         let mut trainer = PpoTrainer::new(2, 3, &config, 7);
+        let mut rng = StdRng::seed_from_u64(7);
         let state = vec![0.4, -0.1];
         for _ in 0..40 {
-            let (action, log_prob, value) = trainer.select_action(&state, &[]);
+            let (action, log_prob, value) = trainer.policy_step(&state, &[], &mut rng);
             trainer.record(Transition {
                 state: state.clone(),
                 mask: vec![],
@@ -775,7 +763,7 @@ mod tests {
             trainer.update_if_ready();
         }
         let snapshot = trainer.snapshot();
-        let restored = PpoTrainer::from_snapshot(snapshot.clone(), 7);
+        let restored = PpoTrainer::from_snapshot(snapshot.clone());
         assert_eq!(restored.snapshot(), snapshot, "snapshot is a fixed point");
         assert_eq!(restored.loss_history(), trainer.loss_history());
         assert_eq!(restored.total_steps(), trainer.total_steps());
@@ -784,9 +772,8 @@ mod tests {
             restored.best_action(&state, &[]),
             trainer.best_action(&state, &[])
         );
-        use rand::SeedableRng;
-        let mut a = rand::rngs::StdRng::seed_from_u64(99);
-        let mut b = rand::rngs::StdRng::seed_from_u64(99);
+        let mut a = StdRng::seed_from_u64(99);
+        let mut b = StdRng::seed_from_u64(99);
         assert_eq!(
             trainer.policy_step(&state, &[], &mut a),
             restored.policy_step(&state, &[], &mut b),

@@ -1,9 +1,7 @@
 //! Deterministic parallel episode collection and the frozen-policy PPO
-//! training loop built on it.
+//! training loop built on it — the crate's only episode loop.
 //!
-//! The serial [`crate::train`] loop interleaves sampling and learning one
-//! episode at a time. To use more than one core, [`train_parallel`] instead
-//! alternates two phases:
+//! [`train_parallel`] alternates two phases:
 //!
 //! 1. **Collect.** A fixed-size *round* of episodes is rolled out against a
 //!    frozen snapshot of the policy, fanned out over worker threads
@@ -45,16 +43,15 @@ pub struct CollectOptions {
     /// rounds, evaluation sweeps) draw disjoint stream ranges from one
     /// master seed.
     pub first_episode: u64,
-    /// `true` rolls out the greedy policy (argmax, no sampling); the
-    /// recorded `log_prob`/`value` fields are zero and the trajectories are
-    /// meant for harvesting, not learning.
+    /// `true` rolls out the greedy policy (argmax, no sampling) and records
+    /// no transitions: the episodes are meant for harvesting, not learning.
     pub greedy: bool,
 }
 
 /// One collected episode, in the order the steps happened.
 #[derive(Debug, Clone)]
 pub struct EpisodeOutcome<H> {
-    /// The episode's transitions.
+    /// The episode's transitions (empty for greedy rollouts).
     pub transitions: Vec<Transition>,
     /// Sum of the rewards.
     pub total_reward: f64,
@@ -94,22 +91,25 @@ where
             if !mask.is_empty() && !mask.iter().any(|&m| m) {
                 break;
             }
-            let (action, log_prob, value) = if options.greedy {
-                (trainer.best_action(&state, &mask), 0.0, 0.0)
+            let (action, sampled) = if options.greedy {
+                (trainer.best_action(&state, &mask), None)
             } else {
-                trainer.policy_step(&state, &mask, &mut rng)
+                let (action, log_prob, value) = trainer.policy_step(&state, &mask, &mut rng);
+                (action, Some((log_prob, value)))
             };
             let outcome = env.step(action);
             total_reward += outcome.reward;
-            transitions.push(Transition {
-                state: std::mem::take(&mut state),
-                mask,
-                action,
-                reward: outcome.reward,
-                done: outcome.done,
-                log_prob,
-                value,
-            });
+            if let Some((log_prob, value)) = sampled {
+                transitions.push(Transition {
+                    state: std::mem::take(&mut state),
+                    mask,
+                    action,
+                    reward: outcome.reward,
+                    done: outcome.done,
+                    log_prob,
+                    value,
+                });
+            }
             state = outcome.state;
             if outcome.done {
                 break;
@@ -216,12 +216,6 @@ mod tests {
     }
 
     impl Environment for SeededBandit {
-        fn state_dim(&self) -> usize {
-            1
-        }
-        fn num_actions(&self) -> usize {
-            2
-        }
         fn reset(&mut self) -> Vec<f64> {
             vec![self.paying_arm as f64]
         }
@@ -242,12 +236,6 @@ mod tests {
     struct Stuck;
 
     impl Environment for Stuck {
-        fn state_dim(&self) -> usize {
-            1
-        }
-        fn num_actions(&self) -> usize {
-            2
-        }
         fn reset(&mut self) -> Vec<f64> {
             vec![0.0]
         }
@@ -358,22 +346,62 @@ mod tests {
         assert_eq!(concat, transitions_digest(&all));
     }
 
+    /// A [`SeededBandit`] that logs the actions it is given, so a harvest
+    /// shows what a rollout chose.
+    #[derive(Clone)]
+    struct Logged {
+        bandit: SeededBandit,
+        actions: Vec<usize>,
+    }
+
+    impl Environment for Logged {
+        fn reset(&mut self) -> Vec<f64> {
+            self.bandit.reset()
+        }
+        fn step(&mut self, action: usize) -> StepOutcome {
+            self.actions.push(action);
+            self.bandit.step(action)
+        }
+        fn reseed(&mut self, seed: u64) {
+            self.bandit.reseed(seed);
+        }
+    }
+
     #[test]
     fn greedy_mode_is_deterministic_and_skips_sampling() {
-        let proto = SeededBandit { paying_arm: 1 };
+        let proto = Logged {
+            bandit: SeededBandit { paying_arm: 1 },
+            actions: Vec::new(),
+        };
         let trainer = PpoTrainer::new(1, 2, &PpoConfig::default(), 5);
         let options = CollectOptions {
-            count: 6,
-            max_steps: 1,
+            count: 12,
+            max_steps: 3,
             seed: 1,
             first_episode: 0,
             greedy: true,
         };
-        let a = collect_episodes(&proto, &trainer, &options, &Exec::new(3), |_| ());
-        let b = collect_episodes(&proto, &trainer, &options, &Exec::serial(), |_| ());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.transitions[0].action, y.transitions[0].action);
-            assert_eq!(x.transitions[0].log_prob, 0.0);
+        let harvests = |threads| {
+            collect_episodes(&proto, &trainer, &options, &Exec::new(threads), |env| {
+                (env.bandit.paying_arm, std::mem::take(&mut env.actions))
+            })
+            .into_iter()
+            .map(|episode| {
+                assert!(
+                    episode.transitions.is_empty(),
+                    "greedy keeps no transitions"
+                );
+                episode.harvest
+            })
+            .collect::<Vec<_>>()
+        };
+        let serial = harvests(1);
+        for threads in [3, 7] {
+            assert_eq!(serial, harvests(threads), "{threads} threads");
+        }
+        // Every episode took the policy's argmax, not a sample.
+        for (arm, actions) in &serial {
+            assert_eq!(actions, &[trainer.best_action(&[*arm as f64], &[])]);
         }
     }
 
