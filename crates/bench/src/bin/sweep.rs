@@ -51,11 +51,8 @@ fn stages_json(before: &StoreCounters, after: &StoreCounters) -> String {
         .iter()
         .zip(before.stages().iter())
         .map(|((stage, a), (_, b))| {
-            let (hits, disk_hits, computed) = (
-                a.hits - b.hits,
-                a.disk_hits - b.disk_hits,
-                a.misses - b.misses,
-            );
+            let delta = a.since(*b);
+            let (hits, disk_hits, computed) = (delta.hits, delta.disk_hits, delta.misses);
             let lookups = hits + disk_hits + computed;
             let rate = if lookups == 0 {
                 0.0

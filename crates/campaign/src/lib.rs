@@ -713,59 +713,23 @@ fn finish_run_span(
         run_span.attr_u64("failed", tally[3]);
         let counters_after = store.counters();
         for (stage, after) in counters_after.stages() {
-            let before = counters_before.stage(stage);
+            let delta = after.since(counters_before.stage(stage));
             let name = stage.name();
-            run_span.vary_u64(
-                &format!("store.{name}.mem_hits"),
-                after.hits.saturating_sub(before.hits),
-            );
-            run_span.vary_u64(
-                &format!("store.{name}.computed"),
-                after.misses.saturating_sub(before.misses),
-            );
-            run_span.vary_u64(
-                &format!("store.{name}.disk_hits"),
-                after.disk_hits.saturating_sub(before.disk_hits),
-            );
-            run_span.vary_u64(
-                &format!("store.{name}.disk_misses"),
-                after.disk_misses.saturating_sub(before.disk_misses),
-            );
-            run_span.vary_u64(
-                &format!("store.{name}.disk_corrupt"),
-                after.disk_corrupt.saturating_sub(before.disk_corrupt),
-            );
+            run_span.vary_u64(&format!("store.{name}.mem_hits"), delta.hits);
+            run_span.vary_u64(&format!("store.{name}.computed"), delta.misses);
+            run_span.vary_u64(&format!("store.{name}.disk_hits"), delta.disk_hits);
+            run_span.vary_u64(&format!("store.{name}.disk_misses"), delta.disk_misses);
+            run_span.vary_u64(&format!("store.{name}.disk_corrupt"), delta.disk_corrupt);
         }
-        let events_after = store.cache_events();
-        run_span.vary_u64(
-            "cache.corrupt",
-            events_after.corrupt.saturating_sub(events_before.corrupt),
-        );
-        run_span.vary_u64(
-            "cache.version_mismatch",
-            events_after
-                .version_mismatch
-                .saturating_sub(events_before.version_mismatch),
-        );
-        run_span.vary_u64("cache.io", events_after.io.saturating_sub(events_before.io));
-        run_span.vary_u64(
-            "cache.evictions",
-            events_after
-                .budget_evictions
-                .saturating_sub(events_before.budget_evictions),
-        );
-        run_span.vary_u64(
-            "exec.calls",
-            exec_after.calls.saturating_sub(exec_before.calls),
-        );
-        run_span.vary_u64(
-            "exec.tasks",
-            exec_after.tasks.saturating_sub(exec_before.tasks),
-        );
-        run_span.vary_u64(
-            "exec.busy_nanos",
-            exec_after.busy_nanos.saturating_sub(exec_before.busy_nanos),
-        );
+        let events = store.cache_events().since(*events_before);
+        run_span.vary_u64("cache.corrupt", events.corrupt);
+        run_span.vary_u64("cache.version_mismatch", events.version_mismatch);
+        run_span.vary_u64("cache.io", events.io);
+        run_span.vary_u64("cache.evictions", events.budget_evictions);
+        let exec = exec_after.since(exec_before);
+        run_span.vary_u64("exec.calls", exec.calls);
+        run_span.vary_u64("exec.tasks", exec.tasks);
+        run_span.vary_u64("exec.busy_nanos", exec.busy_nanos);
     }
     run_span.close();
 }

@@ -653,6 +653,21 @@ pub struct StageCounters {
     pub disk_corrupt: u64,
 }
 
+impl StageCounters {
+    /// The lookups between `before` and `self`, each counter saturating at
+    /// zero.
+    #[must_use]
+    pub fn since(self, before: StageCounters) -> StageCounters {
+        StageCounters {
+            hits: self.hits.saturating_sub(before.hits),
+            misses: self.misses.saturating_sub(before.misses),
+            disk_hits: self.disk_hits.saturating_sub(before.disk_hits),
+            disk_misses: self.disk_misses.saturating_sub(before.disk_misses),
+            disk_corrupt: self.disk_corrupt.saturating_sub(before.disk_corrupt),
+        }
+    }
+}
+
 /// Per-stage hit/miss counters of an [`ArtifactStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
@@ -1040,6 +1055,35 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use netlist::synth::BenchmarkProfile;
+
+    #[test]
+    fn stage_counters_since_subtracts_every_counter_and_saturates() {
+        let before = StageCounters {
+            hits: 1,
+            misses: 2,
+            disk_hits: 3,
+            disk_misses: 4,
+            disk_corrupt: 5,
+        };
+        let after = StageCounters {
+            hits: 11,
+            misses: 2,
+            disk_hits: 6,
+            disk_misses: 10,
+            disk_corrupt: 0,
+        };
+        let delta = after.since(before);
+        assert_eq!(
+            delta,
+            StageCounters {
+                hits: 10,
+                misses: 0,
+                disk_hits: 3,
+                disk_misses: 6,
+                disk_corrupt: 0,
+            }
+        );
+    }
 
     #[test]
     fn stage_names_are_stable() {

@@ -160,6 +160,22 @@ pub struct CacheEvents {
 }
 
 impl CacheEvents {
+    /// The events between `before` and `self`, each kind saturating at
+    /// zero.
+    #[must_use]
+    pub fn since(self, before: CacheEvents) -> CacheEvents {
+        CacheEvents {
+            corrupt: self.corrupt.saturating_sub(before.corrupt),
+            version_mismatch: self
+                .version_mismatch
+                .saturating_sub(before.version_mismatch),
+            io: self.io.saturating_sub(before.io),
+            budget_evictions: self
+                .budget_evictions
+                .saturating_sub(before.budget_evictions),
+        }
+    }
+
     /// Total failure events across all kinds.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -460,6 +476,32 @@ pub fn verify(root: &Path, heal: bool) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_events_since_subtracts_every_kind_and_saturates() {
+        let before = CacheEvents {
+            corrupt: 1,
+            version_mismatch: 2,
+            io: 3,
+            budget_evictions: 9,
+        };
+        let after = CacheEvents {
+            corrupt: 4,
+            version_mismatch: 2,
+            io: 7,
+            budget_evictions: 5,
+        };
+        let delta = after.since(before);
+        assert_eq!(
+            delta,
+            CacheEvents {
+                corrupt: 3,
+                version_mismatch: 0,
+                io: 4,
+                budget_evictions: 0,
+            }
+        );
+    }
 
     #[test]
     fn parse_bytes_handles_suffixes_and_rejects_garbage() {

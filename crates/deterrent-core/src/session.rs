@@ -243,46 +243,27 @@ impl<'a> DeterrentSession<'a> {
         span.attr_str("stage", stage.name());
         span.attr_u64("items", items);
         span.vary("cache_hit", telemetry::Value::Bool(cache_hit));
-        let exec = self.exec.stats();
-        span.vary_u64(
-            "exec_calls",
-            exec.calls.saturating_sub(trace.exec_before.calls),
-        );
-        span.vary_u64(
-            "exec_tasks",
-            exec.tasks.saturating_sub(trace.exec_before.tasks),
-        );
+        let exec = self.exec.stats().since(trace.exec_before);
+        span.vary_u64("exec_calls", exec.calls);
+        span.vary_u64("exec_tasks", exec.tasks);
         let wall_ns = wall.as_nanos() as u64;
         span.vary_u64("wall_ns", wall_ns);
-        span.vary_u64(
-            "exec_busy_ns",
-            exec.busy_nanos.saturating_sub(trace.exec_before.busy_nanos),
-        );
-        let c = self.store.counters().stage(stage);
-        let b = trace.counters_before;
-        span.vary_u64("store_mem_hits", c.hits.saturating_sub(b.hits));
-        span.vary_u64("store_computed", c.misses.saturating_sub(b.misses));
-        span.vary_u64("store_disk_hits", c.disk_hits.saturating_sub(b.disk_hits));
-        span.vary_u64(
-            "store_disk_misses",
-            c.disk_misses.saturating_sub(b.disk_misses),
-        );
-        span.vary_u64(
-            "store_disk_corrupt",
-            c.disk_corrupt.saturating_sub(b.disk_corrupt),
-        );
-        let e = self.store.cache_events();
-        let eb = trace.events_before;
-        span.vary_u64("cache_corrupt", e.corrupt.saturating_sub(eb.corrupt));
-        span.vary_u64(
-            "cache_version_mismatch",
-            e.version_mismatch.saturating_sub(eb.version_mismatch),
-        );
-        span.vary_u64("cache_io", e.io.saturating_sub(eb.io));
-        span.vary_u64(
-            "cache_evictions",
-            e.budget_evictions.saturating_sub(eb.budget_evictions),
-        );
+        span.vary_u64("exec_busy_ns", exec.busy_nanos);
+        let c = self
+            .store
+            .counters()
+            .stage(stage)
+            .since(trace.counters_before);
+        span.vary_u64("store_mem_hits", c.hits);
+        span.vary_u64("store_computed", c.misses);
+        span.vary_u64("store_disk_hits", c.disk_hits);
+        span.vary_u64("store_disk_misses", c.disk_misses);
+        span.vary_u64("store_disk_corrupt", c.disk_corrupt);
+        let e = self.store.cache_events().since(trace.events_before);
+        span.vary_u64("cache_corrupt", e.corrupt);
+        span.vary_u64("cache_version_mismatch", e.version_mismatch);
+        span.vary_u64("cache_io", e.io);
+        span.vary_u64("cache_evictions", e.budget_evictions);
         let io = self.store.disk_io(stage).since(trace.io_before);
         span.vary_u64("store_read_bytes", io.read_bytes);
         span.vary_u64("store_written_bytes", io.written_bytes);

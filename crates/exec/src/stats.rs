@@ -22,6 +22,18 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
+    /// The work done between `before` and `self`, each field saturating at
+    /// zero.
+    #[must_use]
+    pub fn since(self, before: ExecStats) -> ExecStats {
+        ExecStats {
+            calls: self.calls.saturating_sub(before.calls),
+            tasks: self.tasks.saturating_sub(before.tasks),
+            busy_nanos: self.busy_nanos.saturating_sub(before.busy_nanos),
+            wall_nanos: self.wall_nanos.saturating_sub(before.wall_nanos),
+        }
+    }
+
     /// Realized speedup: worker-busy time divided by call wall time.
     ///
     /// Returns 1.0 when nothing has run yet.
@@ -84,5 +96,32 @@ mod tests {
         assert_eq!(s.wall_nanos, 100);
         assert_eq!(s.busy_nanos, 300);
         assert!((s.speedup() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn since_subtracts_every_field_and_saturates() {
+        let before = ExecStats {
+            calls: 1,
+            tasks: 10,
+            busy_nanos: 300,
+            wall_nanos: 100,
+        };
+        let after = ExecStats {
+            calls: 3,
+            tasks: 25,
+            busy_nanos: 900,
+            wall_nanos: 50,
+        };
+        let delta = after.since(before);
+        assert_eq!(
+            delta,
+            ExecStats {
+                calls: 2,
+                tasks: 15,
+                busy_nanos: 600,
+                wall_nanos: 0,
+            }
+        );
+        assert_eq!(before.since(after).calls, 0);
     }
 }

@@ -1,13 +1,15 @@
-//! Single-pass compacting probability estimation.
+//! The single compacting simulation pass behind every witness bank.
 //!
-//! [`SignalProbabilities::estimate`] discards its simulation words, forcing a
-//! second full replay of the pattern stream when witnesses are harvested
-//! afterwards ([`crate::WitnessBank::harvest`]), while
-//! [`SignalProbabilities::estimate_retaining`] keeps *every* word —
-//! O(gates · patterns/64) memory. This module gets both properties at once:
-//! one simulation pass that keeps the raw words only of nets that can still
-//! be *rare* at some threshold ≤ `retain`, dropping a net's buffered words
-//! the moment both of its logic values have provably been seen too often.
+//! Rare-net analysis needs two things from one pattern stream: the signal
+//! probability of every net, and a witness row for every net that turns out
+//! rare. Which nets are rare is known only once the whole stream has been
+//! counted, and buffering every net's words until then costs
+//! O(gates · patterns/64) memory. This pass keeps the raw words only of nets
+//! that can still be *rare* at some threshold ≤ `retain`, dropping a net's
+//! buffered words the moment both of its logic values have provably been
+//! seen too often. Random estimation ([`crate::RareNetEstimate`]) and
+//! exhaustive analysis ([`crate::rare::RareNetAnalysis::exhaustive`]) both
+//! run it, over their [`PatternSource`].
 //!
 //! The drop rule is sound under any chunk partitioning: workers publish
 //! their one/zero counts to shared monotone counters, and a net is dropped
@@ -16,102 +18,40 @@
 //! so a net whose rarer value ends below `retain` can never satisfy the rule
 //! on any worker — its words survive in full. Which non-rare nets get
 //! dropped *when* depends on scheduling, so only memory varies with thread
-//! count; the returned probabilities and the retained-net word rows are
-//! bit-identical to [`SignalProbabilities::estimate_retaining_with`] at any
-//! thread count.
+//! count; the probabilities equal [`SignalProbabilities::estimate_with`]'s
+//! and the bank rows equal [`crate::WitnessBank::harvest_with`]'s replay,
+//! bit for bit, at any thread count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use exec::{split_seed, Exec};
+use exec::Exec;
 use netlist::{GateKind, NetId, Netlist};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::{PackedValues, SignalProbabilities, Simulator};
+use crate::rare::collect_rare;
+use crate::{PackedValues, PatternSource, SignalProbabilities, Simulator, WitnessBank};
 
-/// The compacted outcome of a single-pass estimation run: full-length packed
-/// word rows for exactly the nets whose rarer logic value has estimated
-/// probability `< retain`, plus the memory high-water mark of the pass.
-#[derive(Debug, Clone)]
-pub struct CompactTrace {
-    retain: f64,
-    num_chunks: usize,
-    num_patterns: usize,
-    /// Retained nets in ascending [`NetId`] order.
-    nets: Vec<NetId>,
-    /// Row-major: `words[i * num_chunks + c]` is chunk `c` of `nets[i]`.
-    words: Vec<u64>,
-    peak_words: usize,
-}
-
-impl CompactTrace {
-    /// The retention threshold: every net with `min(p, 1-p) < retain` (and
-    /// eligible for rareness — not an input or flip-flop) has a full row.
-    #[must_use]
-    pub fn retain(&self) -> f64 {
-        self.retain
-    }
-
-    /// Number of 64-pattern chunks per retained row.
-    #[must_use]
-    pub fn num_chunks(&self) -> usize {
-        self.num_chunks
-    }
-
-    /// Total number of simulated patterns.
-    #[must_use]
-    pub fn num_patterns(&self) -> usize {
-        self.num_patterns
-    }
-
-    /// The retained nets, in ascending id order.
-    #[must_use]
-    pub fn nets(&self) -> &[NetId] {
-        &self.nets
-    }
-
-    /// The packed word of `net` in `chunk`, or `None` when the net was not
-    /// retained (its rarer value was too common at the `retain` threshold).
-    #[must_use]
-    pub fn word(&self, chunk: usize, net: NetId) -> Option<u64> {
-        let i = self.nets.binary_search(&net).ok()?;
-        Some(self.words[i * self.num_chunks + chunk])
-    }
-
-    /// Upper bound on the number of packed words simultaneously buffered at
-    /// any point of the pass (sum of the per-worker high-water marks). The
-    /// whole point of compaction: strictly below the
-    /// `gates × patterns/64` a full [`crate::SimTrace`] retention costs.
-    #[must_use]
-    pub fn peak_words(&self) -> usize {
-        self.peak_words
-    }
-}
-
-/// Estimates signal probabilities and harvests the retained word rows in a
-/// single simulation pass over the standard seed-split chunk streams (see
-/// [`SignalProbabilities::estimate_with`] — the probabilities are
-/// bit-identical to it, at any thread count).
+/// Simulates chunks `0..chunks` of `source` once, returning the signal
+/// probabilities, the [`WitnessBank`] of every net rare at `retain` (in
+/// [`collect_rare`] order, each row oriented to the rare value with padding
+/// bits cleared), and the memory high-water mark of the pass: the sum of the
+/// per-worker peaks of simultaneously buffered packed words.
 ///
 /// # Panics
 ///
-/// Panics if `num_patterns` is zero or `retain` is not in `(0, 0.5]`.
-#[must_use]
-pub fn estimate_compacting_with(
+/// Panics if `retain` is not in `(0, 0.5]`.
+pub(crate) fn compacting_pass(
     netlist: &Netlist,
-    num_patterns: usize,
-    seed: u64,
+    source: &PatternSource,
+    chunks: usize,
     retain: f64,
     exec: &Exec,
-) -> (SignalProbabilities, CompactTrace) {
-    assert!(num_patterns > 0, "need at least one pattern");
+) -> (SignalProbabilities, WitnessBank, usize) {
     assert!(
         retain > 0.0 && retain <= 0.5,
         "retention threshold must be in (0, 0.5]"
     );
-    let chunks = num_patterns.div_ceil(64);
     let n = netlist.num_gates();
-    let total = chunks * 64;
+    let total: usize = (0..chunks).map(|c| source.chunk_len(c)).sum();
     // Only internal combinational nets can be rare (inputs and flip-flops
     // are excluded from rare-net analysis), so only they need word rows.
     let candidate: Vec<bool> = netlist
@@ -139,37 +79,35 @@ pub fn estimate_compacting_with(
             .collect();
         let mut live_words = 0usize;
         let mut peak = 0usize;
-        let block_len = range.len();
+        let start = range.start;
         for c in range {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, c as u64));
-            sim.run_random_batch_into(&mut rng, &mut packed);
+            sim.run_chunk_into(source, c, &mut packed);
+            let len = source.chunk_len(c) as u64;
             for (id, _) in netlist.iter() {
                 let i = id.index();
-                let word = packed.word(id);
-                let w_ones = u64::from(word.count_ones());
+                let w_ones = u64::from(packed.count_ones(id));
                 ones[i] += w_ones;
                 if !candidate[i] {
                     continue;
                 }
                 let obs_ones = seen_ones[i].fetch_add(w_ones, Ordering::Relaxed) + w_ones;
                 let obs_zeros =
-                    seen_zeros[i].fetch_add(64 - w_ones, Ordering::Relaxed) + (64 - w_ones);
+                    seen_zeros[i].fetch_add(len - w_ones, Ordering::Relaxed) + (len - w_ones);
                 if let Some(row) = rows[i].as_mut() {
                     if one_side_common(obs_ones) && zero_side_common(obs_zeros) {
                         live_words -= row.len();
                         rows[i] = None;
                     } else {
-                        row.push(word);
+                        row.push(packed.word(id));
                         live_words += 1;
                         peak = peak.max(live_words);
                     }
                 }
             }
         }
-        (block_len, ones, rows, peak)
+        (start, ones, rows, peak)
     });
-    // Deterministic merge: per-net one-counts add up in chunk order exactly
-    // as in `SignalProbabilities::estimate_with`.
+    // Deterministic merge: per-net one-counts add up in chunk order.
     let mut ones = vec![0u64; n];
     let mut peak_words = 0usize;
     for (_, block_ones, _, peak) in &blocks {
@@ -180,52 +118,51 @@ pub fn estimate_compacting_with(
     }
     let prob_one: Vec<f64> = ones.iter().map(|&c| c as f64 / total as f64).collect();
     let probabilities = SignalProbabilities::from_raw_parts(prob_one, total);
-    // Final retention is decided only by the final probabilities — never by
-    // what the workers happened to drop — so the retained set and its rows
-    // are identical at any thread count.
-    let nets: Vec<NetId> = netlist
+    // The bank's nets are decided only by the final probabilities — never by
+    // what the workers happened to drop — so its targets and rows are
+    // identical at any thread count.
+    let targets: Vec<(NetId, bool)> = collect_rare(netlist, retain, &probabilities)
         .iter()
-        .filter(|(id, _)| candidate[id.index()] && probabilities.rare_value(*id).1 < retain)
-        .map(|(id, _)| id)
+        .map(|r| (r.net, r.rare_value))
         .collect();
-    let mut words = vec![0u64; nets.len() * chunks];
-    let mut chunk_base = 0usize;
-    for (block_len, _, block_rows, _) in &blocks {
-        for (i, net) in nets.iter().enumerate() {
+    let mut rows = vec![0u64; targets.len() * chunks];
+    for (start, _, block_rows, _) in &blocks {
+        for (t, &(net, value)) in targets.iter().enumerate() {
             let row = block_rows[net.index()]
                 .as_ref()
                 .expect("a net rare at `retain` is never dropped by any worker");
-            debug_assert_eq!(row.len(), *block_len);
-            words[i * chunks + chunk_base..i * chunks + chunk_base + row.len()]
-                .copy_from_slice(row);
+            for (c, &word) in (*start..).zip(row) {
+                let oriented = if value { word } else { !word };
+                rows[t * chunks + c] = oriented & (u64::MAX >> (64 - source.chunk_len(c)));
+            }
         }
-        chunk_base += block_len;
     }
-    debug_assert_eq!(chunk_base, chunks);
-    (
-        probabilities,
-        CompactTrace {
-            retain,
-            num_chunks: chunks,
-            num_patterns: total,
-            nets,
-            words,
-            peak_words,
-        },
-    )
+    let bank = WitnessBank::from_raw_parts(targets, chunks, total, rows, Some(*source));
+    (probabilities, bank, peak_words)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::witness::WitnessBank;
+    use crate::RareNetEstimate;
     use netlist::synth::BenchmarkProfile;
+
+    fn random_pass(
+        nl: &Netlist,
+        num_patterns: usize,
+        seed: u64,
+        retain: f64,
+        exec: &Exec,
+    ) -> (SignalProbabilities, WitnessBank, usize) {
+        let (source, chunks) = PatternSource::random(nl, num_patterns, seed);
+        compacting_pass(nl, &source, chunks, retain, exec)
+    }
 
     #[test]
     fn probabilities_match_plain_estimation_bit_exactly() {
         let nl = BenchmarkProfile::c2670().scaled(10).generate(4);
         let plain = SignalProbabilities::estimate(&nl, 2048, 7);
-        let (compact, _) = estimate_compacting_with(&nl, 2048, 7, 0.25, &Exec::serial());
+        let (compact, _, _) = random_pass(&nl, 2048, 7, 0.25, &Exec::serial());
         assert_eq!(plain.as_slice(), compact.as_slice());
         assert_eq!(plain.num_patterns(), compact.num_patterns());
     }
@@ -233,17 +170,29 @@ mod tests {
     #[test]
     fn retained_rows_match_full_trace_at_any_thread_count() {
         let nl = BenchmarkProfile::c6288().scaled(10).generate(9);
-        let (probs, full) = SignalProbabilities::estimate_retaining(&nl, 1024, 5);
+        let probs = SignalProbabilities::estimate(&nl, 1024, 5);
+        // The full trace: every net's word of every chunk, kept by the test.
+        let (source, chunks) = PatternSource::random(&nl, 1024, 5);
+        let sim = Simulator::new(&nl);
+        let mut packed = PackedValues::scratch();
+        let full: Vec<Vec<u64>> = (0..chunks)
+            .map(|c| {
+                sim.run_chunk_into(&source, c, &mut packed);
+                nl.iter().map(|(id, _)| packed.word(id)).collect()
+            })
+            .collect();
         for threads in [1, 2, 4] {
-            let exec = Exec::new(threads);
-            let (p, trace) = estimate_compacting_with(&nl, 1024, 5, 0.25, &exec);
+            let (p, bank, _) = compacting_pass(&nl, &source, chunks, 0.25, &Exec::new(threads));
             assert_eq!(p.as_slice(), probs.as_slice(), "{threads} threads");
-            for &net in trace.nets() {
+            assert!(!bank.is_empty(), "expected rare nets at retain 0.25");
+            for (t, &(net, value)) in bank.targets().iter().enumerate() {
                 assert!(p.rare_value(net).1 < 0.25);
-                for c in 0..trace.num_chunks() {
+                for (c, words) in full.iter().enumerate() {
+                    let word = words[net.index()];
+                    let expected = if value { word } else { !word };
                     assert_eq!(
-                        trace.word(c, net),
-                        Some(full.word(c, net)),
+                        bank.row(t)[c],
+                        expected & (u64::MAX >> (64 - source.chunk_len(c))),
                         "{threads} threads, chunk {c}, net {net}"
                     );
                 }
@@ -254,60 +203,57 @@ mod tests {
     #[test]
     fn retained_set_is_exactly_the_sub_retain_nets() {
         let nl = BenchmarkProfile::c2670().scaled(10).generate(4);
-        let (probs, trace) = estimate_compacting_with(&nl, 4096, 2, 0.2, &Exec::serial());
+        let (probs, bank, _) = random_pass(&nl, 4096, 2, 0.2, &Exec::serial());
         for (id, gate) in nl.iter() {
             let eligible = !matches!(gate.kind, GateKind::Input | GateKind::Dff);
-            let rare = probs.rare_value(id).1 < 0.2;
-            assert_eq!(
-                trace.nets().binary_search(&id).is_ok(),
-                eligible && rare,
-                "net {id}"
-            );
+            let (rare_value, p) = probs.rare_value(id);
+            let expected = (eligible && p < 0.2).then_some((id, rare_value));
+            let banked = bank.targets().iter().find(|&&(net, _)| net == id);
+            assert_eq!(banked.copied(), expected, "net {id}");
         }
     }
 
     #[test]
     fn peak_retained_words_stay_strictly_below_full_retention() {
-        // The acceptance bound of the compacting harvest: the memory
+        // The acceptance bound of the compacting pass: the memory
         // high-water mark must be strictly below the O(gates · patterns/64)
-        // words a full SimTrace retention would hold.
+        // words that buffering every net's words would hold.
         let nl = BenchmarkProfile::c2670().scaled(10).generate(4);
         let patterns = 8192;
         let chunks = patterns / 64;
-        let (_, trace) = estimate_compacting_with(&nl, patterns, 2, 0.25, &Exec::serial());
+        let (_, _, peak) = random_pass(&nl, patterns, 2, 0.25, &Exec::serial());
         let full_retention = nl.num_gates() * chunks;
         assert!(
-            trace.peak_words() < full_retention,
-            "peak {} must be strictly below the full-retention bound {}",
-            trace.peak_words(),
-            full_retention
+            peak < full_retention,
+            "peak {peak} must be strictly below the full-retention bound {full_retention}"
         );
         // It is not just barely below: most nets are balanced and die within
         // the first few chunks, so compaction should win by a wide margin.
         assert!(
-            trace.peak_words() < full_retention / 2,
-            "peak {} should be well below {}",
-            trace.peak_words(),
-            full_retention
+            peak < full_retention / 2,
+            "peak {peak} should be well below {full_retention}"
         );
     }
 
     #[test]
     fn compact_rows_reproduce_harvested_witness_banks() {
         let nl = BenchmarkProfile::c6288().scaled(15).generate(3);
-        let (probs, trace) = estimate_compacting_with(&nl, 1024, 11, 0.25, &Exec::serial());
-        let targets: Vec<(NetId, bool)> = trace
-            .nets()
-            .iter()
-            .map(|&net| (net, probs.rare_value(net).0))
-            .collect();
-        let replayed = WitnessBank::harvest(&nl, &targets, 1024, 11);
-        for (t, &(net, value)) in targets.iter().enumerate() {
-            for c in 0..trace.num_chunks() {
-                let word = trace.word(c, net).unwrap();
-                let oriented = if value { word } else { !word };
-                assert_eq!(oriented, replayed.row(t)[c], "target {t} chunk {c}");
+        for threads in [1, 2, 4] {
+            let (probs, bank, _) = random_pass(&nl, 1024, 11, 0.25, &Exec::new(threads));
+            assert!(!bank.is_empty(), "expected rare nets at retain 0.25");
+            for &(net, value) in bank.targets() {
+                assert_eq!(probs.rare_value(net).0, value);
+                assert!(probs.rare_value(net).1 < 0.25);
             }
+            let replayed = WitnessBank::harvest(&nl, bank.targets(), 1024, 11);
+            assert_eq!(bank.num_chunks(), replayed.num_chunks());
+            assert_eq!(bank.num_patterns(), replayed.num_patterns());
+            assert_eq!(bank.source(), replayed.source());
+            assert_eq!(
+                bank.raw_rows(),
+                replayed.raw_rows(),
+                "{threads} threads: compacted rows differ from the replay"
+            );
         }
     }
 
@@ -315,6 +261,6 @@ mod tests {
     #[should_panic(expected = "retention threshold")]
     fn bad_retain_panics() {
         let nl = netlist::samples::c17();
-        let _ = estimate_compacting_with(&nl, 64, 1, 0.7, &Exec::serial());
+        let _ = RareNetEstimate::estimate(&nl, 0.7, 64, 1);
     }
 }

@@ -6,12 +6,19 @@
 //! * [`TestPattern`] — an assignment to the scan inputs of a netlist.
 //! * [`simulate`] / [`Simulator`] — a 64-way bit-parallel gate-level
 //!   simulator under the full-scan assumption.
+//! * [`PatternSource`] — the one definition of the random and exhaustive
+//!   pattern streams, chunk by chunk; every pass over a stream simulates it
+//!   through [`Simulator::run_chunk_into`].
 //! * [`SignalProbabilities`] — Monte-Carlo signal-probability estimation from
-//!   random patterns.
+//!   random patterns, and exact probabilities by exhaustive enumeration.
 //! * [`rare`] — extraction of *rare nets*: nets whose probability of taking
 //!   one of the two logic values falls below a rareness threshold. These are
 //!   the candidate trigger nets an adversary would use and the action space
-//!   of the DETERRENT RL agent.
+//!   of the DETERRENT RL agent. [`RareNetEstimate`] and
+//!   [`rare::RareNetAnalysis::exhaustive`] run one compacting pass that
+//!   counts probabilities and keeps a [`WitnessBank`] row for every rare net.
+//! * [`witness`] — the [`WitnessBank`] of per-pattern witness bits, which
+//!   proves pairwise compatibility of rare nets without SAT.
 //!
 //! # Example
 //!
@@ -34,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compact;
+mod compact;
 pub mod cone_sim;
 mod pattern;
 pub mod probability;
@@ -42,10 +49,9 @@ pub mod rare;
 mod simulator;
 pub mod witness;
 
-pub use compact::CompactTrace;
 pub use cone_sim::ConeSimulator;
 pub use pattern::TestPattern;
-pub use probability::{SignalProbabilities, SimTrace};
+pub use probability::SignalProbabilities;
 pub use rare::RareNetEstimate;
 pub use simulator::{simulate, NetValues, PackedValues, Simulator};
 pub use witness::{PatternSource, WitnessBank};

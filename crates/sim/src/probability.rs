@@ -1,17 +1,16 @@
 //! Monte-Carlo signal-probability estimation.
 //!
-//! The random pattern stream is defined **per 64-pattern chunk**: chunk `c`
-//! of master seed `s` is generated from its own RNG seeded with
-//! [`exec::split_seed`]`(s, c)`. Chunks are therefore independent work units
-//! and the estimate is bit-identical whether the chunks are simulated on one
-//! thread or many ([`SignalProbabilities::estimate_with`]).
+//! Probabilities are counted over a [`PatternSource`], which defines its
+//! patterns **per 64-pattern chunk**: random chunk `c` of master seed `s` is
+//! generated from its own RNG seeded with [`exec::split_seed`]`(s, c)`.
+//! Chunks are therefore independent work units and the estimate is
+//! bit-identical whether the chunks are simulated on one thread or many
+//! ([`SignalProbabilities::estimate_with`]).
 
-use exec::{split_seed, Exec};
+use exec::Exec;
 use netlist::{NetId, Netlist};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::{PackedValues, Simulator, TestPattern};
+use crate::{PackedValues, PatternSource, Simulator};
 
 /// Estimated probability of each net being logic 1 under uniformly random
 /// scan-input patterns.
@@ -22,82 +21,6 @@ use crate::{PackedValues, Simulator, TestPattern};
 pub struct SignalProbabilities {
     prob_one: Vec<f64>,
     num_patterns: usize,
-}
-
-/// The packed per-net simulation words of a probability-estimation run.
-///
-/// Layout is chunk-major: `words[chunk * num_nets + net]` holds the values of
-/// `net` for the (up to 64) patterns of `chunk`, one bit per pattern. The
-/// trace lets downstream passes mine the Monte-Carlo run for *witnesses* —
-/// patterns observed to drive a net (or several nets at once) to a value —
-/// without re-simulating (see [`crate::witness::WitnessBank`]).
-#[derive(Debug, Clone)]
-pub struct SimTrace {
-    num_nets: usize,
-    words: Vec<u64>,
-    chunk_lens: Vec<usize>,
-}
-
-impl SimTrace {
-    /// Number of 64-pattern chunks.
-    #[must_use]
-    pub fn num_chunks(&self) -> usize {
-        self.chunk_lens.len()
-    }
-
-    /// Number of patterns in `chunk` (64 except possibly the last).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is out of range.
-    #[must_use]
-    pub fn chunk_len(&self, chunk: usize) -> usize {
-        self.chunk_lens[chunk]
-    }
-
-    /// Bit mask selecting the valid pattern bits of `chunk`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is out of range.
-    #[must_use]
-    pub fn chunk_mask(&self, chunk: usize) -> u64 {
-        let len = self.chunk_lens[chunk];
-        if len == 64 {
-            u64::MAX
-        } else {
-            (1u64 << len) - 1
-        }
-    }
-
-    /// The packed word of `net` in `chunk`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` or `net` is out of range.
-    #[must_use]
-    pub fn word(&self, chunk: usize, net: NetId) -> u64 {
-        self.words[chunk * self.num_nets + net.index()]
-    }
-
-    /// Total number of simulated patterns.
-    #[must_use]
-    pub fn num_patterns(&self) -> usize {
-        self.chunk_lens.iter().sum()
-    }
-
-    fn push_chunk(&mut self, words: &[u64], len: usize) {
-        self.words.extend_from_slice(words);
-        self.chunk_lens.push(len);
-    }
-
-    fn new(num_nets: usize) -> Self {
-        Self {
-            num_nets,
-            words: Vec::new(),
-            chunk_lens: Vec::new(),
-        }
-    }
 }
 
 impl SignalProbabilities {
@@ -124,152 +47,52 @@ impl SignalProbabilities {
     /// Panics if `num_patterns` is zero.
     #[must_use]
     pub fn estimate_with(netlist: &Netlist, num_patterns: usize, seed: u64, exec: &Exec) -> Self {
-        Self::run_random(netlist, num_patterns, seed, false, exec).0
-    }
-
-    /// Like [`SignalProbabilities::estimate`], but also returns the full
-    /// [`SimTrace`] of packed words so the run can be mined for witnesses
-    /// instead of being discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_patterns` is zero.
-    #[must_use]
-    pub fn estimate_retaining(
-        netlist: &Netlist,
-        num_patterns: usize,
-        seed: u64,
-    ) -> (Self, SimTrace) {
-        Self::estimate_retaining_with(netlist, num_patterns, seed, &Exec::serial())
-    }
-
-    /// Like [`SignalProbabilities::estimate_retaining`], parallelized over
-    /// `exec` with the same bit-identical-at-any-thread-count guarantee
-    /// (trace chunks are merged in chunk order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_patterns` is zero.
-    #[must_use]
-    pub fn estimate_retaining_with(
-        netlist: &Netlist,
-        num_patterns: usize,
-        seed: u64,
-        exec: &Exec,
-    ) -> (Self, SimTrace) {
-        let (probs, trace) = Self::run_random(netlist, num_patterns, seed, true, exec);
-        (probs, trace.expect("trace retention was requested"))
-    }
-
-    fn run_random(
-        netlist: &Netlist,
-        num_patterns: usize,
-        seed: u64,
-        retain: bool,
-        exec: &Exec,
-    ) -> (Self, Option<SimTrace>) {
-        assert!(num_patterns > 0, "need at least one pattern");
-        let chunks = num_patterns.div_ceil(64);
-        let n = netlist.num_gates();
-        let total = chunks * 64;
-        // Each worker simulates a contiguous range of chunks with reusable
-        // scratch, returning its partial one-counts and (optionally) the raw
-        // packed words of its chunks.
-        let blocks = exec.par_ranges(chunks, |range| {
-            let sim = Simulator::new(netlist);
-            let mut packed = PackedValues::scratch();
-            let mut ones = vec![0u64; n];
-            let mut words: Vec<u64> = Vec::with_capacity(if retain { range.len() * n } else { 0 });
-            for c in range {
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, c as u64));
-                sim.run_random_batch_into(&mut rng, &mut packed);
-                for (id, _) in netlist.iter() {
-                    ones[id.index()] += u64::from(packed.count_ones(id));
-                }
-                if retain {
-                    words.extend_from_slice(packed.words());
-                }
-            }
-            (ones, words)
-        });
-        let mut ones = vec![0u64; n];
-        let mut trace = retain.then(|| SimTrace::new(n));
-        for (block_ones, block_words) in blocks {
-            for (acc, part) in ones.iter_mut().zip(&block_ones) {
-                *acc += part;
-            }
-            if let Some(trace) = trace.as_mut() {
-                for chunk_words in block_words.chunks_exact(n) {
-                    trace.push_chunk(chunk_words, 64);
-                }
-            }
-        }
-        let prob_one = ones.iter().map(|&c| c as f64 / total as f64).collect();
-        (
-            Self {
-                prob_one,
-                num_patterns: total,
-            },
-            trace,
-        )
+        let (source, chunks) = PatternSource::random(netlist, num_patterns, seed);
+        Self::run(netlist, &source, chunks, exec)
     }
 
     /// Computes exact probabilities for every net by exhaustive enumeration of
-    /// all input combinations. Only feasible for small circuits (≤ 20 scan
-    /// inputs); used as a reference in tests.
+    /// all input combinations ([`PatternSource::Exhaustive`]). Only feasible
+    /// for small circuits (≤ 24 scan inputs); used as a reference in tests.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has more than 24 scan inputs.
     #[must_use]
     pub fn exhaustive(netlist: &Netlist) -> Self {
-        Self::run_exhaustive(netlist, false).0
+        let (source, chunks) = PatternSource::exhaustive(netlist);
+        Self::run(netlist, &source, chunks, &Exec::serial())
     }
 
-    /// Like [`SignalProbabilities::exhaustive`], but also returns the
-    /// [`SimTrace`] of the enumeration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist has more than 24 scan inputs.
-    #[must_use]
-    pub fn exhaustive_retaining(netlist: &Netlist) -> (Self, SimTrace) {
-        let (probs, trace) = Self::run_exhaustive(netlist, true);
-        (probs, trace.expect("trace retention was requested"))
-    }
-
-    fn run_exhaustive(netlist: &Netlist, retain: bool) -> (Self, Option<SimTrace>) {
-        let width = netlist.num_scan_inputs();
-        assert!(width <= 24, "exhaustive enumeration limited to 24 inputs");
-        let sim = Simulator::new(netlist);
-        let total = 1usize << width;
+    /// The plain reference pass: simulates chunks `0..chunks` of `source`
+    /// and counts ones. Each worker simulates a contiguous range of chunks
+    /// with reusable scratch; the per-worker counts merge by integer
+    /// addition, so the result is the same at any thread count.
+    fn run(netlist: &Netlist, source: &PatternSource, chunks: usize, exec: &Exec) -> Self {
         let n = netlist.num_gates();
+        let blocks = exec.par_ranges(chunks, |range| {
+            let sim = Simulator::new(netlist);
+            let mut packed = PackedValues::scratch();
+            let mut ones = vec![0u64; n];
+            for c in range {
+                sim.run_chunk_into(source, c, &mut packed);
+                for (id, _) in netlist.iter() {
+                    ones[id.index()] += u64::from(packed.count_ones(id));
+                }
+            }
+            ones
+        });
         let mut ones = vec![0u64; n];
-        let mut trace = retain.then(|| SimTrace::new(n));
-        let mut batch = Vec::with_capacity(64);
-        let mut processed = 0usize;
-        while processed < total {
-            batch.clear();
-            for code in processed..(processed + 64).min(total) {
-                let bits: Vec<bool> = (0..width).map(|i| (code >> i) & 1 == 1).collect();
-                batch.push(TestPattern::new(bits));
+        for block in blocks {
+            for (acc, part) in ones.iter_mut().zip(&block) {
+                *acc += part;
             }
-            let packed = sim.run_batch(&batch);
-            for (id, _) in netlist.iter() {
-                ones[id.index()] += u64::from(packed.count_ones(id));
-            }
-            if let Some(trace) = trace.as_mut() {
-                trace.push_chunk(packed.words(), packed.batch_len());
-            }
-            processed += batch.len();
         }
-        (
-            Self {
-                prob_one: ones.iter().map(|&c| c as f64 / total as f64).collect(),
-                num_patterns: total,
-            },
-            trace,
-        )
+        let total: usize = (0..chunks).map(|c| source.chunk_len(c)).sum();
+        Self {
+            prob_one: ones.iter().map(|&c| c as f64 / total as f64).collect(),
+            num_patterns: total,
+        }
     }
 
     /// Probability that `net` evaluates to logic 1.
@@ -390,15 +213,6 @@ mod tests {
             let exec = Exec::new(threads);
             let parallel = SignalProbabilities::estimate_with(&nl, 2048, 11, &exec);
             assert_eq!(serial.as_slice(), parallel.as_slice(), "{threads} threads");
-        }
-        let (p1, t1) = SignalProbabilities::estimate_retaining(&nl, 1024, 5);
-        let (p4, t4) = SignalProbabilities::estimate_retaining_with(&nl, 1024, 5, &Exec::new(4));
-        assert_eq!(p1.as_slice(), p4.as_slice());
-        assert_eq!(t1.num_chunks(), t4.num_chunks());
-        for c in 0..t1.num_chunks() {
-            for (id, _) in nl.iter() {
-                assert_eq!(t1.word(c, id), t4.word(c, id), "chunk {c} net {id}");
-            }
         }
     }
 

@@ -8,7 +8,7 @@
 use exec::Exec;
 use netlist::{GateKind, NetId, Netlist};
 
-use crate::compact::estimate_compacting_with;
+use crate::compact::compacting_pass;
 use crate::witness::{PatternSource, WitnessBank};
 use crate::SignalProbabilities;
 
@@ -33,7 +33,8 @@ pub struct RareNetAnalysis {
     /// `(net, position)` pairs sorted by net id for O(log n) lookup.
     by_net: Vec<(NetId, u32)>,
     /// Witness bitmaps of the estimation run, one row per rare net (in
-    /// `rare_nets` order); `None` when built from external probabilities.
+    /// `rare_nets` order); `None` only when rebuilt from raw parts without
+    /// one.
     witnesses: Option<WitnessBank>,
 }
 
@@ -85,8 +86,9 @@ impl RareNetAnalysis {
     }
 
     /// Runs rare-net analysis using exhaustive (exact) probabilities; only
-    /// feasible for small circuits. Witnesses are retained as in
-    /// [`RareNetAnalysis::estimate`].
+    /// feasible for small circuits. The enumeration runs the same single
+    /// compacting pass as [`RareNetAnalysis::estimate`], over
+    /// [`PatternSource::Exhaustive`], so witnesses are retained the same way.
     ///
     /// # Panics
     ///
@@ -94,48 +96,14 @@ impl RareNetAnalysis {
     /// 24 scan inputs.
     #[must_use]
     pub fn exhaustive(netlist: &Netlist, threshold: f64) -> Self {
-        let (probabilities, trace) = SignalProbabilities::exhaustive_retaining(netlist);
-        let mut analysis = Self::from_probabilities(netlist, threshold, probabilities);
-        analysis.witnesses = Some(
-            WitnessBank::from_trace(&trace, &analysis.targets()).with_source(
-                PatternSource::Exhaustive {
-                    width: netlist.num_scan_inputs(),
-                },
-            ),
-        );
-        analysis
-    }
-
-    /// Builds the analysis from precomputed probabilities. No witness bank is
-    /// attached (there was no simulation run to mine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not in `(0, 0.5]`.
-    #[must_use]
-    pub fn from_probabilities(
-        netlist: &Netlist,
-        threshold: f64,
-        probabilities: SignalProbabilities,
-    ) -> Self {
         assert!(
             threshold > 0.0 && threshold <= 0.5,
             "rareness threshold must be in (0, 0.5]"
         );
-        let rare_nets = collect_rare(netlist, threshold, &probabilities);
-        let mut by_net: Vec<(NetId, u32)> = rare_nets
-            .iter()
-            .enumerate()
-            .map(|(pos, r)| (r.net, pos as u32))
-            .collect();
-        by_net.sort_unstable_by_key(|&(net, _)| net);
-        Self {
-            threshold,
-            rare_nets,
-            probabilities,
-            by_net,
-            witnesses: None,
-        }
+        let (source, chunks) = PatternSource::exhaustive(netlist);
+        let (probabilities, bank, _) =
+            compacting_pass(netlist, &source, chunks, threshold, &Exec::serial());
+        RareNetEstimate::from_raw_parts(threshold, probabilities, bank).threshold(threshold)
     }
 
     /// The rareness threshold used.
@@ -199,8 +167,8 @@ impl RareNetAnalysis {
     }
 
     /// Witness bitmaps harvested from the estimation run (one row per rare
-    /// net, in `rare_nets` order), or `None` when the analysis was built from
-    /// external probabilities.
+    /// net, in `rare_nets` order), or `None` when the analysis was rebuilt
+    /// from raw parts without one.
     #[must_use]
     pub fn witnesses(&self) -> Option<&WitnessBank> {
         self.witnesses.as_ref()
@@ -246,10 +214,9 @@ impl RareNetAnalysis {
 }
 
 /// The rare nets of `netlist` at `threshold` in canonical order: rarest
-/// first, ties by net id. Shared by [`RareNetAnalysis::from_probabilities`]
-/// and [`RareNetEstimate`], so re-thresholding an estimate is guaranteed to
-/// produce exactly the list a from-scratch analysis would.
-fn collect_rare(
+/// first, ties by net id. The compacting pass orders its bank by it, so
+/// re-thresholding an estimate is a prefix of the bank.
+pub(crate) fn collect_rare(
     netlist: &Netlist,
     threshold: f64,
     probabilities: &SignalProbabilities,
@@ -279,8 +246,8 @@ fn collect_rare(
 
 /// The θ-independent half of rare-net analysis: estimated signal
 /// probabilities plus a witness bank over every net that is rare at the
-/// `retain` threshold, harvested in a single compacting simulation pass
-/// ([`crate::compact`]).
+/// `retain` threshold, harvested in a single compacting simulation pass that
+/// buffers words only for nets that can still be rare.
 ///
 /// Thresholding is a pure prefix operation: the candidate rows are stored
 /// rarest-first, so [`RareNetEstimate::threshold`] at any `θ ≤ retain`
@@ -326,37 +293,11 @@ impl RareNetEstimate {
         seed: u64,
         exec: &Exec,
     ) -> Self {
-        let (probabilities, trace) =
-            estimate_compacting_with(netlist, num_patterns, seed, retain, exec);
-        let candidates = collect_rare(netlist, retain, &probabilities);
-        let targets: Vec<(NetId, bool)> =
-            candidates.iter().map(|r| (r.net, r.rare_value)).collect();
-        let num_chunks = trace.num_chunks();
-        let mut rows = Vec::with_capacity(targets.len() * num_chunks);
-        for &(net, value) in &targets {
-            for c in 0..num_chunks {
-                let word = trace
-                    .word(c, net)
-                    .expect("every rare-at-retain net is retained by the compacting pass");
-                rows.push(if value { word } else { !word });
-            }
-        }
-        let bank = WitnessBank::from_raw_parts(
-            targets,
-            num_chunks,
-            trace.num_patterns(),
-            rows,
-            Some(PatternSource::Random {
-                width: netlist.num_scan_inputs(),
-                seed,
-            }),
-        );
+        let (source, chunks) = PatternSource::random(netlist, num_patterns, seed);
+        let (probabilities, bank, peak) = compacting_pass(netlist, &source, chunks, retain, exec);
         Self {
-            retain,
-            probabilities,
-            bank,
-            candidates,
-            peak_retained_words: trace.peak_words(),
+            peak_retained_words: peak,
+            ..Self::from_raw_parts(retain, probabilities, bank)
         }
     }
 
@@ -386,8 +327,10 @@ impl RareNetEstimate {
     }
 
     /// Memory high-water mark of the compacting estimation pass, in packed
-    /// 64-pattern words (see [`crate::compact::CompactTrace::peak_words`]).
-    /// Zero when the estimate was decoded from a cache rather than computed.
+    /// 64-pattern words: the sum over workers of the most words each held
+    /// at once, always below the `gates × patterns/64` that buffering every
+    /// net would cost. Zero when the estimate was decoded from a cache rather
+    /// than computed.
     #[must_use]
     pub fn peak_retained_words(&self) -> usize {
         self.peak_retained_words
@@ -564,15 +507,10 @@ mod tests {
         exec: &Exec,
     ) -> RareNetAnalysis {
         let probabilities = SignalProbabilities::estimate_with(netlist, num_patterns, seed, exec);
-        let analysis = RareNetAnalysis::from_probabilities(netlist, threshold, probabilities);
-        let witnesses =
-            WitnessBank::harvest_with(netlist, &analysis.targets(), num_patterns, seed, exec);
-        RareNetAnalysis::from_raw_parts(
-            threshold,
-            analysis.rare_nets().to_vec(),
-            analysis.probabilities().clone(),
-            Some(witnesses),
-        )
+        let rare_nets = collect_rare(netlist, threshold, &probabilities);
+        let targets: Vec<(NetId, bool)> = rare_nets.iter().map(|r| (r.net, r.rare_value)).collect();
+        let witnesses = WitnessBank::harvest_with(netlist, &targets, num_patterns, seed, exec);
+        RareNetAnalysis::from_raw_parts(threshold, rare_nets, probabilities, Some(witnesses))
     }
 
     fn assert_analyses_identical(a: &RareNetAnalysis, b: &RareNetAnalysis) {
@@ -637,6 +575,78 @@ mod tests {
         let (a, b) = (estimate.threshold(0.1), rebuilt.threshold(0.1));
         assert_analyses_identical(&a, &b);
         assert_eq!(rebuilt.peak_retained_words(), 0);
+    }
+
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a over the 64-bit words of everything an exhaustive analysis
+    /// holds: probability bits and pattern count, the rare nets, and the
+    /// witness bank's targets, chunk count, pattern count, raw rows and
+    /// source.
+    fn exhaustive_digest(nl: &Netlist, theta: f64) -> u64 {
+        let analysis = RareNetAnalysis::exhaustive(nl, theta);
+        let probs = analysis.probabilities();
+        let mut words: Vec<u64> = probs.as_slice().iter().map(|p| p.to_bits()).collect();
+        words.push(probs.num_patterns() as u64);
+        for r in analysis.rare_nets() {
+            words.extend([r.net.index() as u64, u64::from(r.rare_value)]);
+            words.push(r.probability.to_bits());
+        }
+        let bank = analysis
+            .witnesses()
+            .expect("exhaustive analyses keep a bank");
+        for &(net, value) in bank.targets() {
+            words.extend([net.index() as u64, u64::from(value)]);
+        }
+        words.extend([bank.num_chunks() as u64, bank.num_patterns() as u64]);
+        words.extend_from_slice(bank.raw_rows());
+        match bank.source() {
+            Some(PatternSource::Exhaustive { width }) => words.extend([2, width as u64]),
+            other => panic!("exhaustive bank has source {other:?}"),
+        }
+        fnv1a(words)
+    }
+
+    #[test]
+    fn exhaustive_analysis_bytes_are_pinned() {
+        // Recorded before exhaustive analysis moved onto the compacting
+        // pass: one FNV-1a per circuit over its digests at each θ.
+        // rare_chain(3) is one partial chunk; rare_chain(7) and (10) span
+        // several chunks.
+        let cases = [
+            (
+                "rare_chain(3)",
+                samples::rare_chain(3),
+                0x709e_26e9_9557_cc31,
+            ),
+            (
+                "rare_chain(7)",
+                samples::rare_chain(7),
+                0x4edf_670a_f8bd_33e4,
+            ),
+            (
+                "rare_chain(10)",
+                samples::rare_chain(10),
+                0xc0ea_a198_b7e3_19c7,
+            ),
+            ("majority5", samples::majority5(), 0x530f_4942_71f7_6408),
+            ("c17", samples::c17(), 0x88f3_cfa2_0955_a7a0),
+            ("adder4", samples::adder4(), 0x83b3_d580_4300_99c3),
+            (
+                "scan_counter3",
+                samples::scan_counter3(),
+                0xfdfb_b045_58bf_8bb7,
+            ),
+        ];
+        for (name, nl, pinned) in &cases {
+            let thetas = [0.01, 0.1, 0.3, 0.45, 0.5];
+            let got = fnv1a(thetas.map(|theta| exhaustive_digest(nl, theta)));
+            assert_eq!(got, *pinned, "{name}: digest {got:#018x}");
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Scalar and 64-way bit-parallel gate-level simulation.
 
 use netlist::{GateKind, NetId, Netlist};
-use rand::RngCore;
 
-use crate::TestPattern;
+use crate::{PatternSource, TestPattern};
 
 /// Net values produced by simulating a single pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,8 +70,9 @@ impl PackedValues {
         &self.words
     }
 
-    /// An empty buffer for [`Simulator::run_batch_into`], letting a long run
-    /// of batches reuse one allocation.
+    /// An empty buffer for [`Simulator::run_batch_into`] and
+    /// [`Simulator::run_chunk_into`], letting a long run of batches reuse one
+    /// allocation.
     #[must_use]
     pub fn scratch() -> Self {
         Self {
@@ -186,55 +186,53 @@ impl<'a> Simulator<'a> {
                 "pattern width must equal the number of scan inputs"
             );
         }
-        let n = self.netlist.num_gates();
-        out.words.clear();
-        out.words.resize(n, 0);
-        out.batch = patterns.len();
-        let words = &mut out.words;
-        for (i, &si) in self.scan_inputs.iter().enumerate() {
-            let mut w = 0u64;
-            for (p, pat) in patterns.iter().enumerate() {
-                if pat.bit(i) {
-                    w |= 1 << p;
-                }
-            }
-            words[si.index()] = w;
-        }
-        let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
-        for &id in self.netlist.topo_order() {
-            let gate = self.netlist.gate(id);
-            match gate.kind {
-                GateKind::Input | GateKind::Dff => {}
-                kind => {
-                    fanin_buf.clear();
-                    fanin_buf.extend(gate.fanin.iter().map(|&f| words[f.index()]));
-                    words[id.index()] = kind.eval_packed(&fanin_buf);
-                }
-            }
-        }
+        self.run_packed_into(patterns.len(), out, |i| {
+            patterns
+                .iter()
+                .enumerate()
+                .fold(0, |w, (p, pat)| w | (u64::from(pat.bit(i)) << p))
+        });
     }
 
-    /// Simulates a *uniformly random* batch of 64 patterns drawn from `rng`,
+    /// Simulates chunk `chunk` of `source` — the 64 patterns (fewer for the
+    /// last chunk of a short exhaustive stream, see
+    /// [`PatternSource::chunk_len`]) starting at pattern `64 * chunk` —
     /// directly in packed form and into a reusable buffer.
     ///
-    /// The batch is defined input-major: scan input `i` (in
-    /// [`netlist::Netlist::scan_inputs`] order) takes the `i`-th `next_u64`
-    /// draw as its packed word, so pattern `p` of the batch assigns input `i`
-    /// the bit `(draw_i >> p) & 1`. This is the canonical random-chunk
-    /// stream of the workspace — probability estimation, witness harvesting,
-    /// and witness-pattern materialization
-    /// ([`crate::PatternSource::Random`]) all share it. Generating packed
-    /// words directly (instead of materializing 64 [`TestPattern`]s) keeps
-    /// the hot loop free of allocations, which is what lets parallel
-    /// simulation workers scale instead of fighting over the allocator.
-    pub fn run_random_batch_into<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut PackedValues) {
-        let n = self.netlist.num_gates();
+    /// This is the only way a pattern stream is simulated: probability
+    /// estimation, the compacting witness pass and witness harvesting all
+    /// read their chunks through it. Generating packed words directly
+    /// (instead of materializing 64 [`TestPattern`]s) keeps the hot loop
+    /// free of allocations, which is what lets parallel simulation workers
+    /// scale instead of fighting over the allocator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source's width differs from the number of scan inputs.
+    pub fn run_chunk_into(&self, source: &PatternSource, chunk: usize, out: &mut PackedValues) {
+        assert_eq!(
+            source.width(),
+            self.scan_inputs.len(),
+            "pattern width must equal the number of scan inputs"
+        );
+        self.run_packed_into(source.chunk_len(chunk), out, source.chunk_words(chunk));
+    }
+
+    /// The packed kernel: sets scan input `i` (in
+    /// [`netlist::Netlist::scan_inputs`] order) to `input_word(i)`, then
+    /// evaluates every gate in topological order.
+    fn run_packed_into(
+        &self,
+        batch: usize,
+        out: &mut PackedValues,
+        mut input_word: impl FnMut(usize) -> u64,
+    ) {
         out.words.clear();
-        out.words.resize(n, 0);
-        out.batch = 64;
+        out.words.resize(self.netlist.num_gates(), 0);
+        out.batch = batch;
         let words = &mut out.words;
-        for &si in &self.scan_inputs {
-            words[si.index()] = rng.next_u64();
+        for (i, &si) in self.scan_inputs.iter().enumerate() {
+            words[si.index()] = input_word(i);
         }
         let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
         for &id in self.netlist.topo_order() {

@@ -13,32 +13,32 @@
 
 use exec::{split_seed, Exec};
 use netlist::{NetId, Netlist};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
-use crate::probability::SimTrace;
 use crate::{PackedValues, Simulator, TestPattern};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// How the patterns behind a [`WitnessBank`] can be re-materialized, so a
-/// witness *index* can be turned back into the concrete [`TestPattern`] that
-/// produced it (and reused downstream instead of a SAT justification).
+/// A pattern stream, defined per 64-pattern chunk. It is the one definition
+/// of the patterns every simulation pass reads
+/// ([`Simulator::run_chunk_into`]), and it lets a [`WitnessBank`] turn a
+/// witness *index* back into the concrete [`TestPattern`] that produced it
+/// (reused downstream instead of a SAT justification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternSource {
-    /// Uniformly random patterns: chunk `c` is the input-major packed batch
-    /// drawn from `StdRng::seed_from_u64(split_seed(seed, c))` — one
-    /// `next_u64` per scan input, exactly the stream
-    /// [`crate::Simulator::run_random_batch_into`] simulates for
-    /// [`crate::SignalProbabilities::estimate`].
+    /// Uniformly random patterns: chunk `c` draws one `next_u64` per scan
+    /// input (in [`netlist::Netlist::scan_inputs`] order) from
+    /// `StdRng::seed_from_u64(split_seed(seed, c))`, and pattern `p` of the
+    /// chunk assigns input `i` the bit `(draw_i >> p) & 1`. Chunks are
+    /// independent streams, so a pass over them is bit-identical at any
+    /// thread count.
     Random {
         /// Scan-input width of the patterns.
         width: usize,
         /// Master seed of the per-chunk streams.
         seed: u64,
     },
-    /// Exhaustive enumeration: pattern `i` assigns scan input `b` the bit
-    /// `(i >> b) & 1` — the stream
-    /// [`crate::SignalProbabilities::exhaustive`] simulates.
+    /// Exhaustive enumeration of all `2^width` patterns: pattern `i` assigns
+    /// scan input `b` the bit `(i >> b) & 1`.
     Exhaustive {
         /// Scan-input width of the patterns.
         width: usize,
@@ -46,20 +46,74 @@ pub enum PatternSource {
 }
 
 impl PatternSource {
+    /// The random stream of `num_patterns` patterns (rounded up to whole
+    /// chunks) over `netlist`'s scan inputs, and its chunk count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_patterns` is zero.
+    pub(crate) fn random(netlist: &Netlist, num_patterns: usize, seed: u64) -> (Self, usize) {
+        assert!(num_patterns > 0, "need at least one pattern");
+        let width = netlist.num_scan_inputs();
+        (Self::Random { width, seed }, num_patterns.div_ceil(64))
+    }
+
+    /// The exhaustive stream over `netlist`'s scan inputs, and its chunk
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has more than 24 scan inputs.
+    pub(crate) fn exhaustive(netlist: &Netlist) -> (Self, usize) {
+        let width = netlist.num_scan_inputs();
+        assert!(width <= 24, "exhaustive enumeration limited to 24 inputs");
+        (Self::Exhaustive { width }, (1usize << width).div_ceil(64))
+    }
+
+    /// Scan-input width of the patterns.
+    pub(crate) fn width(&self) -> usize {
+        match *self {
+            PatternSource::Random { width, .. } | PatternSource::Exhaustive { width } => width,
+        }
+    }
+
+    /// Number of patterns in chunk `chunk`: 64, except for the last chunk of
+    /// an exhaustive stream whose `2^width` is not a multiple of 64.
+    #[must_use]
+    pub fn chunk_len(&self, chunk: usize) -> usize {
+        match *self {
+            PatternSource::Random { .. } => 64,
+            PatternSource::Exhaustive { width } => {
+                (1usize << width).saturating_sub(64 * chunk).min(64)
+            }
+        }
+    }
+
+    /// The packed input words of chunk `chunk`: called once per scan input,
+    /// in order, it returns the word whose bit `p` is that input's value
+    /// under pattern `64 * chunk + p`.
+    pub(crate) fn chunk_words(&self, chunk: usize) -> impl FnMut(usize) -> u64 {
+        let mut rng = match *self {
+            PatternSource::Random { seed, .. } => {
+                Some(StdRng::seed_from_u64(split_seed(seed, chunk as u64)))
+            }
+            PatternSource::Exhaustive { .. } => None,
+        };
+        move |b| match rng.as_mut() {
+            Some(rng) => rng.next_u64(),
+            None => (0..64).fold(0, |w, p| {
+                w | (u64::from(((64 * chunk + p) >> b) & 1 == 1) << p)
+            }),
+        }
+    }
+
     /// Materializes pattern `index` of the stream.
     #[must_use]
     pub fn pattern(&self, index: usize) -> TestPattern {
-        match *self {
-            PatternSource::Random { width, seed } => {
-                use rand::RngCore;
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, (index / 64) as u64));
-                let p = index % 64;
-                (0..width).map(|_| (rng.next_u64() >> p) & 1 == 1).collect()
-            }
-            PatternSource::Exhaustive { width } => {
-                (0..width).map(|b| (index >> b) & 1 == 1).collect()
-            }
-        }
+        let mut word = self.chunk_words(index / 64);
+        (0..self.width())
+            .map(|b| (word(b) >> (index % 64)) & 1 == 1)
+            .collect()
     }
 }
 
@@ -80,43 +134,13 @@ pub struct WitnessBank {
 }
 
 impl WitnessBank {
-    /// Builds the bank for `targets` from a retained simulation trace —
-    /// zero additional simulation work. The bank has no [`PatternSource`]
-    /// (the trace does not say how its patterns were generated); attach one
-    /// with [`WitnessBank::with_source`] to enable pattern materialization.
-    #[must_use]
-    pub fn from_trace(trace: &SimTrace, targets: &[(NetId, bool)]) -> Self {
-        let num_chunks = trace.num_chunks();
-        let mut rows = Vec::with_capacity(targets.len() * num_chunks);
-        for &(net, value) in targets {
-            for c in 0..num_chunks {
-                let word = trace.word(c, net);
-                let oriented = if value { word } else { !word };
-                rows.push(oriented & trace.chunk_mask(c));
-            }
-        }
-        Self {
-            targets: targets.to_vec(),
-            num_chunks,
-            num_patterns: trace.num_patterns(),
-            rows,
-            source: None,
-        }
-    }
-
-    /// Attaches the generator description of the underlying pattern stream,
-    /// enabling [`WitnessBank::pattern`].
-    #[must_use]
-    pub fn with_source(mut self, source: PatternSource) -> Self {
-        self.source = Some(source);
-        self
-    }
-
     /// Re-simulates the `num_patterns` random patterns generated from `seed`
-    /// (the same per-chunk streams [`crate::SignalProbabilities::estimate`]
-    /// uses) and harvests witnesses for `targets` only. This is the fallback
-    /// when the original estimation trace was not retained; memory stays
-    /// proportional to `targets.len()` rather than the netlist size.
+    /// (the [`PatternSource::Random`] stream of
+    /// [`crate::SignalProbabilities::estimate`]) and harvests witnesses for
+    /// `targets` only. This is the replay reference: the single compacting
+    /// pass behind [`crate::RareNetEstimate`] must reproduce its rows bit for
+    /// bit. Memory stays proportional to `targets.len()` rather than the
+    /// netlist size.
     ///
     /// # Panics
     ///
@@ -146,42 +170,30 @@ impl WitnessBank {
         seed: u64,
         exec: &Exec,
     ) -> Self {
-        assert!(num_patterns > 0, "need at least one pattern");
-        let width = netlist.num_scan_inputs();
-        let num_chunks = num_patterns.div_ceil(64);
-        let source = Some(PatternSource::Random { width, seed });
-        if targets.is_empty() {
-            // Nothing to harvest; skip the simulation replay entirely.
-            return Self {
-                targets: Vec::new(),
-                num_chunks,
-                num_patterns: num_chunks * 64,
-                rows: Vec::new(),
-                source,
-            };
-        }
-        // Workers fill chunk-major blocks `local[k * targets + t]` for their
-        // contiguous chunk ranges; the merge transposes into the row-major
-        // bank layout in chunk order.
-        let blocks = exec.par_ranges(num_chunks, |range| {
-            let sim = Simulator::new(netlist);
-            let mut packed = PackedValues::scratch();
-            let mut local = vec![0u64; range.len() * targets.len()];
-            for (k, c) in range.clone().enumerate() {
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, c as u64));
-                sim.run_random_batch_into(&mut rng, &mut packed);
-                for (t, &(net, value)) in targets.iter().enumerate() {
-                    let word = packed.word(net);
-                    local[k * targets.len() + t] = if value { word } else { !word };
-                }
-            }
-            (range.start, local)
-        });
+        let (source, num_chunks) = PatternSource::random(netlist, num_patterns, seed);
         let mut rows = vec![0u64; targets.len() * num_chunks];
-        for (start, local) in blocks {
-            for (k, chunk_words) in local.chunks_exact(targets.len()).enumerate() {
-                for (t, &word) in chunk_words.iter().enumerate() {
-                    rows[t * num_chunks + start + k] = word;
+        if !targets.is_empty() {
+            // Workers fill chunk-major blocks `local[k * targets + t]` for
+            // their contiguous chunk ranges; the merge transposes into the
+            // row-major bank layout in chunk order.
+            let blocks = exec.par_ranges(num_chunks, |range| {
+                let sim = Simulator::new(netlist);
+                let mut packed = PackedValues::scratch();
+                let mut local = vec![0u64; range.len() * targets.len()];
+                for (k, c) in range.clone().enumerate() {
+                    sim.run_chunk_into(&source, c, &mut packed);
+                    for (t, &(net, value)) in targets.iter().enumerate() {
+                        let word = packed.word(net);
+                        local[k * targets.len() + t] = if value { word } else { !word };
+                    }
+                }
+                (range.start, local)
+            });
+            for (start, local) in blocks {
+                for (k, chunk_words) in local.chunks_exact(targets.len()).enumerate() {
+                    for (t, &word) in chunk_words.iter().enumerate() {
+                        rows[t * num_chunks + start + k] = word;
+                    }
                 }
             }
         }
@@ -190,7 +202,7 @@ impl WitnessBank {
             num_chunks,
             num_patterns: num_chunks * 64,
             rows,
-            source,
+            source: Some(source),
         }
     }
 
@@ -353,8 +365,23 @@ impl WitnessBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SignalProbabilities;
+    use crate::rare::RareNetAnalysis;
     use netlist::samples;
+
+    /// The witness bank of the exhaustive analysis of `nl` at `theta`.
+    fn exhaustive_bank(nl: &Netlist, theta: f64) -> WitnessBank {
+        RareNetAnalysis::exhaustive(nl, theta)
+            .witnesses()
+            .expect("exhaustive analyses keep a bank")
+            .clone()
+    }
+
+    fn row_of(bank: &WitnessBank, net: NetId) -> usize {
+        bank.targets()
+            .iter()
+            .position(|&(n, _)| n == net)
+            .expect("net is banked")
+    }
 
     #[test]
     fn trace_and_harvest_agree_on_random_run() {
@@ -364,12 +391,24 @@ mod tests {
             .into_iter()
             .map(|id| (id, true))
             .collect();
-        let (_, trace) = SignalProbabilities::estimate_retaining(&nl, 512, 11);
-        let from_trace = WitnessBank::from_trace(&trace, &targets);
         let harvested = WitnessBank::harvest(&nl, &targets, 512, 11);
-        assert_eq!(from_trace.num_patterns(), harvested.num_patterns());
-        for t in 0..targets.len() {
-            assert_eq!(from_trace.row(t), harvested.row(t), "target {t}");
+        // The trace side materializes every pattern of the stream and
+        // simulates it through the pattern-batch path, not the chunk path.
+        let (source, chunks) = PatternSource::random(&nl, 512, 11);
+        assert_eq!(harvested.num_patterns(), 512);
+        assert_eq!(harvested.num_chunks(), chunks);
+        let sim = Simulator::new(&nl);
+        for c in 0..chunks {
+            let patterns: Vec<TestPattern> =
+                (64 * c..64 * (c + 1)).map(|i| source.pattern(i)).collect();
+            let trace = sim.run_batch(&patterns);
+            for (t, &(net, _)) in targets.iter().enumerate() {
+                assert_eq!(
+                    harvested.row(t)[c],
+                    trace.word(net),
+                    "target {t}, chunk {c}"
+                );
+            }
         }
     }
 
@@ -377,25 +416,54 @@ mod tests {
     fn rare_chain_witness_counts_match_theory() {
         let nl = samples::rare_chain(4);
         let root = nl.net_by_name("and3").unwrap();
-        let (_, trace) = SignalProbabilities::exhaustive_retaining(&nl);
-        let bank = WitnessBank::from_trace(&trace, &[(root, true), (root, false)]);
-        // Exactly one of the 16 exhaustive patterns sets the AND-chain root.
-        assert_eq!(bank.witness_count(0), 1);
-        assert_eq!(bank.witness_count(1), 15);
-        assert!(bank.has_witness(0));
-        // The same pattern cannot drive the root to 1 and 0 at once.
-        assert!(!bank.pair_witnessed(0, 1));
+        let any = nl.net_by_name("any").unwrap();
+        let bank = exhaustive_bank(&nl, 0.1);
+        let (r, a) = (row_of(&bank, root), row_of(&bank, any));
+        assert_eq!(bank.targets()[r], (root, true));
+        assert_eq!(bank.targets()[a], (any, false), "the OR's rare value is 0");
+        // Exactly one of the 16 exhaustive patterns sets the AND-chain root,
+        // and exactly one clears the OR.
+        assert_eq!(bank.num_patterns(), 16);
+        assert_eq!(bank.witness_count(r), 1);
+        assert_eq!(bank.witness_count(a), 1);
+        assert!(bank.has_witness(r));
+        // 1111 sets the root, 0000 clears the OR: no pattern does both.
+        assert!(!bank.pair_witnessed(r, a));
     }
 
     #[test]
     fn partial_chunk_padding_is_masked() {
         // rare_chain(3) has 3 inputs -> 8 exhaustive patterns, one partial
-        // chunk. Inverted rows must not leak witnesses from the padding bits.
+        // chunk. The OR's row is inverted (rare value 0), and its padding
+        // bits must not leak witnesses.
         let nl = samples::rare_chain(3);
-        let root = nl.net_by_name("and2").unwrap();
-        let (_, trace) = SignalProbabilities::exhaustive_retaining(&nl);
-        let bank = WitnessBank::from_trace(&trace, &[(root, false)]);
-        assert_eq!(bank.witness_count(0), 7, "7 of 8 patterns give root=0");
+        let any = nl.net_by_name("any").unwrap();
+        let bank = exhaustive_bank(&nl, 0.3);
+        let a = row_of(&bank, any);
+        assert_eq!(bank.targets()[a], (any, false));
+        assert_eq!(bank.row(a), &[1], "only pattern 000 gives any=0");
+        assert_eq!(bank.witness_count(a), 1);
+    }
+
+    #[test]
+    fn exhaustive_bank_bits_match_scalar_simulation() {
+        for width in [3, 7] {
+            let nl = samples::rare_chain(width);
+            let bank = exhaustive_bank(&nl, 0.5);
+            let source = bank.source().expect("exhaustive banks have a source");
+            assert_eq!(source, PatternSource::Exhaustive { width });
+            assert_eq!(bank.num_patterns(), 1 << width);
+            assert!(!bank.is_empty());
+            let sim = Simulator::new(&nl);
+            for i in 0..bank.num_chunks() * 64 {
+                let values = (i < bank.num_patterns()).then(|| sim.run(&source.pattern(i)));
+                for (t, &(net, value)) in bank.targets().iter().enumerate() {
+                    let bit = (bank.row(t)[i / 64] >> (i % 64)) & 1 == 1;
+                    let expected = values.as_ref().is_some_and(|v| v.value(net) == value);
+                    assert_eq!(bit, expected, "width {width}, pattern {i}, target {t}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -452,27 +520,32 @@ mod tests {
     fn exhaustive_source_materializes_index_bits() {
         let nl = samples::rare_chain(4);
         let root = nl.net_by_name("and3").unwrap();
-        let (_, trace) = SignalProbabilities::exhaustive_retaining(&nl);
-        let bank = WitnessBank::from_trace(&trace, &[(root, true)])
-            .with_source(PatternSource::Exhaustive { width: 4 });
+        let bank = exhaustive_bank(&nl, 0.1);
         let idx = bank
-            .set_witness_index(&[0])
+            .set_witness_index(&[row_of(&bank, root)])
             .expect("all-ones witnesses root");
         assert_eq!(idx, 15, "only pattern 1111 sets the AND-chain root");
         let pattern = bank.pattern(idx).unwrap();
         assert_eq!(pattern.to_string(), "1111");
         // Without a source the bank cannot materialize.
-        let sourceless = WitnessBank::from_trace(&trace, &[(root, true)]);
+        let sourceless = WitnessBank::from_raw_parts(
+            bank.targets().to_vec(),
+            bank.num_chunks(),
+            bank.num_patterns(),
+            bank.raw_rows().to_vec(),
+            None,
+        );
         assert!(sourceless.pattern(idx).is_none());
     }
 
     #[test]
     fn pair_witnesses_prove_compatibility() {
+        // G1 is a primary input, which no rare-net analysis banks, so the
+        // rows come from the replay harvest.
         let nl = samples::c17();
-        let (_, trace) = SignalProbabilities::exhaustive_retaining(&nl);
         let g10 = nl.net_by_name("G10").unwrap();
         let g1 = nl.net_by_name("G1").unwrap();
-        let bank = WitnessBank::from_trace(&trace, &[(g10, false), (g1, false), (g1, true)]);
+        let bank = WitnessBank::harvest(&nl, &[(g10, false), (g1, false), (g1, true)], 256, 3);
         // G10 = NAND(G1, G3) = 0 forces G1 = 1: no joint witness with G1=0,
         // but plenty with G1=1.
         assert!(!bank.pair_witnessed(0, 1));
