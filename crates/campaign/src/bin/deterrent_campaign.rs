@@ -5,31 +5,8 @@
 //! across warm cache restarts, so CI can `cmp` two runs. Progress lines
 //! and the per-stage `[store]` cache counters go to **stderr**.
 //!
-//! Flags:
-//!
-//! | flag | meaning | default |
-//! |---|---|---|
-//! | `--netlists A,B` | benchmark names (see `campaign::profile_by_name`) | `c2670,c5315` |
-//! | `--scale N` | divisor applied to the paper-sized profiles | `20` |
-//! | `--thetas A,B` | rareness thresholds θ | `0.15,0.2` |
-//! | `--seeds A,B` | master pipeline seeds | `1,2` |
-//! | `--episodes N` | PPO episodes per cell | `40` |
-//! | `--threads N` | campaign workers (0 = `DETERRENT_THREADS` / cores) | `0` |
-//! | `--cell-threads N` | session workers inside each cell | `1` |
-//! | `--cache-dir DIR` | persistent cache (else `DETERRENT_CACHE_DIR`) | memory-only |
-//! | `--cache-max-bytes N[k\|m\|g]` | cache budget (else `DETERRENT_CACHE_MAX_BYTES`) | unbounded |
-//! | `--per-stage-max N[k\|m\|g]` | per-stage-directory budget | unbounded |
-//! | `--format tsv\|markdown` | report format on stdout | `tsv` |
-//! | `--quiet` | suppress per-cell progress on stderr | off |
-//! | `--expect-warm` | assert every stage was served from the cache | off |
-//! | `--checkpoint FILE` | record completed cells; resume skips them | off |
-//! | `--max-retries N` | retries per cell after a failed attempt | `2` |
-//! | `--cell-deadline-secs F` | per-attempt wall-clock budget | unlimited |
-//! | `--max-failures N` | cancel unstarted cells after N ≥ 1 terminal failures | never |
-//! | `--fail-fast` | shorthand for `--max-failures 1` | off |
-//! | `--fault-plan SPEC` | inject faults (else `DETERRENT_FAULT_PLAN`) | none |
-//! | `--trace-out FILE` | machine-readable JSONL trace (else `DETERRENT_TRACE_OUT`) | off |
-//! | `--metrics-out FILE` | Prometheus-text metric dump after the run | off |
+//! `deterrent-campaign --help` prints every flag, with its default (the
+//! [`USAGE`] text).
 //!
 //! Telemetry is strictly out-of-band: arming `--trace-out` /
 //! `--metrics-out` changes nothing on stdout, so a traced report still
@@ -49,6 +26,35 @@ use campaign::{CampaignPlan, PlanSpec, RunPolicy, StderrTraceSink};
 use deterrent_core::{parse_bytes, ArtifactStore, FaultPlan};
 use exec::Exec;
 use telemetry::{JsonlSink, Telemetry, TraceSink, TRACE_OUT_ENV_VAR};
+
+/// Printed by `--help` (stdout, exit 0) and after an unknown flag (stderr,
+/// exit 2).
+const USAGE: &str = "\
+usage: deterrent-campaign [FLAG]...
+
+  --netlists A,B              benchmark names (default c2670,c5315)
+  --scale N                   divisor applied to the paper-sized profiles (default 20)
+  --thetas A,B                rareness thresholds θ (default 0.15,0.2)
+  --seeds A,B                 master pipeline seeds (default 1,2)
+  --episodes N                PPO episodes per cell (default 40)
+  --threads N                 campaign workers; 0 = DETERRENT_THREADS or all cores (default 0)
+  --cell-threads N            session workers inside each cell (default 1)
+  --cache-dir DIR             persistent cache (else DETERRENT_CACHE_DIR; default memory-only)
+  --cache-max-bytes N[k|m|g]  cache budget (else DETERRENT_CACHE_MAX_BYTES; default unbounded)
+  --per-stage-max N[k|m|g]    per-stage-directory budget (default unbounded)
+  --format tsv|markdown       report format on stdout (default tsv)
+  --quiet                     suppress per-cell progress on stderr
+  --expect-warm               fail unless every stage was served from the cache
+  --checkpoint FILE           record completed cells; a resumed run skips them
+  --max-retries N             retries per cell after a failed attempt (default 2)
+  --cell-deadline-secs F      per-attempt wall-clock budget (default unlimited)
+  --max-failures N            cancel unstarted cells after N >= 1 terminal failures
+  --fail-fast                 shorthand for --max-failures 1
+  --fault-plan SPEC           inject faults (else DETERRENT_FAULT_PLAN)
+  --trace-out FILE            JSONL telemetry trace (else DETERRENT_TRACE_OUT)
+  --metrics-out FILE          Prometheus-text metric dump after the run
+  -h, --help                  print this text and exit
+";
 
 struct Args {
     threads: usize,
@@ -96,7 +102,8 @@ fn parse_list<T, F: Fn(&str) -> Option<T>>(raw: &str, parse: F) -> Option<Vec<T>
         .filter(|v| !v.is_empty())
 }
 
-fn parse_args() -> Result<(Args, CampaignPlan), String> {
+/// The parsed flags and grid, or `None` for `--help`.
+fn parse_args() -> Result<Option<(Args, CampaignPlan)>, String> {
     let mut args = Args::default();
     let mut spec = PlanSpec::default();
     let argv: Vec<String> = std::env::args().collect();
@@ -171,7 +178,8 @@ fn parse_args() -> Result<(Args, CampaignPlan), String> {
             "--fault-plan" => args.fault_plan = Some(FaultPlan::parse(&value(&mut i)?)?),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value(&mut i)?)),
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(value(&mut i)?)),
-            other => return Err(format!("unknown flag {other}")),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
         i += 1;
     }
@@ -186,12 +194,16 @@ fn parse_args() -> Result<(Args, CampaignPlan), String> {
         }
     }
     let plan = spec.to_plan()?;
-    Ok((args, plan))
+    Ok(Some((args, plan)))
 }
 
 fn main() -> ExitCode {
     let (args, mut plan) = match parse_args() {
-        Ok(parsed) => parsed,
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
             eprintln!("deterrent-campaign: {message}");
             return ExitCode::from(2);

@@ -28,7 +28,13 @@
 //! an atomic rename, so readers never observe a partially written artifact —
 //! concurrent sessions sharing a cache directory at worst write the same
 //! bytes twice. Each stage has exactly one payload layout: what is written
-//! is everything the stage produced, so a warm run restores it bit for bit.
+//! is every result the stage produced, each stored once, so a warm run
+//! restores it bit for bit. Wall clocks are not results and are not stored —
+//! the graph's tier times read 0 after a decode — with one exception: the
+//! training report's `wall_seconds`, from which Table 1's rates are printed
+//! identically on a warm rerun. Every other payload is the same bytes on
+//! every run and at any thread count (an all-SAT graph's CDCL counters,
+//! which follow how its pairs were chunked across workers, aside).
 //!
 //! **Versioning policy:** there is no migration path. A file whose magic,
 //! version, stage tag, key, length, or checksum does not match — or whose
@@ -94,8 +100,10 @@ const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 /// model; version 6 dropped the train-stage variant byte with the one
 /// remaining variant; version 7 added the tier-3 probe and sweep pair
 /// counters to `CompatStats`; version 8 replaced the bytewise FNV-1a
-/// payload checksum with the word-wise [`checksum`] (payloads unchanged).
-pub(crate) const FORMAT_VERSION: u32 = 8;
+/// payload checksum with the word-wise [`checksum`] (payloads unchanged);
+/// version 9 dropped every wall clock but the training report's, and every
+/// value stored twice, from the graph and train payloads.
+pub(crate) const FORMAT_VERSION: u32 = 9;
 
 const HEADER_LEN: usize = 40;
 
@@ -114,7 +122,7 @@ pub(crate) enum DecodeError {
     Malformed(&'static str),
 }
 
-type Decode<T> = Result<T, DecodeError>;
+pub(crate) type Decode<T> = Result<T, DecodeError>;
 
 // ───────────────────────── primitives ─────────────────────────
 
@@ -589,10 +597,6 @@ fn w_stats(w: &mut Writer, stats: &CompatStats) {
     w.u64(stats.pairs_probe_struck);
     w.u64(stats.pairs_sweep_struck);
     w.u64(stats.pairs_sat_resolved);
-    w.usize(stats.threads_used);
-    w.u64(stats.tier1_nanos);
-    w.u64(stats.tier2_nanos);
-    w.u64(stats.tier3_nanos);
     w.u64(stats.solver.conflicts);
     w.u64(stats.solver.decisions);
     w.u64(stats.solver.propagations);
@@ -616,10 +620,6 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
         pairs_probe_struck: r.u64()?,
         pairs_sweep_struck: r.u64()?,
         pairs_sat_resolved: r.u64()?,
-        threads_used: r.usize()?,
-        tier1_nanos: r.u64()?,
-        tier2_nanos: r.u64()?,
-        tier3_nanos: r.u64()?,
         solver: sat::SolverStats {
             conflicts: r.u64()?,
             decisions: r.u64()?,
@@ -630,6 +630,7 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
             deleted_clauses: r.u64()?,
             peak_learnts: r.u64()?,
         },
+        ..CompatStats::default()
     })
 }
 
@@ -637,7 +638,6 @@ pub(crate) fn encode_graph(artifact: &GraphArtifact) -> Vec<u8> {
     let graph = artifact.graph();
     let mut w = Writer::new();
     w.f64(artifact.rareness_threshold());
-    w.f64(artifact.build_seconds());
     w_rare_nets(&mut w, graph.rare_nets());
     w_bool_slice_packed(&mut w, graph.adjacency());
     w_stats(&mut w, graph.stats());
@@ -649,7 +649,6 @@ pub(crate) fn encode_graph(artifact: &GraphArtifact) -> Vec<u8> {
 pub(crate) fn decode_graph(key: u64, payload: &[u8]) -> Decode<GraphArtifact> {
     let mut r = Reader::new(payload);
     let rareness_threshold = r.f64()?;
-    let build_seconds = r.f64()?;
     let rare_nets = r_rare_nets(&mut r)?;
     let adjacency = r_bool_vec_packed(&mut r)?;
     if adjacency.len() != rare_nets.len() * rare_nets.len() {
@@ -664,12 +663,7 @@ pub(crate) fn decode_graph(key: u64, payload: &[u8]) -> Decode<GraphArtifact> {
     r.done()?;
     let graph =
         CompatibilityGraph::from_raw_parts(rare_nets, adjacency, stats, witnesses, witness_rows);
-    Ok(GraphArtifact::new(
-        key,
-        graph,
-        rareness_threshold,
-        build_seconds,
-    ))
+    Ok(GraphArtifact::new(key, graph, rareness_threshold))
 }
 
 fn w_ppo_config(w: &mut Writer, config: &PpoConfig) {
@@ -701,6 +695,7 @@ fn r_ppo_config(r: &mut Reader<'_>) -> Decode<PpoConfig> {
 pub(crate) fn encode_policy(artifact: &PolicyArtifact) -> Vec<u8> {
     let trained = artifact.policy();
     let snapshot = trained.trainer.snapshot();
+    debug_assert_eq!(trained.report.losses, snapshot.loss_history);
     let mut w = Writer::new();
     w_ppo_config(&mut w, &snapshot.config);
     w.usize(snapshot.num_actions);
@@ -715,12 +710,9 @@ pub(crate) fn encode_policy(artifact: &PolicyArtifact) -> Vec<u8> {
     w_adam(&mut w, &snapshot.value_opt);
     w.f64_slice(&trained.report.episode_rewards);
     w.usize_slice(&trained.report.episode_lengths);
-    w_losses(&mut w, &trained.report.losses);
     w.f64(trained.report.wall_seconds);
     w_sets(&mut w, &trained.harvested_sets);
     w.u64(trained.env_sat_checks);
-    w.f64(trained.training_seconds);
-    w.f64(trained.final_mean_reward);
     w.finish()
 }
 
@@ -761,16 +753,16 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
         policy_opt,
         value_opt,
     };
+    // The report's loss curve is the trainer's own history of its one
+    // training run, so it is stored once, in the snapshot.
     let report = TrainReport {
         episode_rewards: r.f64_vec()?,
         episode_lengths: r.usize_vec()?,
-        losses: r_losses(&mut r)?,
+        losses: snapshot.loss_history.clone(),
         wall_seconds: r.f64()?,
     };
     let harvested_sets = r_sets(&mut r)?;
     let env_sat_checks = r.u64()?;
-    let training_seconds = r.f64()?;
-    let final_mean_reward = r.f64()?;
     r.done()?;
     let trainer = PpoTrainer::from_snapshot(snapshot);
     Ok(PolicyArtifact::new(
@@ -780,8 +772,6 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
             report,
             harvested_sets,
             env_sat_checks,
-            training_seconds,
-            final_mean_reward,
         },
     ))
 }
@@ -1664,17 +1654,27 @@ mod tests {
         let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
         let graph = CompatibilityGraph::build(&nl, &analysis, 1);
-        let artifact = GraphArtifact::new(9, graph, analysis.threshold(), 0.5);
+        let artifact = GraphArtifact::new(9, graph, analysis.threshold());
         let payload = encode_graph(&artifact);
         let decoded = decode_graph(9, &payload).expect("decode");
         assert_eq!(artifact.graph().adjacency(), decoded.graph().adjacency());
         assert_eq!(artifact.graph().rare_nets(), decoded.graph().rare_nets());
-        assert_eq!(artifact.graph().stats(), decoded.graph().stats());
+        // Every counter round-trips; the tier times are not persisted.
+        let untimed = CompatStats {
+            tier1_nanos: 0,
+            tier2_nanos: 0,
+            tier3_nanos: 0,
+            ..*artifact.graph().stats()
+        };
+        assert_eq!(&untimed, decoded.graph().stats());
         assert_eq!(
             artifact.graph().witness_rows(),
             decoded.graph().witness_rows()
         );
-        assert_eq!(artifact.build_seconds(), decoded.build_seconds());
+        assert_eq!(
+            artifact.rareness_threshold().to_bits(),
+            decoded.rareness_threshold().to_bits()
+        );
         // Witness pattern materialization survives the round trip.
         if artifact.graph().len() >= 2 {
             for i in 0..artifact.graph().len() {
@@ -1686,6 +1686,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn graph_payload_bytes_are_independent_of_threads_and_runs() {
+        let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
+        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
+        let encoded = |threads: usize| {
+            let exec = exec::Exec::new(threads);
+            let graph = CompatibilityGraph::build_on(
+                &nl,
+                &analysis,
+                crate::CompatStrategy::default(),
+                &exec,
+            );
+            encode_graph(&GraphArtifact::new(9, graph, analysis.threshold()))
+        };
+        let serial = encoded(1);
+        assert!(encoded(1) == serial, "two builds at one thread");
+        assert!(encoded(4) == serial, "one thread against four");
     }
 
     #[test]
@@ -1746,7 +1765,7 @@ mod tests {
         let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
         let graph = CompatibilityGraph::build(&nl, &analysis, 1);
-        let graph = GraphArtifact::new(9, graph, analysis.threshold(), 0.5);
+        let graph = GraphArtifact::new(9, graph, analysis.threshold());
         assert_every_cut_fails(&encode_graph(&graph), |p| decode_graph(9, p));
         assert_every_cut_fails(&encode_policy(&sample_policy(4)), |p| decode_policy(4, p));
     }
@@ -1850,8 +1869,6 @@ mod tests {
                 report,
                 harvested_sets: vec![vec![0, 2], vec![1]],
                 env_sat_checks: 3,
-                training_seconds: 0.5,
-                final_mean_reward: 0.75,
             },
         )
     }

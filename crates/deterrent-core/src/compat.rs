@@ -181,9 +181,10 @@ pub struct CompatStats {
     /// Pairs resolved by a SAT query of their own (tier 3). The six pair
     /// counters partition [`CompatStats::pairs_total`].
     pub pairs_sat_resolved: u64,
-    /// Worker threads the parallel tiers ran on.
-    pub threads_used: usize,
-    /// Wall nanoseconds spent in tier 1 (joint-witness sweep).
+    /// Wall nanoseconds spent in tier 1 (joint-witness sweep). The three
+    /// tier times are measurements of the build that produced this graph:
+    /// the artifact codec does not persist them, so they read 0 on a graph
+    /// decoded from the disk cache (the `build_graph` span records them).
     pub tier1_nanos: u64,
     /// Wall nanoseconds spent in tier 2 (structural pruning + bounded cone
     /// enumeration).
@@ -497,7 +498,6 @@ impl CompatibilityGraph {
         };
         let mut stats = CompatStats {
             candidate_rare_nets: analysis.len(),
-            threads_used: exec.threads(),
             ..CompatStats::default()
         };
 

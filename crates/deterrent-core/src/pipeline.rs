@@ -1,7 +1,6 @@
 //! The result types of a DETERRENT run (Figure 4 of the paper), as
 //! assembled by [`crate::DeterrentSession::generate`].
 
-use exec::ExecStats;
 use rl::PpoLosses;
 use sim::rare::RareNet;
 use sim::TestPattern;
@@ -9,7 +8,10 @@ use sim::TestPattern;
 use crate::RareNetSet;
 
 /// Metrics of a full pipeline run, matching the quantities reported in
-/// Table 1 and Figures 2–3 of the paper.
+/// Table 1 and Figures 2–3 of the paper. The two rates are the run's only
+/// measurements (replayed from the training report on a warm run); graph
+/// counters live in [`crate::CompatStats`] and executor counters in
+/// [`crate::DeterrentSession::exec_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct TrainingMetrics {
     /// Episodes completed per minute of wall-clock time.
@@ -22,51 +24,15 @@ pub struct TrainingMetrics {
     pub final_mean_reward: f64,
     /// `(total_env_steps, losses)` per PPO update — the loss curve of Fig. 3.
     pub loss_history: Vec<(u64, PpoLosses)>,
-    /// Wall-clock seconds spent in RL training.
-    pub training_seconds: f64,
-    /// SAT queries spent building the pairwise-compatibility graph.
-    pub compat_sat_queries: u64,
-    /// Unordered rare-net pairs the compatibility graph resolved.
-    pub compat_pairs_total: u64,
-    /// Pairs resolved by a retained simulation witness (tier 1, no SAT).
-    pub compat_pairs_witnessed: u64,
-    /// Pairs resolved by disjoint cone supports (tier 2, no SAT).
-    pub compat_pairs_pruned: u64,
-    /// Pairs resolved by bounded exhaustive cone enumeration (tier 2, no
-    /// SAT).
-    pub compat_pairs_enumerated: u64,
-    /// Pairs struck incompatible by implication probing (tier 3, no query).
-    pub compat_pairs_probe_struck: u64,
-    /// Pairs struck compatible by a resimulated sweep model (tier 3, no
-    /// query of their own).
-    pub compat_pairs_sweep_struck: u64,
-    /// Pairs that needed a SAT query (tier 3). Witnessed + pruned +
-    /// enumerated + probe-struck + sweep-struck + SAT partition the total.
-    pub compat_pairs_sat: u64,
-    /// Aggregate CDCL solver counters across every solver the graph build
-    /// created (singleton oracle, tier-3 probe oracle and sweep lanes).
-    pub compat_solver: sat::SolverStats,
     /// Exact SAT checks performed inside the environment (non-zero only for
     /// the naive all-SAT formulation).
     pub env_sat_checks: u64,
-    /// Worker threads of the deterministic parallel runtime.
-    pub threads_used: usize,
-    /// Wall-clock seconds spent building the compatibility graph (the cold
-    /// build; a cache hit reports the originating build's time).
-    pub compat_build_seconds: f64,
     /// Selected sets turned into patterns by reusing a concrete simulation
     /// witness instead of a SAT justification.
     pub patterns_witness_reused: u64,
     /// SAT justification queries spent generating patterns (including greedy
     /// repair retries).
     pub pattern_sat_queries: u64,
-    /// Task/timing counters of the session's shared parallel runtime across
-    /// **every** stage that actually ran — probability estimation, witness
-    /// harvest, funnel tiers, and rollout collection;
-    /// [`ExecStats::speedup`] is the realized parallel speedup. Stages
-    /// served from the artifact cache contribute nothing (their work never
-    /// ran).
-    pub exec_stats: ExecStats,
 }
 
 /// Output of a full DETERRENT run.

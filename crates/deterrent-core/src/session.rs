@@ -26,11 +26,11 @@
 //! threshold-transfer experiment shares one estimation across every θ.
 //!
 //! All stages run on **one** shared deterministic executor, so estimation,
-//! graph construction, and rollout collection all contribute to the final
-//! [`crate::TrainingMetrics::exec_stats`]. Results are bit-identical at any
+//! graph construction, and rollout collection all contribute to
+//! [`DeterrentSession::exec_stats`]. Results are bit-identical at any
 //! thread count.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use exec::{Exec, ExecStats};
 use netlist::Netlist;
@@ -41,14 +41,14 @@ use sim::RareNetEstimate;
 use telemetry::{Span, SpanContext, Telemetry};
 
 use crate::artifact::{
-    graph_key, imported_rare_key, patterns_key, policy_key, prob_key, rare_key, sets_key,
+    graph_key, imported_rare_key, patterns_key, policy_key, prob_key, rare_key, sets_key, Cached,
     GeneratedPatterns, PatternsArtifact, ProbArtifact, SelectedSets, TrainedPolicy,
 };
 use crate::codec::DiskIo;
 use crate::{
     generate_patterns_with, select_k_largest, ArtifactStore, CacheEvents, CompatSetEnv,
     CompatibilityGraph, DeterrentConfig, DeterrentResult, GraphArtifact, PolicyArtifact,
-    RareArtifact, SetsArtifact, Stage, StageCounters, TrainingMetrics,
+    RareArtifact, SetsArtifact, StageCounters, TrainingMetrics,
 };
 
 /// In-flight telemetry for one stage invocation: the open span plus the
@@ -199,54 +199,60 @@ impl<'a> DeterrentSession<'a> {
         self.exec.stats()
     }
 
-    /// Opens the stage span and snapshots the counters it will report
-    /// deltas against. `None` when telemetry is disabled.
-    fn begin_stage_trace(&self, stage: Stage) -> Option<StageTrace> {
-        if !self.telemetry.is_enabled() {
-            return None;
-        }
-        let span = match &self.trace_parent {
-            Some(ctx) => self.telemetry.child_span(ctx, stage.name()),
-            None => self.telemetry.span(stage.name()),
-        };
-        Some(StageTrace {
-            span,
-            exec_before: self.exec.stats(),
-            counters_before: self.store.counters().stage(stage),
-            events_before: self.store.cache_events(),
-            io_before: self.store.disk_io(stage),
-        })
-    }
-
-    /// Closes the stage span with the stage identity and its output
-    /// cardinality `items` — retained candidate nets (estimate), rare nets
-    /// (analyze), resolved pairs (build_graph), episodes (train), selected
-    /// sets (select), or generated patterns (generate) — as deterministic
+    /// Runs one cached stage: looks `A`'s artifact up at `key` (memory →
+    /// disk), else computes and inserts it, all inside the stage span.
+    ///
+    /// The span closes with the stage identity and its output cardinality
+    /// `items` — retained candidate nets (estimate), rare nets (analyze),
+    /// resolved pairs (build_graph), episodes (train), selected sets
+    /// (select), or generated patterns (generate) — as deterministic
     /// attributes, and `cache_hit`, the wall time and the cache-tier,
     /// disk-traffic (`store_read_bytes`, `store_written_bytes`,
     /// `store_read_ns`, `store_decode_ns`) and executor deltas as
-    /// nondeterministic ones. Everything downstream of
+    /// nondeterministic ones; `vary` adds the stage's own keys, given the
+    /// artifact and whether it was a cache hit. Everything downstream of
     /// *which session computed a shared artifact* is scheduling-dependent
     /// when the store is shared (a concurrent session may compute the
     /// artifact first), so only the stage identity and its deterministic
     /// payload size stay in `attrs`.
-    fn finish_stage_trace(
+    fn run_stage<A: Cached>(
         &self,
-        trace: Option<StageTrace>,
-        stage: Stage,
-        wall: Duration,
-        cache_hit: bool,
-        items: u64,
-    ) {
-        let Some(mut trace) = trace else { return };
+        key: u64,
+        compute: impl FnOnce() -> A,
+        vary: impl FnOnce(&mut Span, &A, bool),
+    ) -> A {
+        let stage = A::STAGE;
+        let trace = self.telemetry.is_enabled().then(|| StageTrace {
+            span: match &self.trace_parent {
+                Some(ctx) => self.telemetry.child_span(ctx, stage.name()),
+                None => self.telemetry.span(stage.name()),
+            },
+            exec_before: self.exec.stats(),
+            counters_before: self.store.counters().stage(stage),
+            events_before: self.store.cache_events(),
+            io_before: self.store.disk_io(stage),
+        });
+        let start = Instant::now();
+        let (artifact, cache_hit) = match self.store.lookup::<A>(key) {
+            Some(found) => (found, true),
+            None => {
+                let artifact = compute();
+                self.store.insert(&artifact);
+                (artifact, false)
+            }
+        };
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let Some(mut trace) = trace else {
+            return artifact;
+        };
         let span = &mut trace.span;
+        vary(span, &artifact, cache_hit);
         span.attr_str("stage", stage.name());
-        span.attr_u64("items", items);
+        span.attr_u64("items", artifact.items());
         span.vary("cache_hit", telemetry::Value::Bool(cache_hit));
         let exec = self.exec.stats().since(trace.exec_before);
         span.vary_u64("exec_calls", exec.calls);
         span.vary_u64("exec_tasks", exec.tasks);
-        let wall_ns = wall.as_nanos() as u64;
         span.vary_u64("wall_ns", wall_ns);
         span.vary_u64("exec_busy_ns", exec.busy_nanos);
         let c = self
@@ -273,6 +279,7 @@ impl<'a> DeterrentSession<'a> {
             .histogram("stage.wall_nanos")
             .observe_nanos(wall_ns);
         trace.span.close();
+        artifact
     }
 
     /// Stage ❶ — Monte-Carlo probability estimation with the single-pass
@@ -282,31 +289,17 @@ impl<'a> DeterrentSession<'a> {
     /// absent, so every θ of a sweep shares this artifact.
     pub fn estimate(&mut self) -> ProbArtifact {
         let key = prob_key(self.netlist_fp, &self.config.analysis, self.config.seed);
-        let trace = self.begin_stage_trace(Stage::Estimate);
-        let start = Instant::now();
-        let (artifact, cache_hit) = match self.store.lookup_prob(key) {
-            Some(found) => (found, true),
-            None => {
-                let estimate = RareNetEstimate::estimate_with(
-                    self.netlist,
-                    self.config.analysis.effective_retain(),
-                    self.config.analysis.probability_patterns,
-                    self.config.seed,
-                    &self.exec,
-                );
-                let artifact = ProbArtifact::new(key, estimate);
-                self.store.insert_prob(&artifact);
-                (artifact, false)
-            }
+        let compute = || {
+            let estimate = RareNetEstimate::estimate_with(
+                self.netlist,
+                self.config.analysis.effective_retain(),
+                self.config.analysis.probability_patterns,
+                self.config.seed,
+                &self.exec,
+            );
+            ProbArtifact::new(key, estimate)
         };
-        self.finish_stage_trace(
-            trace,
-            Stage::Estimate,
-            start.elapsed(),
-            cache_hit,
-            artifact.num_candidates() as u64,
-        );
-        artifact
+        self.run_stage(key, compute, |_, _, _| {})
     }
 
     /// Stage ❷ — rare-net analysis at the configured threshold θ: resolves
@@ -319,24 +312,8 @@ impl<'a> DeterrentSession<'a> {
         let probs = self.estimate();
         let theta = self.config.analysis.rareness_threshold;
         let key = rare_key(probs.key, theta);
-        let trace = self.begin_stage_trace(Stage::Analyze);
-        let start = Instant::now();
-        let (artifact, cache_hit) = match self.store.lookup_rare(key) {
-            Some(found) => (found, true),
-            None => {
-                let artifact = RareArtifact::new(key, probs.estimate().threshold(theta));
-                self.store.insert_rare(&artifact);
-                (artifact, false)
-            }
-        };
-        self.finish_stage_trace(
-            trace,
-            Stage::Analyze,
-            start.elapsed(),
-            cache_hit,
-            artifact.len() as u64,
-        );
-        artifact
+        let compute = || RareArtifact::new(key, probs.estimate().threshold(theta));
+        self.run_stage(key, compute, |_, _, _| {})
     }
 
     /// Registers an externally computed analysis as a [`RareArtifact`],
@@ -347,59 +324,29 @@ impl<'a> DeterrentSession<'a> {
     /// [`DeterrentSession::run_from`].
     pub fn import_analysis(&mut self, analysis: RareNetAnalysis) -> RareArtifact {
         let key = imported_rare_key(self.netlist_fp, &analysis);
-        let trace = self.begin_stage_trace(Stage::Analyze);
-        let start = Instant::now();
-        let (artifact, cache_hit) = match self.store.lookup_rare(key) {
-            Some(found) => (found, true),
-            None => {
-                let artifact = RareArtifact::new(key, analysis);
-                self.store.insert_rare(&artifact);
-                (artifact, false)
-            }
-        };
-        self.finish_stage_trace(
-            trace,
-            Stage::Analyze,
-            start.elapsed(),
-            cache_hit,
-            artifact.len() as u64,
-        );
-        artifact
+        self.run_stage(key, || RareArtifact::new(key, analysis), |_, _, _| {})
     }
 
     /// Stage ❸ — pairwise-compatibility graph over `rare`'s rare nets.
     /// Cached by (rare key, compat config); built on the session executor.
     pub fn build_graph(&mut self, rare: &RareArtifact) -> GraphArtifact {
         let key = graph_key(rare.key, &self.config.compat);
-        let mut trace = self.begin_stage_trace(Stage::BuildGraph);
-        let start = Instant::now();
-        let (artifact, cache_hit) = match self.store.lookup_graph(key) {
-            Some(found) => (found, true),
-            None => {
-                let graph = CompatibilityGraph::build_on(
-                    self.netlist,
-                    rare.analysis(),
-                    self.config.compat.strategy,
-                    &self.exec,
-                );
-                let artifact = GraphArtifact::new(
-                    key,
-                    graph,
-                    rare.analysis().threshold(),
-                    start.elapsed().as_secs_f64(),
-                );
-                self.store.insert_graph(&artifact);
-                (artifact, false)
-            }
+        let compute = || {
+            let graph = CompatibilityGraph::build_on(
+                self.netlist,
+                rare.analysis(),
+                self.config.compat.strategy,
+                &self.exec,
+            );
+            GraphArtifact::new(key, graph, rare.analysis().threshold())
         };
-        if let Some(trace) = trace.as_mut() {
+        let vary = |span: &mut Span, artifact: &GraphArtifact, cache_hit: bool| {
             // An all-SAT build's solver counters depend on how its pairs
             // were chunked across workers (each worker owns an incremental
             // solver whose learned clauses carry across its chunk) → vary.
             // The funnel's fixed sweep lanes make its counters
             // thread-independent, but one key cannot be both.
             let s = artifact.graph().stats();
-            let span = &mut trace.span;
             span.vary_u64("sat_decisions", s.solver.decisions);
             span.vary_u64("sat_conflicts", s.solver.conflicts);
             span.vary_u64("sat_propagations", s.solver.propagations);
@@ -408,15 +355,15 @@ impl<'a> DeterrentSession<'a> {
             span.vary_u64("sat_reduces", s.solver.reduces);
             span.vary_u64("sat_deleted_clauses", s.solver.deleted_clauses);
             span.vary_u64("sat_peak_learnts", s.solver.peak_learnts);
-        }
-        self.finish_stage_trace(
-            trace,
-            Stage::BuildGraph,
-            start.elapsed(),
-            cache_hit,
-            artifact.graph().stats().pairs_total,
-        );
-        artifact
+            // The tier times are measured only by the build itself; the
+            // cached graph does not carry them.
+            if !cache_hit {
+                span.vary_u64("tier1_ns", s.tier1_nanos);
+                span.vary_u64("tier2_ns", s.tier2_nanos);
+                span.vary_u64("tier3_ns", s.tier3_nanos);
+            }
+        };
+        self.run_stage(key, compute, vary)
     }
 
     /// Stage ❹ — PPO training over the compatible-set MDP of `graph`.
@@ -429,63 +376,41 @@ impl<'a> DeterrentSession<'a> {
     /// [`DeterrentSession::run`] which short-circuits to an empty result).
     pub fn train(&mut self, graph: &GraphArtifact) -> PolicyArtifact {
         let key = policy_key(graph.key, &self.config.train, self.config.seed);
-        let trace = self.begin_stage_trace(Stage::Train);
-        let start = Instant::now();
-        let (artifact, cache_hit) = match self.store.lookup_policy(key) {
-            Some(found) => (found, true),
-            None => {
-                let train = self.config.train.clone();
-                let proto_env = CompatSetEnv::new(self.netlist, graph.graph(), &self.config);
-                let mut trainer = PpoTrainer::new(
-                    graph.graph().len(),
-                    graph.graph().len(),
-                    &train.ppo,
-                    self.config.seed,
-                );
-                let options = ParallelTrainOptions {
-                    episodes: train.episodes,
-                    max_steps: train.steps_per_episode,
-                    round_episodes: train.rollout_round,
-                    seed: self.config.seed,
-                };
-                let finish =
-                    |env: &mut CompatSetEnv<'_>| (env.take_harvest(), env.exact_sat_checks());
-                let outcome =
-                    train_parallel(&proto_env, &mut trainer, &options, &self.exec, finish);
-                let training_seconds = start.elapsed().as_secs_f64();
+        let compute = || {
+            let train = &self.config.train;
+            let proto_env = CompatSetEnv::new(self.netlist, graph.graph(), &self.config);
+            let mut trainer = PpoTrainer::new(
+                graph.graph().len(),
+                graph.graph().len(),
+                &train.ppo,
+                self.config.seed,
+            );
+            let options = ParallelTrainOptions {
+                episodes: train.episodes,
+                max_steps: train.steps_per_episode,
+                round_episodes: train.rollout_round,
+                seed: self.config.seed,
+            };
+            let finish = |env: &mut CompatSetEnv<'_>| (env.take_harvest(), env.exact_sat_checks());
+            let outcome = train_parallel(&proto_env, &mut trainer, &options, &self.exec, finish);
 
-                let mut harvested_sets = Vec::new();
-                let mut env_sat_checks = 0u64;
-                for (sets, checks) in outcome.harvests {
-                    harvested_sets.extend(sets);
-                    env_sat_checks += checks;
-                }
-                let final_mean_reward = outcome
-                    .report
-                    .mean_reward_last(train.episodes.div_ceil(10).max(1));
-                let artifact = PolicyArtifact::new(
-                    key,
-                    TrainedPolicy {
-                        trainer,
-                        report: outcome.report,
-                        harvested_sets,
-                        env_sat_checks,
-                        training_seconds,
-                        final_mean_reward,
-                    },
-                );
-                self.store.insert_policy(&artifact);
-                (artifact, false)
+            let mut harvested_sets = Vec::new();
+            let mut env_sat_checks = 0u64;
+            for (sets, checks) in outcome.harvests {
+                harvested_sets.extend(sets);
+                env_sat_checks += checks;
             }
+            PolicyArtifact::new(
+                key,
+                TrainedPolicy {
+                    trainer,
+                    report: outcome.report,
+                    harvested_sets,
+                    env_sat_checks,
+                },
+            )
         };
-        self.finish_stage_trace(
-            trace,
-            Stage::Train,
-            start.elapsed(),
-            cache_hit,
-            self.config.train.episodes as u64,
-        );
-        artifact
+        self.run_stage(key, compute, |_, _, _| {})
     }
 
     /// Stage ❺ — greedy evaluation rollouts from the trained policy plus
@@ -502,66 +427,50 @@ impl<'a> DeterrentSession<'a> {
             "select: the policy artifact does not belong to this graph/config"
         );
         let key = sets_key(policy.key, &self.config.select, self.config.seed);
-        let trace = self.begin_stage_trace(Stage::Select);
-        let start = Instant::now();
-        let (artifact, cache_hit) = match self.store.lookup_sets(key) {
-            Some(found) => (found, true),
-            None => {
-                let proto_env = CompatSetEnv::new(self.netlist, graph.graph(), &self.config);
-                let finish =
-                    |env: &mut CompatSetEnv<'_>| (env.take_harvest(), env.exact_sat_checks());
-                let eval = rl::collect_episodes(
-                    &proto_env,
-                    &policy.policy().trainer,
-                    &CollectOptions {
-                        count: self.config.select.eval_rollouts,
-                        max_steps: self.config.train.steps_per_episode,
-                        seed: self.config.seed,
-                        first_episode: self.config.train.episodes as u64,
-                        greedy: true,
-                    },
-                    &self.exec,
-                    finish,
-                );
+        let compute = || {
+            let proto_env = CompatSetEnv::new(self.netlist, graph.graph(), &self.config);
+            let finish = |env: &mut CompatSetEnv<'_>| (env.take_harvest(), env.exact_sat_checks());
+            let eval = rl::collect_episodes(
+                &proto_env,
+                &policy.policy().trainer,
+                &CollectOptions {
+                    count: self.config.select.eval_rollouts,
+                    max_steps: self.config.train.steps_per_episode,
+                    seed: self.config.seed,
+                    first_episode: self.config.train.episodes as u64,
+                    greedy: true,
+                },
+                &self.exec,
+                finish,
+            );
 
-                let mut harvested: Vec<Vec<usize>> = policy.policy().harvested_sets.clone();
-                let mut eval_env_sat_checks = 0u64;
-                for outcome in eval {
-                    let (sets, checks) = outcome.harvest;
-                    harvested.extend(sets);
-                    eval_env_sat_checks += checks;
-                }
-                let max_compatible_set = harvested.iter().map(Vec::len).max().unwrap_or(0);
-                let harvested_total = harvested.len();
-                let sets = select_k_largest(&harvested, self.config.select.k_patterns);
-                let artifact = SetsArtifact::new(
-                    key,
-                    SelectedSets {
-                        sets,
-                        max_compatible_set,
-                        eval_env_sat_checks,
-                        harvested_total,
-                    },
-                );
-                self.store.insert_sets(&artifact);
-                (artifact, false)
+            let mut harvested: Vec<Vec<usize>> = policy.policy().harvested_sets.clone();
+            let mut eval_env_sat_checks = 0u64;
+            for outcome in eval {
+                let (sets, checks) = outcome.harvest;
+                harvested.extend(sets);
+                eval_env_sat_checks += checks;
             }
+            let max_compatible_set = harvested.iter().map(Vec::len).max().unwrap_or(0);
+            let harvested_total = harvested.len();
+            let sets = select_k_largest(&harvested, self.config.select.k_patterns);
+            SetsArtifact::new(
+                key,
+                SelectedSets {
+                    sets,
+                    max_compatible_set,
+                    eval_env_sat_checks,
+                    harvested_total,
+                },
+            )
         };
-        self.finish_stage_trace(
-            trace,
-            Stage::Select,
-            start.elapsed(),
-            cache_hit,
-            artifact.sets().len() as u64,
-        );
-        artifact
+        self.run_stage(key, compute, |_, _, _| {})
     }
 
     /// Stage ❻ — SAT/witness pattern generation over the selected sets,
     /// assembling the final [`DeterrentResult`]. Cached by (sets key) as a
     /// [`PatternsArtifact`], so a fully warm session performs zero SAT
-    /// justification; the surrounding result still composes live session
-    /// state (executor stats, thread count).
+    /// justification.
     pub fn generate(
         &mut self,
         graph: &GraphArtifact,
@@ -569,70 +478,31 @@ impl<'a> DeterrentSession<'a> {
         sets: &SetsArtifact,
     ) -> DeterrentResult {
         let key = patterns_key(sets.key);
-        let trace = self.begin_stage_trace(Stage::Generate);
-        let start = Instant::now();
-        let (generated, cache_hit) = match self.store.lookup_patterns(key) {
-            Some(found) => (found, true),
-            None => {
-                let mut oracle = CircuitOracle::new(self.netlist);
-                let (patterns, gen_stats) =
-                    generate_patterns_with(&mut oracle, graph.graph(), sets.sets());
-                let artifact = PatternsArtifact::new(
-                    key,
-                    GeneratedPatterns {
-                        patterns,
-                        stats: gen_stats,
-                    },
-                );
-                self.store.insert_patterns(&artifact);
-                (artifact, false)
-            }
+        let compute = || {
+            let mut oracle = CircuitOracle::new(self.netlist);
+            let (patterns, stats) = generate_patterns_with(&mut oracle, graph.graph(), sets.sets());
+            PatternsArtifact::new(key, GeneratedPatterns { patterns, stats })
         };
+        let generated = self.run_stage(key, compute, |_, _, _| {});
         let gen_stats = generated.generated().stats;
-        let patterns = generated.patterns().to_vec();
-
         let trained = policy.policy();
         let selected = sets.selected();
-        let stats = graph.graph().stats();
-        let metrics = TrainingMetrics {
-            episodes_per_minute: trained.report.episodes_per_minute(),
-            steps_per_minute: trained.report.steps_per_minute(),
-            max_compatible_set: selected.max_compatible_set,
-            final_mean_reward: trained.final_mean_reward,
-            loss_history: trained.trainer.loss_history().to_vec(),
-            training_seconds: trained.training_seconds,
-            compat_sat_queries: graph.graph().sat_queries(),
-            compat_pairs_total: stats.pairs_total,
-            compat_pairs_witnessed: stats.pairs_sim_witnessed,
-            compat_pairs_pruned: stats.pairs_structurally_pruned,
-            compat_pairs_enumerated: stats.pairs_cone_enumerated,
-            compat_pairs_probe_struck: stats.pairs_probe_struck,
-            compat_pairs_sweep_struck: stats.pairs_sweep_struck,
-            compat_pairs_sat: stats.pairs_sat_resolved,
-            compat_solver: stats.solver,
-            env_sat_checks: trained.env_sat_checks + selected.eval_env_sat_checks,
-            threads_used: self.exec.threads(),
-            compat_build_seconds: graph.build_seconds,
-            patterns_witness_reused: gen_stats.witness_reused,
-            pattern_sat_queries: gen_stats.sat_queries,
-            exec_stats: self.exec.stats(),
-        };
-
-        let result = DeterrentResult {
-            patterns,
+        DeterrentResult {
+            patterns: generated.patterns().to_vec(),
             sets: sets.sets().to_vec(),
             rare_nets: graph.graph().rare_nets().to_vec(),
             rareness_threshold: graph.rareness_threshold,
-            metrics,
-        };
-        self.finish_stage_trace(
-            trace,
-            Stage::Generate,
-            start.elapsed(),
-            cache_hit,
-            result.patterns.len() as u64,
-        );
-        result
+            metrics: TrainingMetrics {
+                episodes_per_minute: trained.report.episodes_per_minute(),
+                steps_per_minute: trained.report.steps_per_minute(),
+                max_compatible_set: selected.max_compatible_set,
+                final_mean_reward: trained.final_mean_reward(),
+                loss_history: trained.trainer.loss_history().to_vec(),
+                env_sat_checks: trained.env_sat_checks + selected.eval_env_sat_checks,
+                patterns_witness_reused: gen_stats.witness_reused,
+                pattern_sat_queries: gen_stats.sat_queries,
+            },
+        }
     }
 
     /// Runs all six stages: estimate → analyze → build_graph → train →
@@ -651,14 +521,7 @@ impl<'a> DeterrentSession<'a> {
                 sets: Vec::new(),
                 rare_nets: Vec::new(),
                 rareness_threshold: graph.rareness_threshold,
-                metrics: TrainingMetrics {
-                    compat_sat_queries: graph.graph().sat_queries(),
-                    compat_pairs_total: graph.graph().stats().pairs_total,
-                    threads_used: self.exec.threads(),
-                    compat_build_seconds: graph.build_seconds,
-                    exec_stats: self.exec.stats(),
-                    ..TrainingMetrics::default()
-                },
+                metrics: TrainingMetrics::default(),
             };
         }
         let policy = self.train(&graph);
@@ -670,7 +533,7 @@ impl<'a> DeterrentSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompatCheck, RewardMode};
+    use crate::{CompatCheck, RewardMode, Stage};
     use netlist::synth::BenchmarkProfile;
 
     fn small_netlist() -> Netlist {
@@ -877,7 +740,7 @@ mod tests {
         };
         let mut session = DeterrentSession::new(&nl, fast_config());
         session.set_telemetry(tele.clone(), Some(parent.clone()));
-        let result = session.run();
+        let _ = session.run();
 
         let events = sink.events();
         let stage_spans: Vec<_> = events
@@ -900,11 +763,8 @@ mod tests {
         // The session executor's dispatch spans ride along under the same
         // parent, and their count matches the executor's own counters.
         let dispatches = events.iter().filter(|e| e.name == "exec.call").count() as u64;
-        assert_eq!(dispatches, result.metrics.exec_stats.calls);
-        assert_eq!(
-            tele.counter("exec.tasks").get(),
-            result.metrics.exec_stats.tasks
-        );
+        assert_eq!(dispatches, session.exec_stats().calls);
+        assert_eq!(tele.counter("exec.tasks").get(), session.exec_stats().tasks);
         // A warm rerun flags every pre-generate stage as a cache hit.
         let warm_sink = MemorySink::new();
         let warm_tele = Telemetry::new(vec![Box::new(warm_sink.clone())]);
@@ -975,6 +835,12 @@ mod tests {
             assert_eq!(warm.vary_u64("store_written_bytes"), Some(0), "{stage}");
             assert!(warm.vary_u64("store_read_ns").is_some());
             assert!(warm.vary_u64("store_decode_ns").is_some());
+            // Only a computing build_graph has tier times to report.
+            for key in ["tier1_ns", "tier2_ns", "tier3_ns"] {
+                assert_eq!(cold.vary.contains_key(key), stage == "build_graph");
+                assert!(!warm.vary.contains_key(key), "{stage}: {key}");
+                assert!(!cold.attrs.contains_key(key), "{key} stays out of attrs");
+            }
         }
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -991,8 +857,8 @@ mod tests {
              executor, got {after_analyze:?}"
         );
         let rare = session.analyze();
-        let result = session.run_from(&rare);
-        assert!(result.metrics.exec_stats.calls >= after_analyze.calls);
-        assert!(result.metrics.exec_stats.tasks >= after_analyze.tasks);
+        let _ = session.run_from(&rare);
+        assert!(session.exec_stats().calls >= after_analyze.calls);
+        assert!(session.exec_stats().tasks >= after_analyze.tasks);
     }
 }
