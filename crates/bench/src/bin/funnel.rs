@@ -215,8 +215,8 @@ fn main() {
         timed_phase(&netlist, &args, threads)
     };
     assert_eq!(
-        serial_graph.adjacency(),
-        funnel.adjacency(),
+        serial_graph.matrix(),
+        funnel.matrix(),
         "exec runtime must be bit-identical at any thread count"
     );
     println!(
@@ -261,8 +261,8 @@ fn main() {
     };
 
     assert_eq!(
-        funnel.adjacency(),
-        all_sat.adjacency(),
+        funnel.matrix(),
+        all_sat.matrix(),
         "funnel adjacency must be bit-identical to the all-SAT result"
     );
     println!("\nadjacency matrices are bit-identical ✓ (all-SAT, funnel ×1, funnel ×{threads})");

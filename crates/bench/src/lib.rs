@@ -125,11 +125,19 @@ impl HarnessOptions {
     ///
     /// # Errors
     ///
-    /// An unknown flag, a flag missing its value, or a value that does not
-    /// parse.
+    /// An unknown flag, a flag missing its value, a value that does not
+    /// parse, or a size below its minimum: `--scale` and `--trojans` at
+    /// least 1, `--width` at least 2.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
-            raw.parse().map_err(|_| format!("bad {flag} value {raw:?}"))
+        fn number<T>(flag: &str, raw: &str, min: T) -> Result<T, String>
+        where
+            T: std::str::FromStr + PartialOrd + std::fmt::Display,
+        {
+            match raw.parse() {
+                Ok(n) if n >= min => Ok(n),
+                Ok(_) => Err(format!("bad {flag} value {raw:?} (at least {min})")),
+                Err(_) => Err(format!("bad {flag} value {raw:?}")),
+            }
         }
         let mut options = Self::default();
         let mut args = args.iter();
@@ -140,10 +148,10 @@ impl HarnessOptions {
                     options.scale = 1;
                     options.num_trojans = 100;
                 }
-                "--scale" => options.scale = number(flag, value()?)?,
-                "--trojans" => options.num_trojans = number(flag, value()?)?,
-                "--width" => options.trigger_width = number(flag, value()?)?,
-                "--seed" => options.seed = number(flag, value()?)?,
+                "--scale" => options.scale = number(flag, value()?, 1)?,
+                "--trojans" => options.num_trojans = number(flag, value()?, 1)?,
+                "--width" => options.trigger_width = number(flag, value()?, 2)?,
+                "--seed" => options.seed = number(flag, value()?, 0)?,
                 "--cache-dir" => options.cache_dir = Some(PathBuf::from(value()?)),
                 "--cache-max-bytes" => {
                     let raw = value()?;
@@ -555,6 +563,10 @@ mod tests {
             ("--cache-dir d --expect-wram", "unknown flag --expect-wram"),
             ("--scale", "--scale needs a value"),
             ("--scale abc", "bad --scale value \"abc\""),
+            ("--scale 0", "bad --scale value \"0\" (at least 1)"),
+            ("--trojans 0", "bad --trojans value \"0\" (at least 1)"),
+            ("--width 0", "bad --width value \"0\" (at least 2)"),
+            ("--width 1", "bad --width value \"1\" (at least 2)"),
             (
                 "--cache-max-bytes 12q",
                 "bad --cache-max-bytes value \"12q\"",

@@ -73,12 +73,16 @@ impl PlanSpec {
     ///
     /// # Errors
     ///
-    /// Rejects unknown benchmark names, empty grid axes, and any θ outside
-    /// `(0, 0.5]` (NaN and ∞ included) — the range rare-net analysis
-    /// accepts — with a human-readable message naming the bad value.
+    /// Rejects unknown benchmark names, empty grid axes, a scale of 0, and
+    /// any θ outside `(0, 0.5]` (NaN and ∞ included) — the range rare-net
+    /// analysis accepts — with a human-readable message naming the bad
+    /// value.
     pub fn to_plan(&self) -> Result<CampaignPlan, String> {
         if self.netlists.is_empty() || self.thetas.is_empty() || self.seeds.is_empty() {
             return Err("empty plan axis (netlists, thetas, and seeds must be non-empty)".into());
+        }
+        if self.scale == 0 {
+            return Err("scale 0 (the divisor must be at least 1)".into());
         }
         if let Some(theta) = self.thetas.iter().find(|&&t| !(t > 0.0 && t <= 0.5)) {
             return Err(format!("theta {theta} outside (0, 0.5]"));
@@ -138,6 +142,10 @@ mod tests {
             assert!(err.contains(&format!("theta {shown} ")), "{err}");
         }
         spec.thetas = vec![0.5];
+        assert!(spec.to_plan().is_ok());
+        spec.scale = 0;
+        assert!(spec.to_plan().unwrap_err().contains("scale 0"));
+        spec.scale = 1;
         assert!(spec.to_plan().is_ok());
     }
 }

@@ -73,7 +73,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use netlist::NetId;
+use netlist::{BitMatrix, NetId};
 use rl::{AdamSnapshot, PolicySnapshot, PpoConfig, PpoLosses, PpoTrainer, TrainReport};
 use sim::rare::{RareNet, RareNetAnalysis};
 use sim::{PatternSource, RareNetEstimate, SignalProbabilities, TestPattern, WitnessBank};
@@ -383,6 +383,9 @@ fn r_witness_bank(r: &mut Reader<'_>) -> Decode<Option<WitnessBank>> {
                 })
                 .collect::<Decode<_>>()?;
             let num_chunks = r.usize()?;
+            if num_chunks.checked_mul(64).is_none() {
+                return Err(DecodeError::Malformed("witness chunk count"));
+            }
             let num_patterns = r.usize()?;
             let rows = r.u64_vec()?;
             if rows.len() != targets.len().saturating_mul(num_chunks) {
@@ -639,7 +642,11 @@ pub(crate) fn encode_graph(artifact: &GraphArtifact) -> Vec<u8> {
     let mut w = Writer::new();
     w.f64(artifact.rareness_threshold());
     w_rare_nets(&mut w, graph.rare_nets());
-    w_bool_slice_packed(&mut w, graph.adjacency());
+    let n = graph.len();
+    w.usize(n * n);
+    for word in graph.matrix().to_stream() {
+        w.u64(word);
+    }
     w_stats(&mut w, graph.stats());
     w_witness_bank(&mut w, graph.witness_bank());
     w.usize_slice(graph.witness_rows());
@@ -650,9 +657,18 @@ pub(crate) fn decode_graph(key: u64, payload: &[u8]) -> Decode<GraphArtifact> {
     let mut r = Reader::new(payload);
     let rareness_threshold = r.f64()?;
     let rare_nets = r_rare_nets(&mut r)?;
-    let adjacency = r_bool_vec_packed(&mut r)?;
-    if adjacency.len() != rare_nets.len() * rare_nets.len() {
+    let n = rare_nets.len();
+    if Some(r.usize()?) != n.checked_mul(n) {
         return Err(DecodeError::Malformed("adjacency shape"));
+    }
+    let stream: Vec<u64> = r
+        .take((n * n).div_ceil(64) * 8)?
+        .chunks_exact(8)
+        .map(le_u64)
+        .collect();
+    let adjacency = BitMatrix::from_stream(n, n, &stream);
+    if (0..n).any(|i| adjacency.get(i, i)) {
+        return Err(DecodeError::Malformed("adjacency self-loop"));
     }
     let stats = r_stats(&mut r)?;
     let witnesses = r_witness_bank(&mut r)?;
@@ -1657,7 +1673,7 @@ mod tests {
         let artifact = GraphArtifact::new(9, graph, analysis.threshold());
         let payload = encode_graph(&artifact);
         let decoded = decode_graph(9, &payload).expect("decode");
-        assert_eq!(artifact.graph().adjacency(), decoded.graph().adjacency());
+        assert_eq!(artifact.graph().matrix(), decoded.graph().matrix());
         assert_eq!(artifact.graph().rare_nets(), decoded.graph().rare_nets());
         // Every counter round-trips; the tier times are not persisted.
         let untimed = CompatStats {
@@ -1799,6 +1815,64 @@ mod tests {
                 "packed bits, {n}"
             );
         }
+    }
+
+    /// The payload bytes of one fixed small build, pinned across commits:
+    /// a layout change that keeps each round trip exact but moves a bit of
+    /// the stored graph or witness bank fails here.
+    #[test]
+    fn payload_checksums_are_pinned() {
+        let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
+        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
+        let graph = CompatibilityGraph::build(&nl, &analysis, 1);
+        let graph = encode_graph(&GraphArtifact::new(9, graph, analysis.threshold()));
+        let estimate = RareNetEstimate::estimate(&nl, 0.25, 1024, 7);
+        let prob = encode_prob(&ProbArtifact::new(11, estimate));
+        assert_eq!(
+            (graph.len(), checksum(&graph)),
+            (2966, 0xa3f6_b0e2_7dfb_80d5)
+        );
+        assert_eq!((prob.len(), checksum(&prob)), (3673, 0x874f_15c7_dc5a_edaa));
+    }
+
+    #[test]
+    fn graph_decoder_rejects_self_loops_and_impossible_chunk_counts() {
+        let nl = BenchmarkProfile::c2670().scaled(25).generate(3);
+        let analysis = RareNetAnalysis::estimate(&nl, 0.2, 1024, 7);
+        let graph = CompatibilityGraph::build(&nl, &analysis, 1);
+        let n = graph.len();
+        assert!(n > 0);
+        let artifact = GraphArtifact::new(9, graph, analysis.threshold());
+        let payload = encode_graph(&artifact);
+        // The adjacency stream starts after the threshold, the rare-net
+        // list and the bit count; bit 0 is the pair (0, 0).
+        let stream_at = 8 + 8 + 17 * n + 8;
+        let mut looped = payload.clone();
+        looped[stream_at] |= 1;
+        assert_eq!(
+            decode_graph(9, &looped).err(),
+            Some(DecodeError::Malformed("adjacency self-loop"))
+        );
+        let mut shape = payload;
+        shape[stream_at - 8..stream_at].copy_from_slice(&((n * n + 1) as u64).to_le_bytes());
+        assert_eq!(
+            decode_graph(9, &shape).err(),
+            Some(DecodeError::Malformed("adjacency shape"))
+        );
+        // A bank with no targets holds no row words for any chunk count,
+        // but a count past `usize::MAX / 64` is still rejected.
+        let mut w = Writer::new();
+        w.u8(1);
+        w.usize(0);
+        w.usize(usize::MAX / 32);
+        w.usize(64);
+        w.u64_slice(&[]);
+        w.u8(0);
+        let bytes = w.finish();
+        assert_eq!(
+            r_witness_bank(&mut Reader::new(&bytes)).err(),
+            Some(DecodeError::Malformed("witness chunk count"))
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    pattern under which both nets were observed at their rare values is a
 //!    constructive proof of compatibility, costing one AND per 64 patterns.
 //! 2. **Tier 2 — structural pruning.** Pairs whose fanin cones read disjoint
-//!    sets of scan inputs ([`netlist::InputSupports`]) can be justified
+//!    sets of scan inputs ([`netlist::input_supports`]) can be justified
 //!    independently and the partial patterns merged, so the pair is
 //!    compatible exactly when both nets are individually justifiable — which
 //!    the singleton stage already established. Pairs whose **union** support
@@ -44,11 +44,11 @@
 //!    constant, so the models — and with them every tier count and CDCL
 //!    counter — do not depend on the thread count.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use exec::Exec;
-use netlist::{InputSupports, NetId, Netlist};
+use netlist::{BitMatrix, NetId, Netlist};
 use sat::{CircuitOracle, SolverConfig, SolverStats};
 use sim::rare::{RareNet, RareNetAnalysis};
 use sim::{ConeSimulator, Simulator, TestPattern, WitnessBank};
@@ -240,28 +240,10 @@ fn strategy_oracle(netlist: &Netlist, strategy: CompatStrategy) -> CircuitOracle
     }
 }
 
-/// Square bit matrix over rare-net indices, one bitset row per net.
-struct BitRows {
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl BitRows {
-    fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        Self {
-            words,
-            bits: vec![0; n * words],
-        }
-    }
-
-    fn set(&mut self, i: usize, j: usize) {
-        self.bits[i * self.words + j / 64] |= 1 << (j % 64);
-    }
-
-    fn contains(&self, i: usize, j: usize) -> bool {
-        self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
-    }
+/// Sets the verdict of the unordered pair `(i, j)` in both rows.
+fn set_pair(adjacency: &mut BitMatrix, i: usize, j: usize, compatible: bool) {
+    adjacency.set(i, j, compatible);
+    adjacency.set(j, i, compatible);
 }
 
 /// Tier 3, step 1 — implication probing. Propagates every rare net's rare
@@ -274,7 +256,7 @@ fn probe_refutations(
     rare_nets: &[RareNet],
     config: SolverConfig,
     solver_stats: &mut SolverStats,
-) -> BitRows {
+) -> BitMatrix {
     let mut oracle = CircuitOracle::lazy(netlist, config);
     for r in rare_nets {
         oracle.encode_cone(r.net);
@@ -289,7 +271,7 @@ fn probe_refutations(
         })
         .collect();
     non_rare.sort_unstable();
-    let mut refuted = BitRows::new(rare_nets.len());
+    let mut refuted = BitMatrix::new(rare_nets.len(), rare_nets.len());
     for (i, r) in rare_nets.iter().enumerate() {
         // A kept net is justifiable, so its probe is never refuted.
         let Some(implied) = oracle.probe(&[(r.net, r.rare_value)]) else {
@@ -301,7 +283,7 @@ fn probe_refutations(
                 .iter()
                 .take_while(|&&(c, _)| c == lit.code())
             {
-                refuted.set(i, j);
+                refuted.set(i, j, true);
             }
         }
     }
@@ -313,7 +295,7 @@ fn probe_refutations(
 struct Sweep<'a> {
     netlist: &'a Netlist,
     rare_nets: &'a [RareNet],
-    supports: &'a InputSupports,
+    supports: &'a BitMatrix,
     config: SolverConfig,
 }
 
@@ -327,7 +309,7 @@ impl Sweep<'_> {
         &self,
         mut pending: Vec<(usize, usize)>,
         exec: &Exec,
-        adjacency: &mut [bool],
+        adjacency: &mut BitMatrix,
         stats: &mut CompatStats,
     ) {
         let n = self.rare_nets.len();
@@ -357,8 +339,7 @@ impl Sweep<'_> {
                 let model = per_lane[slot % SWEEP_LANES]
                     .next()
                     .expect("one verdict per slot");
-                adjacency[i * n + j] = model.is_some();
-                adjacency[j * n + i] = model.is_some();
+                set_pair(adjacency, i, j, model.is_some());
                 if let Some(bits) = model {
                     models.push(self.fill_dont_cares(bits, i, j, round, slot));
                     solved.push((i, j));
@@ -386,8 +367,7 @@ impl Sweep<'_> {
                 if rare_words[i] & rare_words[j] == 0 {
                     return true;
                 }
-                adjacency[i * n + j] = true;
-                adjacency[j * n + i] = true;
+                set_pair(adjacency, i, j, true);
                 stats.pairs_sweep_struck += 1;
                 false
             });
@@ -443,8 +423,11 @@ impl Sweep<'_> {
 #[derive(Debug, Clone)]
 pub struct CompatibilityGraph {
     rare_nets: Vec<RareNet>,
-    /// Row-major adjacency matrix, `adj[i * n + j]`.
-    adjacency: Vec<bool>,
+    /// `n × n`: row `i` holds the partners of rare net `i`; no self-loops.
+    adjacency: BitMatrix,
+    /// The adjacency as row-major bools, built on first use by
+    /// [`CompatibilityGraph::adjacency`].
+    bools: OnceLock<Vec<bool>>,
     stats: CompatStats,
     /// The estimation run's witness bank, retained for downstream pattern
     /// reuse (rows are indexed by *candidate* position, see `witness_rows`).
@@ -542,7 +525,7 @@ impl CompatibilityGraph {
         let n = rare_nets.len();
         stats.kept_rare_nets = n;
         stats.pairs_total = (n * n.saturating_sub(1) / 2) as u64;
-        let mut adjacency = vec![false; n * n];
+        let mut adjacency = BitMatrix::new(n, n);
         // Retained for downstream witness-pattern reuse — a funnel
         // capability. All-SAT builds model the paper's baseline (and serve
         // as its cost reference), so they neither reuse witnesses nor pay
@@ -555,13 +538,13 @@ impl CompatibilityGraph {
             if let Some(oracle) = &singleton_oracle {
                 stats.solver.merge(&oracle.solver_stats());
             }
-            return Self {
+            return Self::from_raw_parts(
                 rare_nets,
                 adjacency,
                 stats,
                 witnesses,
-                witness_rows: kept_candidate_idx,
-            };
+                kept_candidate_idx,
+            );
         }
 
         // ── Tier 1: joint simulation witnesses. ────────────────────────────
@@ -587,8 +570,7 @@ impl CompatibilityGraph {
             for (&(i, j), hit) in pairs.iter().zip(witnessed) {
                 let (i, j) = (i as usize, j as usize);
                 if hit {
-                    adjacency[i * n + j] = true;
-                    adjacency[j * n + i] = true;
+                    set_pair(&mut adjacency, i, j, true);
                     stats.pairs_sim_witnessed += 1;
                 } else {
                     unresolved.push((i, j));
@@ -606,17 +588,16 @@ impl CompatibilityGraph {
         let supports = match strategy {
             CompatStrategy::Funnel(_) if !unresolved.is_empty() => {
                 let roots: Vec<NetId> = rare_nets.iter().map(|r| r.net).collect();
-                Some(InputSupports::compute(netlist, &roots))
+                Some(netlist::input_supports(netlist, &roots))
             }
             _ => None,
         };
         if let Some(supports) = supports.as_ref().filter(|_| funnel.structural_pruning) {
             unresolved.retain(|&(i, j)| {
-                if supports.disjoint(i, j) {
+                if !supports.intersects(i, j) {
                     // Both nets are individually justifiable (singleton stage)
                     // over disjoint inputs, so the partial patterns merge.
-                    adjacency[i * n + j] = true;
-                    adjacency[j * n + i] = true;
+                    set_pair(&mut adjacency, i, j, true);
                     stats.pairs_structurally_pruned += 1;
                     false
                 } else {
@@ -638,7 +619,7 @@ impl CompatibilityGraph {
                 &unresolved,
                 || ConeSimulator::new(netlist, max_support),
                 |cone_sim, _, &(i, j)| {
-                    if supports.union_size(i, j) > max_support as usize {
+                    if supports.union_count(i, j) > max_support as usize {
                         return None;
                     }
                     cone_sim.decide_if(
@@ -654,8 +635,7 @@ impl CompatibilityGraph {
             unresolved.retain(
                 |&(i, j)| match verdicts.next().expect("one verdict per pair") {
                     Some(compatible) => {
-                        adjacency[i * n + j] = compatible;
-                        adjacency[j * n + i] = compatible;
+                        set_pair(&mut adjacency, i, j, compatible);
                         stats.pairs_cone_enumerated += 1;
                         false
                     }
@@ -672,7 +652,7 @@ impl CompatibilityGraph {
             // the sweep's lanes grow their own.
             let refuted = probe_refutations(netlist, &rare_nets, funnel.solver, &mut stats.solver);
             unresolved.retain(|&(i, j)| {
-                let struck = refuted.contains(i, j) || refuted.contains(j, i);
+                let struck = refuted.get(i, j) || refuted.get(j, i);
                 stats.pairs_probe_struck += u64::from(struck);
                 !struck
             });
@@ -737,21 +717,14 @@ impl CompatibilityGraph {
             flat
         };
         for (i, j, compatible) in results {
-            adjacency[i * n + j] = compatible;
-            adjacency[j * n + i] = compatible;
+            set_pair(&mut adjacency, i, j, compatible);
         }
         stats.tier3_nanos = tier3_start.elapsed().as_nanos() as u64;
         if let Some(oracle) = &singleton_oracle {
             stats.solver.merge(&oracle.solver_stats());
         }
 
-        Self {
-            rare_nets,
-            adjacency,
-            stats,
-            witnesses,
-            witness_rows: kept_candidate_idx,
-        }
+        Self::from_raw_parts(rare_nets, adjacency, stats, witnesses, kept_candidate_idx)
     }
 
     /// The rare nets the graph is defined over, in analysis order.
@@ -786,7 +759,7 @@ impl CompatibilityGraph {
             i < self.len() && j < self.len(),
             "rare-net index out of range"
         );
-        i != j && self.adjacency[i * self.len() + j]
+        i != j && self.adjacency.get(i, j)
     }
 
     /// Whether `candidate` is pairwise compatible with every member of `set`.
@@ -795,34 +768,35 @@ impl CompatibilityGraph {
         !set.contains(&candidate) && set.iter().all(|&m| self.is_compatible(m, candidate))
     }
 
-    /// Degree (number of compatible partners) of rare net `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn degree(&self, i: usize) -> usize {
-        assert!(i < self.len(), "rare-net index out of range");
-        (0..self.len())
-            .filter(|&j| self.is_compatible(i, j))
-            .count()
-    }
-
     /// Number of compatible (unordered) pairs.
     #[must_use]
     pub fn num_compatible_pairs(&self) -> usize {
-        let n = self.len();
-        (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-            .filter(|&(i, j)| self.is_compatible(i, j))
-            .count()
+        (0..self.len())
+            .map(|i| self.adjacency.count(i))
+            .sum::<usize>()
+            / 2
     }
 
-    /// The row-major adjacency matrix (for bit-exact comparisons between
-    /// build strategies).
+    /// The `n × n` adjacency: row `i` holds the partners of rare net `i`
+    /// (symmetric, no self-loops).
+    #[must_use]
+    pub fn matrix(&self) -> &BitMatrix {
+        &self.adjacency
+    }
+
+    /// The adjacency as one `bool` per ordered pair, row after row, built
+    /// on first call.
+    ///
+    /// Kept only for the frozen benchmark package, whose adjacency digest
+    /// hashes this view; delete it once that digest hashes
+    /// [`CompatibilityGraph::matrix`] rows instead.
     #[must_use]
     pub fn adjacency(&self) -> &[bool] {
-        &self.adjacency
+        self.bools.get_or_init(|| {
+            (0..self.adjacency.rows())
+                .flat_map(|i| self.adjacency.row_bools(i))
+                .collect()
+        })
     }
 
     /// How each singleton and pair was resolved.
@@ -882,14 +856,14 @@ impl CompatibilityGraph {
     }
 
     /// Codec support: reassembles a graph from the raw parts exposed by
-    /// [`CompatibilityGraph::rare_nets`], [`CompatibilityGraph::adjacency`],
+    /// [`CompatibilityGraph::rare_nets`], [`CompatibilityGraph::matrix`],
     /// [`CompatibilityGraph::stats`], [`CompatibilityGraph::witness_bank`],
     /// and [`CompatibilityGraph::witness_rows`]. The caller is responsible
     /// for internal consistency (the disk-cache decoder validates lengths
     /// before calling).
     pub(crate) fn from_raw_parts(
         rare_nets: Vec<RareNet>,
-        adjacency: Vec<bool>,
+        adjacency: BitMatrix,
         stats: CompatStats,
         witnesses: Option<WitnessBank>,
         witness_rows: Vec<usize>,
@@ -897,6 +871,7 @@ impl CompatibilityGraph {
         Self {
             rare_nets,
             adjacency,
+            bools: OnceLock::new(),
             stats,
             witnesses,
             witness_rows,
@@ -1167,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn compatible_with_all_and_degree() {
+    fn compatible_with_all_members() {
         let nl = BenchmarkProfile::c2670().scaled(25).generate(9);
         let analysis = RareNetAnalysis::estimate(&nl, 0.2, 2048, 4);
         let graph = CompatibilityGraph::build(&nl, &analysis, 2);
@@ -1181,7 +1156,6 @@ mod tests {
             }
             // A member is never compatible with a set containing it.
             assert!(!graph.compatible_with_all(&[1], 1));
-            let _ = graph.degree(0);
         }
         // Every pair is accounted for by exactly one tier.
         let s = graph.stats();

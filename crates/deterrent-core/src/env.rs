@@ -1,6 +1,6 @@
 //! The compatible-rare-net-set Markov decision process (Section 3.1).
 
-use netlist::Netlist;
+use netlist::{BitMatrix, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{Environment, StepOutcome};
@@ -20,8 +20,9 @@ use crate::{CompatCheck, CompatibilityGraph, DeterrentConfig, RewardMode};
 /// * **Masking** (when enabled) restricts the action set to nets that are
 ///   pairwise compatible with the whole current state and not yet members —
 ///   Theorem 3.1 of the paper shows this loses nothing. The environment
-///   keeps that set incrementally: admitting a net intersects it with the
-///   net's adjacency row.
+///   keeps that set as one bit row: a reset copies the seed net's adjacency
+///   row, and admitting a net intersects it with the net's row (the
+///   adjacency has no self-loops, so members never stay allowed).
 ///
 /// Episode-final states are recorded and can be drained with
 /// [`CompatSetEnv::take_harvest`]; they are the maximal compatible sets the
@@ -39,9 +40,9 @@ pub struct CompatSetEnv<'a> {
     oracle: Option<CircuitOracle<'a>>,
     steps_per_episode: usize,
     members: Vec<usize>,
-    /// Nets that may still join: not members, and pairwise compatible with
-    /// every member.
-    allowed: Vec<bool>,
+    /// One row: the nets that may still join — not members, and pairwise
+    /// compatible with every member.
+    allowed: BitMatrix,
     steps_taken: usize,
     rng: StdRng,
     harvest: Vec<Vec<usize>>,
@@ -76,7 +77,7 @@ impl<'a> CompatSetEnv<'a> {
             oracle,
             steps_per_episode: train.steps_per_episode,
             members: Vec::new(),
-            allowed: vec![true; graph.len()],
+            allowed: BitMatrix::new(1, graph.len()),
             steps_taken: 0,
             rng: StdRng::seed_from_u64(config.seed ^ 0x05ee_de0f),
             harvest: Vec::new(),
@@ -114,18 +115,13 @@ impl<'a> CompatSetEnv<'a> {
     /// Adds `net` to the state and narrows `allowed` to the nets that are
     /// compatible with it too.
     fn admit(&mut self, net: usize) {
-        let n = self.graph.len();
-        let row = &self.graph.adjacency()[net * n..(net + 1) * n];
-        for (allowed, &compatible) in self.allowed.iter_mut().zip(row) {
-            *allowed &= compatible;
-        }
-        self.allowed[net] = false;
+        self.allowed.and_row(0, self.graph.matrix(), net);
         self.members.push(net);
     }
 
     fn is_action_compatible(&mut self, action: usize) -> bool {
         match self.compat_check {
-            CompatCheck::PairwiseGraph => self.allowed[action],
+            CompatCheck::PairwiseGraph => self.allowed.get(0, action),
             CompatCheck::ExactSat => {
                 if self.members.contains(&action) {
                     return false;
@@ -149,12 +145,12 @@ impl<'a> CompatSetEnv<'a> {
 
 impl Environment for CompatSetEnv<'_> {
     fn reset(&mut self) -> Vec<f64> {
-        self.members.clear();
-        self.allowed.fill(true);
         self.steps_taken = 0;
         // The initial state is a singleton containing a random rare net.
         let seed_net = self.rng.gen_range(0..self.graph.len());
-        self.admit(seed_net);
+        self.allowed.copy_row(0, self.graph.matrix(), seed_net);
+        self.members.clear();
+        self.members.push(seed_net);
         self.observation()
     }
 
@@ -170,7 +166,7 @@ impl Environment for CompatSetEnv<'_> {
         }
         self.steps_taken += 1;
 
-        let exhausted = self.masking && !self.allowed.contains(&true);
+        let exhausted = self.masking && self.allowed.count(0) == 0;
         let done = self.steps_taken >= self.steps_per_episode || exhausted;
         if done {
             if self.reward_mode == RewardMode::EndOfEpisode {
@@ -188,7 +184,7 @@ impl Environment for CompatSetEnv<'_> {
 
     fn action_mask(&self) -> Vec<bool> {
         if self.masking {
-            self.allowed.clone()
+            self.allowed.row_bools(0)
         } else {
             Vec::new()
         }

@@ -171,13 +171,13 @@ impl<'a> DeterrentSession<'a> {
 
     /// Attaches a telemetry handle — the session's only progress channel.
     /// Every stage invocation then emits one span named after the
-    /// [`Stage`] — a child of `parent` when given (the campaign parents
-    /// stage spans under the cell attempt) — carrying the stage's output
-    /// cardinality (`items`), wall time (`wall_ns`), whether it was a cache
-    /// hit (`cache_hit`), and cache-tier and executor deltas; the session
-    /// executor emits per-dispatch `exec.call` spans. Telemetry is strictly
-    /// out-of-band: artifacts, caching, and results are unaffected. A
-    /// disabled handle detaches.
+    /// [`Stage`](crate::Stage) — a child of `parent` when given (the
+    /// campaign parents stage spans under the cell attempt) — carrying the
+    /// stage's output cardinality (`items`), wall time (`wall_ns`), whether
+    /// it was a cache hit (`cache_hit`), and cache-tier and executor
+    /// deltas; the session executor emits per-dispatch `exec.call` spans.
+    /// Telemetry is strictly out-of-band: artifacts, caching, and results
+    /// are unaffected. A disabled handle detaches.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, parent: Option<SpanContext>) {
         self.exec.set_telemetry(telemetry.clone(), parent.clone());
         self.telemetry = telemetry;

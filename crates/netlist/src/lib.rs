@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+mod bits;
 mod builder;
 pub mod cone;
 mod error;
@@ -49,8 +50,9 @@ mod netlist;
 pub mod samples;
 pub mod synth;
 
+pub use bits::BitMatrix;
 pub use builder::NetlistBuilder;
-pub use cone::{transitive_fanin, InputSupports};
+pub use cone::{input_supports, transitive_fanin};
 pub use error::NetlistError;
 pub use gate::{GateKind, Logic};
 pub use netlist::{Gate, NetId, Netlist};

@@ -268,7 +268,7 @@ mod tests {
         let mut decider = ConeSimulator::new(&nl, 14);
         let sim = crate::Simulator::new(&nl);
         let roots: Vec<_> = targets.iter().map(|&(net, _)| net).collect();
-        let supports = netlist::InputSupports::compute(&nl, &roots);
+        let supports = netlist::input_supports(&nl, &roots);
         let width = nl.num_scan_inputs();
         let mut checked = 0;
         for i in 0..targets.len().min(12) {
@@ -277,10 +277,9 @@ mod tests {
                 let Some(verdict) = decider.decide(&pair) else {
                     continue;
                 };
-                let mut union: Vec<usize> = supports.support_positions(i);
-                union.extend(supports.support_positions(j));
-                union.sort_unstable();
-                union.dedup();
+                let union: Vec<usize> = (0..width)
+                    .filter(|&p| supports.get(i, p) || supports.get(j, p))
+                    .collect();
                 assert!(union.len() <= 14, "limit should have bounded this");
                 let brute = (0u64..1 << union.len()).any(|code| {
                     let mut bits = vec![false; width];

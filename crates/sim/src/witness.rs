@@ -12,7 +12,7 @@
 //! over the two rows.
 
 use exec::{split_seed, Exec};
-use netlist::{NetId, Netlist};
+use netlist::{BitMatrix, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -125,10 +125,9 @@ impl PatternSource {
 #[derive(Debug, Clone)]
 pub struct WitnessBank {
     targets: Vec<(NetId, bool)>,
-    num_chunks: usize,
     num_patterns: usize,
-    /// Row-major: `rows[t * num_chunks + c]`.
-    rows: Vec<u64>,
+    /// `targets × (64 · chunks)`: word `c` of row `t` covers chunk `c`.
+    rows: BitMatrix,
     /// How to re-materialize the underlying patterns, when known.
     source: Option<PatternSource>,
 }
@@ -199,9 +198,8 @@ impl WitnessBank {
         }
         Self {
             targets: targets.to_vec(),
-            num_chunks,
             num_patterns: num_chunks * 64,
-            rows,
+            rows: BitMatrix::from_words(targets.len(), num_chunks * 64, rows),
             source: Some(source),
         }
     }
@@ -233,14 +231,14 @@ impl WitnessBank {
     /// Number of 64-pattern chunks per row.
     #[must_use]
     pub fn num_chunks(&self) -> usize {
-        self.num_chunks
+        self.rows.cols() / 64
     }
 
     /// All row words, row-major (`row(t)` is
     /// `raw_rows()[t * num_chunks .. (t + 1) * num_chunks]`).
     #[must_use]
     pub fn raw_rows(&self) -> &[u64] {
-        &self.rows
+        self.rows.words()
     }
 
     /// Rebuilds a bank from its raw parts — the inverse of
@@ -252,7 +250,8 @@ impl WitnessBank {
     ///
     /// # Panics
     ///
-    /// Panics if `rows.len() != targets.len() * num_chunks`.
+    /// Panics if `rows.len() != targets.len() * num_chunks`, or if
+    /// `64 * num_chunks` overflows `usize`.
     #[must_use]
     pub fn from_raw_parts(
         targets: Vec<(NetId, bool)>,
@@ -261,16 +260,11 @@ impl WitnessBank {
         rows: Vec<u64>,
         source: Option<PatternSource>,
     ) -> Self {
-        assert_eq!(
-            rows.len(),
-            targets.len() * num_chunks,
-            "row words must be targets x chunks"
-        );
+        let patterns = num_chunks.checked_mul(64).expect("chunk count overflows");
         Self {
+            rows: BitMatrix::from_words(targets.len(), patterns, rows),
             targets,
-            num_chunks,
             num_patterns,
-            rows,
             source,
         }
     }
@@ -282,7 +276,7 @@ impl WitnessBank {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn row(&self, t: usize) -> &[u64] {
-        &self.rows[t * self.num_chunks..(t + 1) * self.num_chunks]
+        self.rows.row(t)
     }
 
     /// Whether any simulated pattern drove target `t` to its value — a
@@ -293,17 +287,7 @@ impl WitnessBank {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn has_witness(&self, t: usize) -> bool {
-        self.row(t).iter().any(|&w| w != 0)
-    }
-
-    /// Number of simulated patterns witnessing target `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range.
-    #[must_use]
-    pub fn witness_count(&self, t: usize) -> u64 {
-        self.row(t).iter().map(|w| u64::from(w.count_ones())).sum()
+        self.rows.count(t) > 0
     }
 
     /// Whether some single simulated pattern drove targets `a` and `b` to
@@ -315,17 +299,7 @@ impl WitnessBank {
     /// Panics if `a` or `b` is out of range.
     #[must_use]
     pub fn pair_witnessed(&self, a: usize, b: usize) -> bool {
-        self.row(a)
-            .iter()
-            .zip(self.row(b))
-            .any(|(&x, &y)| x & y != 0)
-    }
-
-    /// Whether some single simulated pattern drove *every* target in `set` to
-    /// its value at once (generalizes [`WitnessBank::pair_witnessed`]).
-    #[must_use]
-    pub fn set_witnessed(&self, set: &[usize]) -> bool {
-        self.set_witness_index(set).is_some()
+        self.rows.intersects(a, b)
     }
 
     /// The index of the first simulated pattern that drove *every* target in
@@ -337,10 +311,10 @@ impl WitnessBank {
         if set.is_empty() {
             return None;
         }
-        (0..self.num_chunks).find_map(|c| {
+        (0..self.num_chunks()).find_map(|c| {
             let joint = set
                 .iter()
-                .fold(u64::MAX, |acc, &t| acc & self.rows[t * self.num_chunks + c]);
+                .fold(u64::MAX, |acc, &t| acc & self.rows.row(t)[c]);
             (joint != 0).then(|| c * 64 + joint.trailing_zeros() as usize)
         })
     }
@@ -424,8 +398,8 @@ mod tests {
         // Exactly one of the 16 exhaustive patterns sets the AND-chain root,
         // and exactly one clears the OR.
         assert_eq!(bank.num_patterns(), 16);
-        assert_eq!(bank.witness_count(r), 1);
-        assert_eq!(bank.witness_count(a), 1);
+        assert_eq!(bank.rows.count(r), 1);
+        assert_eq!(bank.rows.count(a), 1);
         assert!(bank.has_witness(r));
         // 1111 sets the root, 0000 clears the OR: no pattern does both.
         assert!(!bank.pair_witnessed(r, a));
@@ -442,7 +416,7 @@ mod tests {
         let a = row_of(&bank, any);
         assert_eq!(bank.targets()[a], (any, false));
         assert_eq!(bank.row(a), &[1], "only pattern 000 gives any=0");
-        assert_eq!(bank.witness_count(a), 1);
+        assert_eq!(bank.rows.count(a), 1);
     }
 
     #[test]
@@ -550,7 +524,7 @@ mod tests {
         // but plenty with G1=1.
         assert!(!bank.pair_witnessed(0, 1));
         assert!(bank.pair_witnessed(0, 2));
-        assert!(bank.set_witnessed(&[0, 2]));
-        assert!(!bank.set_witnessed(&[]));
+        assert!(bank.set_witness_index(&[0, 2]).is_some());
+        assert!(bank.set_witness_index(&[]).is_none());
     }
 }

@@ -54,7 +54,7 @@ pub enum EventKind {
     Span,
     /// An instantaneous point event (`dur_ns` = 0).
     Mark,
-    /// A metric-registry flush; counters/gauges land in `attrs`,
+    /// A metric-registry flush; counters land in `attrs`,
     /// histograms in `vary`.
     Metrics,
 }

@@ -38,12 +38,6 @@ impl Value {
         Value::Num(n.to_string())
     }
 
-    /// Builds a number value from an `i64`.
-    #[must_use]
-    pub fn i64(n: i64) -> Self {
-        Value::Num(n.to_string())
-    }
-
     /// Builds a number value from an `f64`. Non-finite values have no JSON
     /// representation and map to `null`.
     #[must_use]

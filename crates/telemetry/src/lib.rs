@@ -16,8 +16,8 @@
 //! every operation a no-op so instrumented code never branches on an
 //! `Option`. An enabled handle fans each closed [`Span`] out to its
 //! [`TraceSink`]s ([`JsonlSink`] for `--trace-out`, adapters for stderr
-//! rendering) and shares one [`MetricRegistry`] whose [`Counter`] /
-//! [`Gauge`] / [`Histogram`] handles are lock-free atomics.
+//! rendering) and shares one [`MetricRegistry`] whose [`Counter`] and
+//! [`Histogram`] handles are lock-free atomics.
 //!
 //! ```
 //! use telemetry::{MemorySink, Telemetry};
@@ -57,7 +57,7 @@ pub use event::{
 };
 pub use json::{obj, Value};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricRegistry, LATENCY_BUCKET_BOUNDS_NS,
+    Counter, Histogram, HistogramSnapshot, MetricRegistry, LATENCY_BUCKET_BOUNDS_NS,
 };
 pub use sink::{JsonlSink, MemorySink, TraceSink};
 
@@ -127,12 +127,6 @@ impl Telemetry {
             .map_or_else(Counter::noop, |m| m.counter(name))
     }
 
-    /// The gauge named `name` (a no-op handle when disabled).
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.metrics().map_or_else(Gauge::noop, |m| m.gauge(name))
-    }
-
     /// The histogram named `name` (a no-op handle when disabled).
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -176,16 +170,13 @@ impl Telemetry {
     }
 
     /// Emits a `metrics` event carrying a snapshot of the registry
-    /// (counters and gauges in `attrs`, histograms in `vary`), then
+    /// (counters in `attrs`, histograms in `vary`), then
     /// flushes the sinks. A no-op when disabled.
     pub fn flush_metrics(&self) {
         let Some(shared) = &self.shared else { return };
         let mut attrs = BTreeMap::new();
         for (name, value) in shared.metrics.counter_snapshot() {
             attrs.insert(name, Value::u64(value));
-        }
-        for (name, value) in shared.metrics.gauge_snapshot() {
-            attrs.insert(name, Value::i64(value));
         }
         let mut vary = BTreeMap::new();
         for (name, snap) in shared.metrics.histogram_snapshot() {
@@ -441,14 +432,12 @@ mod tests {
         let sink = MemorySink::new();
         let telemetry = Telemetry::new(vec![Box::new(sink.clone())]);
         telemetry.counter("exec.calls").inc(3);
-        telemetry.gauge("pool.threads").set(-2);
         telemetry.histogram("stage.wall_nanos").observe_nanos(500);
         telemetry.flush_metrics();
         let events = sink.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::Metrics);
         assert_eq!(events[0].attr_u64("exec.calls"), Some(3));
-        assert_eq!(events[0].attrs.get("pool.threads"), Some(&Value::i64(-2)));
         let histo = events[0].vary.get("stage.wall_nanos").unwrap();
         assert_eq!(histo.as_obj().unwrap().get("count"), Some(&Value::u64(1)));
     }

@@ -1,14 +1,14 @@
-//! Typed metric registry: counters, gauges, and fixed-bucket latency
-//! histograms, with a Prometheus-text snapshot exporter.
+//! Typed metric registry: counters and fixed-bucket latency histograms,
+//! with a Prometheus-text snapshot exporter.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones of
+//! Handles ([`Counter`], [`Histogram`]) are cheap `Arc` clones of
 //! atomics, so instrumented hot paths pay one relaxed atomic op per update
 //! and never take the registry lock. A handle obtained from a *disabled*
 //! [`crate::Telemetry`] is a no-op, which keeps call sites unconditional.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Upper bounds (inclusive, nanoseconds) of the fixed histogram buckets:
@@ -52,40 +52,6 @@ impl Counter {
     }
 }
 
-/// A gauge handle: a value that can move both ways.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    cell: Option<Arc<AtomicI64>>,
-}
-
-impl Gauge {
-    /// A handle that ignores all updates (used when telemetry is disabled).
-    #[must_use]
-    pub fn noop() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: i64) {
-        if let Some(cell) = &self.cell {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (may be negative) to the gauge.
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value (0 for a no-op handle).
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
 #[derive(Debug, Default)]
 struct HistogramCell {
     /// One count per bound in [`LATENCY_BUCKET_BOUNDS_NS`] plus `+Inf`.
@@ -118,22 +84,6 @@ impl Histogram {
         cell.sum.fetch_add(nanos, Ordering::Relaxed);
         cell.count.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// The number of observations (0 for a no-op handle).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |c| c.count.load(Ordering::Relaxed))
-    }
-
-    /// The sum of all observed nanoseconds (0 for a no-op handle).
-    #[must_use]
-    pub fn sum_nanos(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |c| c.sum.load(Ordering::Relaxed))
-    }
 }
 
 /// A snapshot of one histogram, as captured by
@@ -151,7 +101,6 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
 }
 
@@ -183,16 +132,6 @@ impl MetricRegistry {
         }
     }
 
-    /// Returns (registering on first use) the gauge named `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().expect("gauge map poisoned");
-        let cell = map.entry(name.to_string()).or_default();
-        Gauge {
-            cell: Some(Arc::clone(cell)),
-        }
-    }
-
     /// Returns (registering on first use) the histogram named `name`.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -211,15 +150,6 @@ impl MetricRegistry {
     #[must_use]
     pub fn counter_snapshot(&self) -> BTreeMap<String, u64> {
         let map = self.inner.counters.lock().expect("counter map poisoned");
-        map.iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// A snapshot of every gauge, in name order.
-    #[must_use]
-    pub fn gauge_snapshot(&self) -> BTreeMap<String, i64> {
-        let map = self.inner.gauges.lock().expect("gauge map poisoned");
         map.iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect()
@@ -261,11 +191,6 @@ impl MetricRegistry {
         for (name, value) in self.counter_snapshot() {
             let id = sanitize(&name);
             let _ = writeln!(out, "# TYPE {id} counter");
-            let _ = writeln!(out, "{id} {value}");
-        }
-        for (name, value) in self.gauge_snapshot() {
-            let id = sanitize(&name);
-            let _ = writeln!(out, "# TYPE {id} gauge");
             let _ = writeln!(out, "{id} {value}");
         }
         for (name, snap) in self.histogram_snapshot() {
@@ -326,7 +251,7 @@ mod tests {
         assert_eq!(c.get(), 0);
         let h = Histogram::noop();
         h.observe_nanos(1);
-        assert_eq!(h.count(), 0);
+        assert!(h.cell.is_none());
     }
 
     #[test]
@@ -341,11 +266,9 @@ mod tests {
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[LATENCY_BUCKET_BOUNDS_NS.len()], 1);
 
-        registry.gauge("pool.threads").set(4);
         registry.counter("exec.calls").inc(2);
         let text = registry.render_text();
         assert!(text.contains("# TYPE exec_calls counter\nexec_calls 2\n"));
-        assert!(text.contains("# TYPE pool_threads gauge\npool_threads 4\n"));
         assert!(text.contains("stage_wall_nanos_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("stage_wall_nanos_count 3"));
     }

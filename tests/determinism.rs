@@ -54,7 +54,7 @@ fn adjacency_matrix_is_bit_identical_across_thread_counts() {
     let reference = CompatibilityGraph::build(&nl, &analysis, 1);
     for threads in THREAD_COUNTS {
         let graph = CompatibilityGraph::build(&nl, &analysis, threads);
-        assert_eq!(reference.adjacency(), graph.adjacency(), "{threads}");
+        assert_eq!(reference.matrix(), graph.matrix(), "{threads}");
         assert_eq!(reference.rare_nets(), graph.rare_nets(), "{threads}");
     }
 }
@@ -114,6 +114,6 @@ proptest! {
         let analysis = RareNetAnalysis::estimate(&nl, theta, 1usize << patterns_exp, seed ^ 1);
         let serial = CompatibilityGraph::build(&nl, &analysis, 1);
         let parallel = CompatibilityGraph::build(&nl, &analysis, 3);
-        prop_assert_eq!(serial.adjacency(), parallel.adjacency());
+        prop_assert_eq!(serial.matrix(), parallel.matrix());
     }
 }

@@ -78,8 +78,8 @@ fn assert_thread_independent(
             "{label}: kept rare nets differ ({threads} threads)"
         );
         assert_eq!(
-            g.adjacency(),
-            reference.adjacency(),
+            g.matrix(),
+            reference.matrix(),
             "{label}: adjacency differs ({threads} threads)"
         );
         assert_eq!(

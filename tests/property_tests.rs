@@ -3,7 +3,7 @@
 use deterrent_repro::deterrent_core::{CompatStrategy, CompatibilityGraph};
 use deterrent_repro::exec::Exec;
 use deterrent_repro::netlist::synth::BenchmarkProfile;
-use deterrent_repro::netlist::{bench, samples, GateKind, InputSupports, Netlist, NetlistBuilder};
+use deterrent_repro::netlist::{bench, input_supports, samples, GateKind, Netlist, NetlistBuilder};
 use deterrent_repro::sat::{CircuitOracle, Cnf, Lit, Solver, Var};
 use deterrent_repro::sim::rare::RareNetAnalysis;
 use deterrent_repro::sim::{ConeSimulator, Simulator, TestPattern};
@@ -127,7 +127,7 @@ proptest! {
         let bank = analysis.witnesses().expect("estimate retains witnesses");
         let targets = analysis.targets();
         let roots: Vec<_> = targets.iter().map(|&(net, _)| net).collect();
-        let supports = InputSupports::compute(&nl, &roots);
+        let supports = input_supports(&nl, &roots);
         let mut cone_sim = ConeSimulator::new(&nl, 10);
 
         for i in 0..targets.len() {
@@ -139,7 +139,7 @@ proptest! {
                     prop_assert!(truth, "witnessed pair ({i},{j}) must be SAT-compatible");
                 }
                 // Tier 2a: disjoint supports reduce the pair to its singletons.
-                if supports.disjoint(i, j) {
+                if !supports.intersects(i, j) {
                     let both = truth_oracle.is_compatible(&pair[..1])
                         && truth_oracle.is_compatible(&pair[1..]);
                     prop_assert_eq!(truth, both, "disjoint pair ({}, {})", i, j);
@@ -155,7 +155,7 @@ proptest! {
         let all_sat =
             CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
         let funnel = CompatibilityGraph::build(&nl, &analysis, 1);
-        prop_assert_eq!(funnel.adjacency(), all_sat.adjacency());
+        prop_assert_eq!(funnel.matrix(), all_sat.matrix());
         prop_assert_eq!(funnel.rare_nets(), all_sat.rare_nets());
     }
 
