@@ -126,6 +126,10 @@ fn parse_args() -> Args {
         }
         i += 2;
     }
+    if args.scale == 0 {
+        eprintln!("error: --scale must be at least 1");
+        std::process::exit(2);
+    }
     if !(args.theta > 0.0 && args.theta <= 0.5) {
         eprintln!("error: --theta must be in (0, 0.5], got {}", args.theta);
         std::process::exit(2);
@@ -185,7 +189,7 @@ fn timed_phase(
 
 fn main() {
     let args = parse_args();
-    let profile = if args.scale <= 1 {
+    let profile = if args.scale == 1 {
         BenchmarkProfile::c2670()
     } else {
         BenchmarkProfile::c2670().scaled(args.scale)
@@ -332,10 +336,13 @@ fn main() {
         Duration::from_nanos(fs.tier_nanos_total()),
     );
     println!(
-        "\nfunnel tier wall clock (×{threads}): tier1 {:?}, tier2 {:?}, tier3 {:?}",
+        "\nfunnel tier wall clock (×{threads}): tier1 {:?}, tier2 {:?}, tier3 {:?} \
+         (probe {:?}, sweep {:?})",
         Duration::from_nanos(fs.tier1_nanos),
         Duration::from_nanos(fs.tier2_nanos),
         Duration::from_nanos(fs.tier3_nanos),
+        Duration::from_nanos(fs.tier3_probe_nanos),
+        Duration::from_nanos(fs.tier3_sweep_nanos),
     );
 
     let pairwise_reduction = if fs.pairwise_sat_queries() == 0 {

@@ -1680,6 +1680,8 @@ mod tests {
             tier1_nanos: 0,
             tier2_nanos: 0,
             tier3_nanos: 0,
+            tier3_probe_nanos: 0,
+            tier3_sweep_nanos: 0,
             ..*artifact.graph().stats()
         };
         assert_eq!(&untimed, decoded.graph().stats());

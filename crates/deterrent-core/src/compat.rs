@@ -34,10 +34,15 @@
 //!    - *Sweeping* (the counterexample resimulation of FRAIG sweeping,
 //!      Mishchenko et al. 2005): the remaining pairs are solved in input
 //!      order, in rounds of 64 spread over [`SWEEP_LANES`] persistent
-//!      oracles. Each SAT model, its inputs outside the pair's union support
-//!      filled pseudo-randomly, is resimulated 64 to a word, and every later
-//!      pending pair whose two rare values one model drives is compatible
-//!      without a query of its own.
+//!      oracles. A query decides only the scan inputs of the pair's union
+//!      support ([`sat::CircuitOracle::justify_within`]), as PODEM (Goel
+//!      1981) branches only on inputs: fixing them propagates every gate of
+//!      both cones, so the verdict is exact without assigning the rest of
+//!      the lane's encoding. Each SAT model, its inputs outside that support
+//!      filled pseudo-randomly, is resimulated 64 to a word — an always-on
+//!      assert checks that it drives its own pair — and every later pending
+//!      pair whose two rare values one model drives is compatible without a
+//!      query of its own.
 //!
 //!    Every strike is a logical consequence or a concrete simulated witness,
 //!    so the adjacency stays bit-identical to all-SAT. The lane count is a
@@ -192,6 +197,12 @@ pub struct CompatStats {
     /// Wall nanoseconds spent in tier 3 (probing and sweeping the
     /// survivors).
     pub tier3_nanos: u64,
+    /// The part of [`CompatStats::tier3_nanos`] spent in implication
+    /// probing (not persisted either).
+    pub tier3_probe_nanos: u64,
+    /// The part of [`CompatStats::tier3_nanos`] spent in SAT sweeping (not
+    /// persisted either).
+    pub tier3_sweep_nanos: u64,
     /// Aggregate CDCL statistics over every solver the build created
     /// (singleton oracle, probe oracle and sweep lanes). A funnel build's
     /// totals are independent of the thread count, like its adjacency and
@@ -329,7 +340,11 @@ impl Sweep<'_> {
                     .iter()
                     .skip(lane)
                     .step_by(SWEEP_LANES)
-                    .map(|&(i, j)| oracle.justify(&self.targets(i, j)))
+                    .map(|&(i, j)| {
+                        // The pair's union support: the only inputs its query
+                        // decides.
+                        oracle.justify_within(&self.targets(i, j), &self.supports.union_ones(i, j))
+                    })
                     .collect()
             });
             let mut per_lane: Vec<_> = per_lane.into_iter().map(Vec::into_iter).collect();
@@ -347,7 +362,7 @@ impl Sweep<'_> {
             }
             stats.pairs_sat_resolved += batch.len() as u64;
             round += 1;
-            if models.is_empty() || pending.is_empty() {
+            if models.is_empty() {
                 continue;
             }
             let values = sim.run_batch(&models);
@@ -356,13 +371,14 @@ impl Sweep<'_> {
                 let w = values.word(r.net);
                 *word = if r.rare_value { w } else { !w } & mask;
             }
-            debug_assert!(
-                solved
-                    .iter()
-                    .enumerate()
-                    .all(|(b, &(i, j))| (rare_words[i] & rare_words[j]) >> b & 1 == 1),
-                "every sweep model must drive its own pair"
-            );
+            // The models decided only their pairs' supports, so every one of
+            // them is checked against its own pair, the last round's too.
+            for (b, &(i, j)) in solved.iter().enumerate() {
+                assert!(
+                    (rare_words[i] & rare_words[j]) >> b & 1 == 1,
+                    "sweep model of pair ({i}, {j}) does not drive it"
+                );
+            }
             pending.retain(|&(i, j)| {
                 if rare_words[i] & rare_words[j] == 0 {
                     return true;
@@ -657,6 +673,8 @@ impl CompatibilityGraph {
                 !struck
             });
             drop(refuted);
+            stats.tier3_probe_nanos = tier3_start.elapsed().as_nanos() as u64;
+            let sweep_start = Instant::now();
             let sweep = Sweep {
                 netlist,
                 rare_nets: &rare_nets,
@@ -669,6 +687,7 @@ impl CompatibilityGraph {
                 &mut adjacency,
                 &mut stats,
             );
+            stats.tier3_sweep_nanos = sweep_start.elapsed().as_nanos() as u64;
         }
         // All-SAT, the reference: one query per pair.
         stats.pairs_sat_resolved += unresolved.len() as u64;

@@ -361,6 +361,8 @@ impl<'a> DeterrentSession<'a> {
                 span.vary_u64("tier1_ns", s.tier1_nanos);
                 span.vary_u64("tier2_ns", s.tier2_nanos);
                 span.vary_u64("tier3_ns", s.tier3_nanos);
+                span.vary_u64("tier3_probe_ns", s.tier3_probe_nanos);
+                span.vary_u64("tier3_sweep_ns", s.tier3_sweep_nanos);
             }
         };
         self.run_stage(key, compute, vary)
@@ -836,10 +838,20 @@ mod tests {
             assert!(warm.vary_u64("store_read_ns").is_some());
             assert!(warm.vary_u64("store_decode_ns").is_some());
             // Only a computing build_graph has tier times to report.
-            for key in ["tier1_ns", "tier2_ns", "tier3_ns"] {
+            for key in [
+                "tier1_ns",
+                "tier2_ns",
+                "tier3_ns",
+                "tier3_probe_ns",
+                "tier3_sweep_ns",
+            ] {
                 assert_eq!(cold.vary.contains_key(key), stage == "build_graph");
                 assert!(!warm.vary.contains_key(key), "{stage}: {key}");
                 assert!(!cold.attrs.contains_key(key), "{key} stays out of attrs");
+            }
+            if stage == "build_graph" {
+                let ns = |key| cold.vary_u64(key).expect("tier time");
+                assert!(ns("tier3_probe_ns") + ns("tier3_sweep_ns") <= ns("tier3_ns"));
             }
         }
         let _ = std::fs::remove_dir_all(&root);

@@ -126,6 +126,20 @@ impl BitMatrix {
             .sum()
     }
 
+    /// The columns set in row `i` or row `j`, ascending.
+    #[must_use]
+    pub fn union_ones(&self, i: usize, j: usize) -> Vec<usize> {
+        let mut ones = Vec::new();
+        for (block, (&x, &y)) in self.row(i).iter().zip(self.row(j)).enumerate() {
+            let mut word = x | y;
+            while word != 0 {
+                ones.push(block * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        ones
+    }
+
     /// Overwrites row `i` with row `k` of `src`.
     pub fn copy_row(&mut self, i: usize, src: &BitMatrix, k: usize) {
         assert_eq!(self.cols, src.cols, "column counts differ");
@@ -281,6 +295,8 @@ mod tests {
                 let union = bools.iter().zip(&other).filter(|&(&a, &b)| a || b).count();
                 assert_eq!(m.intersects(i, j), both);
                 assert_eq!(m.union_count(i, j), union);
+                let ones: Vec<usize> = (0..100).filter(|&c| bools[c] || other[c]).collect();
+                assert_eq!(m.union_ones(i, j), ones);
             }
         }
         let mut acc = BitMatrix::new(1, 100);

@@ -11,14 +11,18 @@
 //!   learning, VSIDS-style activities, phase saving, Luby restarts,
 //!   activity-based learned-clause deletion, incremental solving under
 //!   assumptions, propagation-only probes) configured through
-//!   [`SolverConfig`].
+//!   [`SolverConfig`]. [`Solver::solve_within`] runs the same search but
+//!   branches only on a given variable set — a circuit query's cone inputs
+//!   — and stops once those are assigned.
 //! * [`dimacs`] — DIMACS CNF reading/writing for interoperability.
 //! * [`CircuitOracle`] — the high-level interface used by the rest of the
 //!   workspace: "give me an input pattern that justifies these `(net, value)`
 //!   targets, or prove none exists". It Tseitin-encodes a
 //!   [`netlist::Netlist`] either whole up front ([`CircuitOracle::new`]) or
 //!   cone by cone on demand ([`CircuitOracle::lazy`], the workhorse of the
-//!   offline compatibility funnel).
+//!   offline compatibility funnel, whose sweep asks
+//!   [`CircuitOracle::justify_within`] to decide only a pair's input
+//!   support).
 //!
 //! # Example
 //!

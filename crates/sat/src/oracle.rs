@@ -181,18 +181,48 @@ impl<'a> CircuitOracle<'a> {
     pub fn justify(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<bool>> {
         self.queries += 1;
         let assumptions = self.assumptions(targets);
-        match self.solver.solve(&assumptions) {
-            SolveResult::Sat(model) => Some(
-                self.scan_inputs
-                    .iter()
-                    .map(|&si| {
-                        let v = self.net_vars[si.index()];
-                        v != UNENCODED && model[v as usize]
-                    })
-                    .collect(),
-            ),
-            SolveResult::Unsat => None,
-        }
+        let result = self.solver.solve(&assumptions);
+        self.pattern(result)
+    }
+
+    /// [`CircuitOracle::justify`] branching only on the scan inputs at
+    /// positions `inputs` of [`netlist::Netlist::scan_inputs`]
+    /// ([`Solver::solve_within`]), as PODEM does. `inputs` must cover the
+    /// scan-input support of every target (the OR of their
+    /// [`netlist::input_supports`] rows): fixing those inputs then
+    /// propagates every cone gate, so the verdict is exact. A returned
+    /// pattern drives the targets through its bits at `inputs`, whatever
+    /// the bits outside them are.
+    pub fn justify_within(
+        &mut self,
+        targets: &[(NetId, bool)],
+        inputs: &[usize],
+    ) -> Option<Vec<bool>> {
+        self.queries += 1;
+        let assumptions = self.assumptions(targets);
+        // An input no target's cone reaches is still unencoded, and its value
+        // does not matter.
+        let decide: Vec<Var> = inputs
+            .iter()
+            .filter_map(|&p| self.lit(self.scan_inputs[p], true).map(Lit::var))
+            .collect();
+        let result = self.solver.solve_within(&assumptions, &decide);
+        self.pattern(result)
+    }
+
+    /// The scan-input bits of a SAT result (inputs outside every encoded
+    /// cone read 0), or `None` on UNSAT.
+    fn pattern(&self, result: SolveResult) -> Option<Vec<bool>> {
+        let model = result.model()?;
+        Some(
+            self.scan_inputs
+                .iter()
+                .map(|&si| {
+                    let v = self.net_vars[si.index()];
+                    v != UNENCODED && model[v as usize]
+                })
+                .collect(),
+        )
     }
 
     /// Returns `true` when an input pattern exists that drives every target

@@ -24,7 +24,7 @@ pub(crate) struct VarOrder {
 const ABSENT: u32 = u32::MAX;
 
 /// Strict total order: higher activity first, ties to the lower index.
-fn before(activity: &[f64], a: u32, b: u32) -> bool {
+pub(crate) fn before(activity: &[f64], a: u32, b: u32) -> bool {
     let (aa, ab) = (activity[a as usize], activity[b as usize]);
     aa > ab || (aa == ab && a < b)
 }

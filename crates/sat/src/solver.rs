@@ -23,14 +23,20 @@
 //! When a solve under assumptions returns UNSAT because an assumption is
 //! contradicted, [`Solver::unsat_assumptions`] exposes the subset of the
 //! assumption literals responsible (MiniSat's `analyzeFinal`).
+//!
+//! [`Solver::solve_within`] is the same search branching only on a given
+//! variable set (a circuit query's cone inputs, as in PODEM), returning SAT
+//! once those are assigned without conflict.
 
-use crate::order::VarOrder;
+use crate::order::{before, VarOrder};
 use crate::types::{Clause, Cnf, Lit, Var};
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveResult {
-    /// The formula is satisfiable; the model assigns every variable.
+    /// The formula is satisfiable; the model assigns every variable (after
+    /// [`Solver::solve_within`], only the decided and propagated values are
+    /// part of a model).
     Sat(Vec<bool>),
     /// The formula is unsatisfiable (under the given assumptions, if any).
     Unsat,
@@ -778,6 +784,23 @@ impl Solver {
         picked
     }
 
+    /// Next decision variable of [`Solver::solve_within`]: the unassigned
+    /// variable of `decide` that the order heap would rank first.
+    fn pick_branch_var_within(&self, decide: &[Var]) -> Option<Var> {
+        decide
+            .iter()
+            .map(|var| var.0)
+            .filter(|&v| self.values[v as usize] == UNASSIGNED)
+            .reduce(|best, v| {
+                if before(&self.activity, v, best) {
+                    v
+                } else {
+                    best
+                }
+            })
+            .map(Var)
+    }
+
     /// The original O(vars) scan, kept as the reference the heap is checked
     /// against on every decision in debug builds.
     #[cfg(debug_assertions)]
@@ -801,6 +824,36 @@ impl Solver {
     /// The solver state (learned clauses, activities, saved phases) persists
     /// across calls, making repeated related queries fast.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.solve_deciding(assumptions, None)
+    }
+
+    /// [`Solver::solve`] branching only on the variables of `decide`: the
+    /// same CDCL loop, whose decisions pick the unassigned `decide` variable
+    /// of highest activity (ties to the lowest index) and which returns SAT
+    /// as soon as every one of them is assigned without conflict. The
+    /// model's values outside what the decisions propagated are saved
+    /// phases, not a model of the whole formula.
+    ///
+    /// **Precondition:** fixing every `decide` variable must, by unit
+    /// propagation alone, fix every variable that the assumptions depend on
+    /// — e.g. `decide` holds every primary input of the Tseitin-encoded
+    /// cones of the assumption literals, as PODEM branches only on inputs.
+    /// Then a conflict-free assignment of `decide` propagates every cone
+    /// gate to its simulated value with the assumptions holding, which
+    /// extends to a model of the formula; learned clauses are implied by the
+    /// formula, so they never exclude one. Both verdicts are exact, and SAT
+    /// is reached without deciding the variables the assumptions do not
+    /// reach.
+    pub fn solve_within(&mut self, assumptions: &[Lit], decide: &[Var]) -> SolveResult {
+        for var in decide {
+            self.reserve_vars(var.index() + 1);
+        }
+        self.solve_deciding(assumptions, Some(decide))
+    }
+
+    /// The loop behind [`Solver::solve`] (`decide = None`: branch on every
+    /// variable) and [`Solver::solve_within`].
+    fn solve_deciding(&mut self, assumptions: &[Lit], decide: Option<&[Var]>) -> SolveResult {
         if !self.enter_root(assumptions) {
             return SolveResult::Unsat;
         }
@@ -808,7 +861,7 @@ impl Solver {
         let mut episode = 1u64;
         loop {
             let budget = self.config.restart_budget(episode);
-            match self.search(assumptions, budget) {
+            match self.search(assumptions, decide, budget) {
                 SearchOutcome::Sat(model) => {
                     self.backtrack_to(0);
                     return SolveResult::Sat(model);
@@ -869,7 +922,12 @@ impl Solver {
         implied
     }
 
-    fn search(&mut self, assumptions: &[Lit], conflict_budget: u64) -> SearchOutcome {
+    fn search(
+        &mut self,
+        assumptions: &[Lit],
+        decide: Option<&[Var]>,
+        conflict_budget: u64,
+    ) -> SearchOutcome {
         let mut conflicts_here = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -935,9 +993,13 @@ impl Solver {
                     }
                     continue;
                 }
-                match self.pick_branch_var() {
+                let next = match decide {
+                    None => self.pick_branch_var(),
+                    Some(decide) => self.pick_branch_var_within(decide),
+                };
+                match next {
                     None => {
-                        // Complete assignment: build the model.
+                        // Every decision variable is assigned: build the model.
                         let model = self
                             .values
                             .iter()
@@ -1267,6 +1329,43 @@ mod tests {
         let model = s.solve(&[]).model().unwrap().to_vec();
         assert_eq!(model, vec![false, true, false, true]);
         assert_eq!(s.stats().decisions, 2, "one decision per clause");
+    }
+
+    #[test]
+    fn solve_within_decides_only_the_given_variables() {
+        // Variable 3 is AND(1, 2); the clause (4 ∨ 5) lies outside its cone.
+        let mut s = Solver::new();
+        s.add_clause([lit(-3), lit(1)]);
+        s.add_clause([lit(-3), lit(2)]);
+        s.add_clause([lit(3), lit(-1), lit(-2)]);
+        s.add_clause([lit(4), lit(5)]);
+        let cone_inputs = [Var(0), Var(1)];
+        // ¬3 with fresh ties and saved phase `false`: decide ¬1, then ¬2
+        // (every input is fixed), and stop before 4 or 5 is touched.
+        let model = s
+            .solve_within(&[lit(-3)], &cone_inputs)
+            .model()
+            .unwrap()
+            .to_vec();
+        assert!(!model[0] && !model[1]);
+        assert_eq!(s.stats().decisions, 3, "the assumption and both inputs");
+        // 3 propagates both inputs: no decision beyond the assumption.
+        let model = s
+            .solve_within(&[lit(3)], &cone_inputs)
+            .model()
+            .unwrap()
+            .to_vec();
+        assert!(model[0] && model[1]);
+        assert_eq!(s.stats().decisions, 4);
+        // ¬1 is refuted at its assumption level, so it is never enqueued.
+        assert_eq!(
+            s.solve_within(&[lit(3), lit(-1)], &cone_inputs),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.stats().decisions, 5);
+        // A full solve afterwards decides outside the cone too: 3, then ¬4.
+        assert!(s.solve(&[lit(3)]).is_sat());
+        assert_eq!(s.stats().decisions, 7);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   the formula under the probed assumptions, a refuted probe means the
 //!   assumptions really are UNSAT, and a probe leaves the solver's verdicts
 //!   untouched;
+//! - on random gate DAGs, `CircuitOracle::justify_within` — deciding only
+//!   the scan inputs of a target pair's union support — agrees with a
+//!   brute-force simulation of every input pattern, and a returned pattern
+//!   drives both targets whatever the bits outside that support are;
 //! - a failing case dumps a `dimacs::write_repro` file to the temp dir and
 //!   names it in the failure message, so the instance replays offline.
 //!
@@ -26,7 +30,11 @@
 
 use std::fmt::Write as _;
 
-use deterrent_repro::sat::{dimacs, Cnf, Lit, SolveResult, Solver, SolverConfig, Var};
+use deterrent_repro::netlist::{self, GateKind, NetId, Netlist, NetlistBuilder};
+use deterrent_repro::sat::{
+    dimacs, CircuitOracle, Cnf, Lit, SolveResult, Solver, SolverConfig, Var,
+};
+use deterrent_repro::sim::{Simulator, TestPattern};
 use proptest::prelude::*;
 
 /// Restarts every few conflicts and reduces the learned DB from a floor of
@@ -116,6 +124,53 @@ fn build_clause(spec: &[(prop::sample::Index, bool)], num_vars: usize) -> Vec<Li
     spec.iter()
         .map(|(idx, pol)| Var(idx.index(num_vars) as u32).lit(*pol))
         .collect()
+}
+
+/// Gate kinds the random DAGs draw from (sources included, so constant
+/// cones and cones with an empty support occur).
+const DAG_KINDS: [GateKind; 10] = [
+    GateKind::Buf,
+    GateKind::Not,
+    GateKind::And,
+    GateKind::Nand,
+    GateKind::Or,
+    GateKind::Nor,
+    GateKind::Xor,
+    GateKind::Xnor,
+    GateKind::Const0,
+    GateKind::Const1,
+];
+
+/// A random combinational DAG over `inputs` primary inputs and `flops` scan
+/// flip-flops: each gate spec picks a kind and fanins among earlier nets.
+fn random_dag(
+    inputs: usize,
+    flops: usize,
+    gate_specs: &[(prop::sample::Index, Vec<prop::sample::Index>)],
+) -> Netlist {
+    let mut b = NetlistBuilder::new("dag");
+    let mut pool: Vec<NetId> = (0..inputs).map(|i| b.input(format!("i{i}"))).collect();
+    let flop_ids: Vec<NetId> = (0..flops)
+        .map(|f| b.dff(format!("q{f}"), pool[0]))
+        .collect();
+    pool.extend(&flop_ids);
+    for (g, (kind, fanin)) in gate_specs.iter().enumerate() {
+        let kind = DAG_KINDS[kind.index(DAG_KINDS.len())];
+        let mut fanin: Vec<NetId> = fanin.iter().map(|f| pool[f.index(pool.len())]).collect();
+        fanin.sort_unstable();
+        fanin.dedup();
+        fanin.truncate(kind.max_fanin());
+        if let Ok(id) = b.gate(kind, format!("g{g}"), &fanin) {
+            pool.push(id);
+        }
+    }
+    // Close the flops' next-state loop onto the last net.
+    let last = *pool.last().expect("non-empty pool");
+    for &ff in &flop_ids {
+        b.set_dff_data(ff, last).expect("flop data");
+    }
+    b.output(last);
+    b.build().expect("valid DAG")
 }
 
 proptest! {
@@ -234,6 +289,75 @@ proptest! {
                 }
             }
             prop_assert_eq!(solver.solve(&assumptions).is_sat(), expected, "{} after probe", name);
+        }
+    }
+
+    /// `justify_within` over a pair's union input support against brute
+    /// force, on both solver configurations. Each oracle answers every pair
+    /// of the case in turn, followed by a plain `justify` of the same pair,
+    /// so decide-restricted and full searches share learned clauses and the
+    /// decision heap (whose every pick the debug build checks).
+    #[test]
+    fn justify_within_union_support_matches_brute_force(
+        inputs in 1usize..=6,
+        flops in 0usize..=2,
+        gate_specs in prop::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                prop::collection::vec(any::<prop::sample::Index>(), 1..4),
+            ),
+            1..24,
+        ),
+        pair_specs in prop::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                any::<bool>(),
+                any::<prop::sample::Index>(),
+                any::<bool>(),
+            ),
+            1..6,
+        ),
+    ) {
+        let nl = random_dag(inputs, flops, &gate_specs);
+        let nets: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
+        let width = nl.num_scan_inputs();
+        let sim = Simulator::new(&nl);
+        let pattern = |mask: u32| TestPattern::new((0..width).map(|p| mask >> p & 1 == 1).collect());
+        let every_pattern: Vec<TestPattern> = (0..1u32 << width).map(pattern).collect();
+        let pairs: Vec<[(NetId, bool); 2]> = pair_specs
+            .iter()
+            .map(|(a, va, b, vb)| [(nets[a.index(nets.len())], *va), (nets[b.index(nets.len())], *vb)])
+            .collect();
+        for (name, config) in [("default", SolverConfig::default()), ("stress", stress_config())] {
+            let mut oracle = CircuitOracle::lazy(&nl, config);
+            for targets in &pairs {
+                let expected = every_pattern.iter().any(|p| sim.activates(p, targets));
+                let support = netlist::input_supports(&nl, &[targets[0].0, targets[1].0])
+                    .union_ones(0, 1);
+                let got = oracle.justify_within(targets, &support);
+                prop_assert_eq!(got.is_some(), expected, "{}: verdict on {:?}", name, targets);
+                if let Some(bits) = got {
+                    for fill in [false, true] {
+                        let filled: Vec<bool> = (0..width)
+                            .map(|p| if support.contains(&p) { bits[p] } else { fill })
+                            .collect();
+                        prop_assert!(
+                            sim.activates(&TestPattern::new(filled), targets),
+                            "{}: support bits of {:?} miss the targets with fill {}",
+                            name,
+                            targets,
+                            fill
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    oracle.justify(targets).is_some(),
+                    expected,
+                    "{}: full search after justify_within on {:?}",
+                    name,
+                    targets
+                );
+            }
         }
     }
 
