@@ -162,7 +162,6 @@ fn offline_phase(
     let strategy = CompatStrategy::Funnel(FunnelOptions {
         max_support: args.max_support,
         solver: args.solver(),
-        ..FunnelOptions::default()
     });
     let graph = CompatibilityGraph::build_on(netlist, &analysis, strategy, &exec);
     (analysis, graph, start.elapsed())

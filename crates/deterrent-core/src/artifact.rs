@@ -134,13 +134,16 @@ fn fp_solver(fp: Fp, config: &sat::SolverConfig) -> Fp {
         .u64(config.learnt_cap_origin_divisor)
 }
 
+/// The two `true`s stand where the funnel's tier-1 and pruning switches
+/// used to be hashed (both tiers now always run), for the same reason as
+/// [`fp_solver`]'s constants.
 fn fp_compat(fp: Fp, config: &CompatConfig) -> Fp {
     match config.strategy {
         crate::CompatStrategy::AllSat => fp.u64(0),
         crate::CompatStrategy::Funnel(f) => fp_solver(
             fp.u64(1)
-                .bool(f.sim_witnesses)
-                .bool(f.structural_pruning)
+                .bool(true)
+                .bool(true)
                 .u64(u64::from(f.max_support)),
             &f.solver,
         ),

@@ -32,22 +32,30 @@
 //!      pair is incompatible when either net's rare value forces the other
 //!      to its non-rare value.
 //!    - *Sweeping* (the counterexample resimulation of FRAIG sweeping,
-//!      Mishchenko et al. 2005): the remaining pairs are solved in input
-//!      order, in rounds of 64 spread over [`SWEEP_LANES`] persistent
-//!      oracles. A query decides only the scan inputs of the pair's union
-//!      support ([`sat::CircuitOracle::justify_within`]), as PODEM (Goel
-//!      1981) branches only on inputs: fixing them propagates every gate of
-//!      both cones, so the verdict is exact without assigning the rest of
-//!      the lane's encoding. Each SAT model, its inputs outside that support
-//!      filled pseudo-randomly, is resimulated 64 to a word — an always-on
-//!      assert checks that it drives its own pair — and every later pending
-//!      pair whose two rare values one model drives is compatible without a
-//!      query of its own.
+//!      Mishchenko et al. 2005): the remaining pairs are solved in
+//!      row-major order, in rounds of 64 spread over [`SWEEP_LANES`]
+//!      persistent oracles. A query decides only the scan inputs of the
+//!      pair's union support ([`sat::CircuitOracle::justify_within`]), as
+//!      PODEM (Goel 1981) branches only on inputs: fixing them propagates
+//!      every gate of both cones, so the verdict is exact without assigning
+//!      the rest of the lane's encoding. Each SAT model, its inputs outside
+//!      that support filled pseudo-randomly, is resimulated 64 to a word —
+//!      an always-on assert checks that it drives its own pair — and every
+//!      still-pending pair whose two rare values one model drives is
+//!      compatible without a query of its own.
 //!
 //!    Every strike is a logical consequence or a concrete simulated witness,
 //!    so the adjacency stays bit-identical to all-SAT. The lane count is a
 //!    constant, so the models — and with them every tier count and CDCL
 //!    counter — do not depend on the thread count.
+//!
+//! The undecided pairs are one `pending` [`BitMatrix`] (bit `j` of row `i`
+//! set while pair `i < j` is open), and every tier decides pairs through
+//! [`decide_pending`], which writes each verdict into the adjacency's upper
+//! triangle; the triangle is mirrored once at the end. Tier 1 runs when the
+//! analysis carries a witness bank. Beyond those two `n × n` matrices (and
+//! the probe's `n × n` refutation rows, dropped before the sweep) the
+//! funnel holds at most one block of [`DECIDE_BLOCK`] pairs.
 
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -58,10 +66,15 @@ use sat::{CircuitOracle, SolverConfig, SolverStats};
 use sim::rare::{RareNet, RareNetAnalysis};
 use sim::{ConeSimulator, Simulator, TestPattern, WitnessBank};
 
-/// Below this many pairs the tier-1 witness sweep stays on the calling
-/// thread: each check is a handful of word ANDs, so spawning workers would
-/// cost more than the sweep itself. Results are identical either way.
-const TIER1_PARALLEL_MIN_PAIRS: usize = 4096;
+/// Most pending pairs [`decide_pending`] gathers into one block for the
+/// executor. The block is the funnel's only per-pair buffer, so its pair
+/// memory stays at about 1 MiB however many pairs the design has.
+const DECIDE_BLOCK: usize = 1 << 16;
+
+/// Below this many pairs a block's verdicts stay on the calling thread: a
+/// witness check is a handful of word ANDs, so spawning workers would cost
+/// more than the block itself. Results are identical either way.
+const PARALLEL_MIN_PAIRS: usize = 4096;
 
 /// Largest union support bounded cone enumeration sweeps (`2^26` packed
 /// assignments); [`FunnelOptions::max_support`] is clamped to it.
@@ -107,15 +120,11 @@ fn admits(max_support: u32, support: u32, cone: usize) -> bool {
     enum_word_ops <= sat_word_ops
 }
 
-/// Per-tier toggles of the compatibility funnel. Disabling a tier pushes its
-/// pairs down to the next one; tier 3 (probing and sweeping on
-/// cone-restricted oracles) always runs.
+/// Options of the compatibility funnel. Tier 1 runs whenever the analysis
+/// carries a witness bank, structural pruning and tier 3 (probing and
+/// sweeping on cone-restricted oracles) always run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunnelOptions {
-    /// Tier 1: resolve pairs from retained simulation witnesses.
-    pub sim_witnesses: bool,
-    /// Tier 2: resolve pairs whose cone supports are disjoint.
-    pub structural_pruning: bool,
     /// Tier 2: the union-support ceiling of bounded exhaustive cone
     /// enumeration (the only SAT-free tier that can prove a pair
     /// *incompatible*), clamped to [`MAX_ENUMERATION_SUPPORT`]. Below it a
@@ -132,8 +141,6 @@ pub struct FunnelOptions {
 impl Default for FunnelOptions {
     fn default() -> Self {
         Self {
-            sim_witnesses: true,
-            structural_pruning: true,
             max_support: MAX_ENUMERATION_SUPPORT,
             solver: SolverConfig::default(),
         }
@@ -251,10 +258,108 @@ fn strategy_oracle(netlist: &Netlist, strategy: CompatStrategy) -> CircuitOracle
     }
 }
 
-/// Sets the verdict of the unordered pair `(i, j)` in both rows.
-fn set_pair(adjacency: &mut BitMatrix, i: usize, j: usize, compatible: bool) {
-    adjacency.set(i, j, compatible);
-    adjacency.set(j, i, compatible);
+/// The pending matrix of `n` rare nets before any tier ran: bit `j` of row
+/// `i` set for every pair `i < j`.
+fn all_pairs_pending(n: usize) -> BitMatrix {
+    let mut pending = BitMatrix::new(n, n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            pending.set(i, j, true);
+        }
+    }
+    pending
+}
+
+/// Decides pending pairs of the funnel in row-major order and returns how
+/// many it decided.
+///
+/// Bit `j` of row `i` of `pending` is set while pair `i < j` is undecided.
+/// `verdict(scratch, i, j)` returns `Some(compatible)` to decide the pair —
+/// its pending bit is cleared and the verdict written to bit `j` of row `i`
+/// of `upper`, the adjacency's upper triangle — or `None` to leave it
+/// pending.
+///
+/// Without `blocks` each verdict is taken on the calling thread as its
+/// pair is reached, on one `init` scratch. With `Some((exec, block))` the
+/// pending pairs are gathered in blocks of at most `block` (which may end
+/// mid-row or span several rows); a block of at least
+/// [`PARALLEL_MIN_PAIRS`] is spread over
+/// [`Exec::par_map_with`] with one `init` scratch per worker, and a smaller
+/// one runs on the calling thread. A verdict may depend only on its pair,
+/// never on the scratch's history, so the result is the same at any thread
+/// count and block size.
+fn decide_pending<S, I, F>(
+    pending: &mut BitMatrix,
+    upper: &mut BitMatrix,
+    blocks: Option<(&Exec, usize)>,
+    init: I,
+    verdict: F,
+) -> u64
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, usize) -> Option<bool> + Sync,
+{
+    fn apply(
+        pending: &mut BitMatrix,
+        upper: &mut BitMatrix,
+        (i, j): (usize, usize),
+        verdict: Option<bool>,
+    ) -> u64 {
+        let Some(compatible) = verdict else { return 0 };
+        pending.set(i, j, false);
+        upper.set(i, j, compatible);
+        1
+    }
+    let flush =
+        |pairs: &mut Vec<(usize, usize)>, pending: &mut BitMatrix, upper: &mut BitMatrix| {
+            if pairs.is_empty() {
+                return 0;
+            }
+            let verdicts: Vec<Option<bool>> = match blocks {
+                Some((exec, _)) if pairs.len() >= PARALLEL_MIN_PAIRS => {
+                    exec.par_map_with(pairs, &init, |scratch, _, &(i, j)| verdict(scratch, i, j))
+                }
+                _ => {
+                    let mut scratch = init();
+                    pairs
+                        .iter()
+                        .map(|&(i, j)| verdict(&mut scratch, i, j))
+                        .collect()
+                }
+            };
+            let decided = pairs
+                .iter()
+                .zip(verdicts)
+                .map(|(&pair, v)| apply(pending, upper, pair, v))
+                .sum();
+            pairs.clear();
+            decided
+        };
+    let (mut in_place, block) = match blocks {
+        None => (Some(init()), 0),
+        Some((_, block)) => (None, block),
+    };
+    let mut pairs = Vec::new();
+    let mut decided = 0;
+    for i in 0..pending.rows() {
+        for w in 0..pending.row(i).len() {
+            // A copy of the word: deciding a pair clears its bit in `pending`.
+            let mut word = pending.row(i)[w];
+            while word != 0 {
+                let pair = (i, w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+                if let Some(scratch) = in_place.as_mut() {
+                    decided += apply(pending, upper, pair, verdict(scratch, pair.0, pair.1));
+                } else {
+                    pairs.push(pair);
+                    if pairs.len() == block {
+                        decided += flush(&mut pairs, pending, upper);
+                    }
+                }
+            }
+        }
+    }
+    decided + flush(&mut pairs, pending, upper)
 }
 
 /// Tier 3, step 1 — implication probing. Propagates every rare net's rare
@@ -302,6 +407,59 @@ fn probe_refutations(
     refuted
 }
 
+/// The all-SAT reference's pairs (the paper's offline phase): one query
+/// per pair on whole-netlist oracles, verdicts written to the upper
+/// triangle of `upper`. On one thread, or with few pairs, the queries reuse
+/// the singleton stage's oracle, whose encoding and learned clauses carry
+/// over; otherwise each worker builds its own over a contiguous range.
+fn all_sat_pairs<'n>(
+    netlist: &'n Netlist,
+    rare_nets: &[RareNet],
+    singleton_oracle: &mut Option<CircuitOracle<'n>>,
+    exec: &Exec,
+    upper: &mut BitMatrix,
+    stats: &mut CompatStats,
+) {
+    let start = Instant::now();
+    let n = rare_nets.len();
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .collect();
+    let query = |oracle: &mut CircuitOracle<'_>, (i, j): (usize, usize)| {
+        let (a, b) = (rare_nets[i], rare_nets[j]);
+        oracle.is_compatible(&[(a.net, a.rare_value), (b.net, b.rare_value)])
+    };
+    let verdicts: Vec<bool> = if pairs.is_empty() {
+        Vec::new()
+    } else if exec.threads() <= 1 || pairs.len() < 64 {
+        let oracle = singleton_oracle.get_or_insert_with(|| CircuitOracle::new(netlist));
+        pairs.iter().map(|&pair| query(oracle, pair)).collect()
+    } else {
+        let per_range = exec.par_ranges(pairs.len(), |range| {
+            let mut oracle = CircuitOracle::new(netlist);
+            let verdicts: Vec<bool> = pairs[range]
+                .iter()
+                .map(|&pair| query(&mut oracle, pair))
+                .collect();
+            (verdicts, oracle.solver_stats())
+        });
+        let mut flat = Vec::with_capacity(pairs.len());
+        for (verdicts, solver) in per_range {
+            flat.extend(verdicts);
+            stats.solver.merge(&solver);
+        }
+        flat
+    };
+    for (&(i, j), compatible) in pairs.iter().zip(verdicts) {
+        upper.set(i, j, compatible);
+    }
+    stats.pairs_sat_resolved = pairs.len() as u64;
+    if let Some(oracle) = singleton_oracle {
+        stats.solver.merge(&oracle.solver_stats());
+    }
+    stats.tier3_nanos = start.elapsed().as_nanos() as u64;
+}
+
 /// Tier 3, step 2 — SAT sweeping over the pairs probing left.
 struct Sweep<'a> {
     netlist: &'a Netlist,
@@ -311,16 +469,17 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    /// Resolves `pending` (in input order) in rounds of [`SWEEP_ROUND`]
-    /// queries spread over [`SWEEP_LANES`] persistent oracles. After each
-    /// round its models are resimulated 64 to a word, and every later
-    /// pending pair some model drives both nets of to their rare values is
-    /// struck compatible.
+    /// Decides every pair left in `pending`, in row-major order, in rounds
+    /// of [`SWEEP_ROUND`] queries spread over [`SWEEP_LANES`] persistent
+    /// oracles. Each round's pairs leave `pending` before they are solved.
+    /// After each round its models are resimulated 64 to a word, and every
+    /// still-pending pair some model drives both nets of to their rare
+    /// values is struck compatible.
     fn run(
         &self,
-        mut pending: Vec<(usize, usize)>,
+        pending: &mut BitMatrix,
         exec: &Exec,
-        adjacency: &mut BitMatrix,
+        upper: &mut BitMatrix,
         stats: &mut CompatStats,
     ) {
         let n = self.rare_nets.len();
@@ -330,9 +489,20 @@ impl Sweep<'_> {
         let sim = Simulator::new(self.netlist);
         let mut rare_words = vec![0u64; n];
         let mut round = 0u64;
-        while !pending.is_empty() {
-            let batch: Vec<(usize, usize)> =
-                pending.drain(..SWEEP_ROUND.min(pending.len())).collect();
+        // Rows before `first_row` hold no pending pair.
+        let mut first_row = 0;
+        loop {
+            let batch: Vec<(usize, usize)> = (first_row..n)
+                .flat_map(|i| pending.ones(i).map(move |j| (i, j)))
+                .take(SWEEP_ROUND)
+                .collect();
+            let Some(&(row, _)) = batch.last() else {
+                break;
+            };
+            first_row = row;
+            for &(i, j) in &batch {
+                pending.set(i, j, false);
+            }
             // Lane `l` solves slots l, l + SWEEP_LANES, … in slot order.
             let per_lane: Vec<Vec<Option<Vec<bool>>>> = exec.par_index_map(SWEEP_LANES, |lane| {
                 let mut oracle = lanes[lane].lock().expect("lane oracle");
@@ -354,7 +524,7 @@ impl Sweep<'_> {
                 let model = per_lane[slot % SWEEP_LANES]
                     .next()
                     .expect("one verdict per slot");
-                set_pair(adjacency, i, j, model.is_some());
+                upper.set(i, j, model.is_some());
                 if let Some(bits) = model {
                     models.push(self.fill_dont_cares(bits, i, j, round, slot));
                     solved.push((i, j));
@@ -379,14 +549,13 @@ impl Sweep<'_> {
                     "sweep model of pair ({i}, {j}) does not drive it"
                 );
             }
-            pending.retain(|&(i, j)| {
-                if rare_words[i] & rare_words[j] == 0 {
-                    return true;
-                }
-                set_pair(adjacency, i, j, true);
-                stats.pairs_sweep_struck += 1;
-                false
-            });
+            stats.pairs_sweep_struck += decide_pending(
+                pending,
+                upper,
+                None,
+                || (),
+                |(), i, j| (rare_words[i] & rare_words[j] != 0).then_some(true),
+            );
         }
         for lane in lanes {
             let oracle = lane.into_inner().expect("lane oracle");
@@ -486,33 +655,25 @@ impl CompatibilityGraph {
         strategy: CompatStrategy,
         exec: &Exec,
     ) -> Self {
-        let funnel = match strategy {
-            CompatStrategy::AllSat => FunnelOptions {
-                sim_witnesses: false,
-                structural_pruning: false,
-                max_support: 0,
-                solver: SolverConfig::default(),
-            },
-            CompatStrategy::Funnel(f) => f,
-        };
         let mut stats = CompatStats {
             candidate_rare_nets: analysis.len(),
             ..CompatStats::default()
         };
-
-        // Witness rows are indexed like `analysis.rare_nets()`.
-        let bank: Option<&WitnessBank> = if funnel.sim_witnesses {
-            analysis.witnesses()
-        } else {
-            None
+        // Witness rows are indexed like `analysis.rare_nets()`. All-SAT
+        // builds model the paper's baseline (and serve as its cost
+        // reference), so they neither use the bank nor retain it.
+        let (bank, max_support) = match strategy {
+            CompatStrategy::Funnel(f) => (
+                analysis.witnesses(),
+                f.max_support.min(MAX_ENUMERATION_SUPPORT),
+            ),
+            CompatStrategy::AllSat => (None, 0),
         };
-
-        let max_support = funnel.max_support.min(MAX_ENUMERATION_SUPPORT);
         let mut cone_sim = (max_support > 0).then(|| ConeSimulator::new(netlist, max_support));
 
         // ── Singleton stage: keep only individually justifiable nets. ──────
         // The oracle is created on first SAT need; with witnesses attached it
-        // usually never is, and when it is, it carries over to tier 3.
+        // usually never is, and all-SAT's pairs reuse it.
         let mut singleton_oracle: Option<CircuitOracle<'_>> = None;
         let mut rare_nets: Vec<RareNet> = Vec::with_capacity(analysis.len());
         let mut kept_candidate_idx: Vec<usize> = Vec::with_capacity(analysis.len());
@@ -541,100 +702,73 @@ impl CompatibilityGraph {
         let n = rare_nets.len();
         stats.kept_rare_nets = n;
         stats.pairs_total = (n * n.saturating_sub(1) / 2) as u64;
+        // Every tier writes its verdicts into the upper triangle, mirrored
+        // once all pairs are decided.
         let mut adjacency = BitMatrix::new(n, n);
-        // Retained for downstream witness-pattern reuse — a funnel
-        // capability. All-SAT builds model the paper's baseline (and serve
-        // as its cost reference), so they neither reuse witnesses nor pay
-        // for copying the bank's rows.
-        let witnesses = match strategy {
-            CompatStrategy::Funnel(_) => analysis.witnesses().cloned(),
-            CompatStrategy::AllSat => None,
-        };
-        if n == 0 {
-            if let Some(oracle) = &singleton_oracle {
-                stats.solver.merge(&oracle.solver_stats());
-            }
-            return Self::from_raw_parts(
-                rare_nets,
-                adjacency,
-                stats,
-                witnesses,
-                kept_candidate_idx,
+        let CompatStrategy::Funnel(funnel) = strategy else {
+            all_sat_pairs(
+                netlist,
+                &rare_nets,
+                &mut singleton_oracle,
+                exec,
+                &mut adjacency,
+                &mut stats,
             );
-        }
+            adjacency.mirror_upper();
+            return Self::from_raw_parts(rare_nets, adjacency, stats, None, kept_candidate_idx);
+        };
 
         // ── Tier 1: joint simulation witnesses. ────────────────────────────
-        // Pair-chunk parallel word-AND sweep; each pair's verdict is a pure
-        // function of the bank, so the chunked merge is order-exact.
+        // Every pair starts pending; each tier decides some and leaves the
+        // rest to the next.
         let tier1_start = Instant::now();
-        let pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-            .collect();
-        let mut unresolved: Vec<(usize, usize)> = Vec::with_capacity(pairs.len());
+        let mut pending = all_pairs_pending(n);
+        let mut left = stats.pairs_total;
         if let Some(bank) = bank {
-            let sweep = |&(i, j): &(u32, u32)| {
-                bank.pair_witnessed(
-                    kept_candidate_idx[i as usize],
-                    kept_candidate_idx[j as usize],
-                )
-            };
-            let witnessed: Vec<bool> = if pairs.len() >= TIER1_PARALLEL_MIN_PAIRS {
-                exec.par_map(&pairs, |_, pair| sweep(pair))
-            } else {
-                pairs.iter().map(sweep).collect()
-            };
-            for (&(i, j), hit) in pairs.iter().zip(witnessed) {
-                let (i, j) = (i as usize, j as usize);
-                if hit {
-                    set_pair(&mut adjacency, i, j, true);
-                    stats.pairs_sim_witnessed += 1;
-                } else {
-                    unresolved.push((i, j));
-                }
-            }
-        } else {
-            unresolved.extend(pairs.iter().map(|&(i, j)| (i as usize, j as usize)));
+            let kept = &kept_candidate_idx;
+            stats.pairs_sim_witnessed = decide_pending(
+                &mut pending,
+                &mut adjacency,
+                Some((exec, DECIDE_BLOCK)),
+                || (),
+                |(), i, j| bank.pair_witnessed(kept[i], kept[j]).then_some(true),
+            );
+            left -= stats.pairs_sim_witnessed;
         }
         stats.tier1_nanos = tier1_start.elapsed().as_nanos() as u64;
 
         // ── Tier 2: disjoint cone supports, then bounded enumeration. ──────
-        // The funnel computes the supports once: they also gate enumeration
-        // and mask the sweep's don't-care inputs in tier 3.
+        // The supports are computed once: they also gate enumeration and
+        // mask the sweep's don't-care inputs in tier 3.
         let tier2_start = Instant::now();
-        let supports = match strategy {
-            CompatStrategy::Funnel(_) if !unresolved.is_empty() => {
-                let roots: Vec<NetId> = rare_nets.iter().map(|r| r.net).collect();
-                Some(netlist::input_supports(netlist, &roots))
-            }
-            _ => None,
-        };
-        if let Some(supports) = supports.as_ref().filter(|_| funnel.structural_pruning) {
-            unresolved.retain(|&(i, j)| {
-                if !supports.intersects(i, j) {
-                    // Both nets are individually justifiable (singleton stage)
-                    // over disjoint inputs, so the partial patterns merge.
-                    set_pair(&mut adjacency, i, j, true);
-                    stats.pairs_structurally_pruned += 1;
-                    false
-                } else {
-                    true
-                }
-            });
+        let supports = (left > 0).then(|| {
+            let roots: Vec<NetId> = rare_nets.iter().map(|r| r.net).collect();
+            netlist::input_supports(netlist, &roots)
+        });
+        if let Some(supports) = &supports {
+            // Both nets are individually justifiable (singleton stage) over
+            // disjoint inputs, so the partial patterns merge.
+            stats.pairs_structurally_pruned = decide_pending(
+                &mut pending,
+                &mut adjacency,
+                None,
+                || (),
+                |(), i, j| (!supports.intersects(i, j)).then_some(true),
+            );
+            left -= stats.pairs_structurally_pruned;
         }
-        if let Some(supports) = supports
-            .as_ref()
-            .filter(|_| cone_sim.is_some() && !unresolved.is_empty())
-        {
+        if let Some(supports) = supports.as_ref().filter(|_| max_support > 0 && left > 0) {
             // Enumeration is the funnel's dominant SAT-free cost (up to
-            // `2^ceiling` packed assignments per pair), so it fans out across
-            // pair chunks with one scratch ConeSimulator per worker. Each
-            // verdict depends only on its pair — the merge is order-exact.
-            // A pair over the support ceiling is declined before its cone
-            // walk: `decide_if` would decline it too, after the walk.
-            let verdicts: Vec<Option<bool>> = exec.par_map_with(
-                &unresolved,
+            // `2^ceiling` packed assignments per pair), so each block fans
+            // out with one scratch ConeSimulator per worker. A pair over the
+            // support ceiling is declined before its cone walk: `decide_if`
+            // would decline it too, after the walk.
+            stats.pairs_cone_enumerated = decide_pending(
+                &mut pending,
+                &mut adjacency,
+                Some((exec, DECIDE_BLOCK)),
                 || ConeSimulator::new(netlist, max_support),
-                |cone_sim, _, &(i, j)| {
+                |cone_sim, i, j| {
                     if supports.union_count(i, j) > max_support as usize {
                         return None;
                     }
@@ -647,31 +781,23 @@ impl CompatibilityGraph {
                     )
                 },
             );
-            let mut verdicts = verdicts.into_iter();
-            unresolved.retain(
-                |&(i, j)| match verdicts.next().expect("one verdict per pair") {
-                    Some(compatible) => {
-                        set_pair(&mut adjacency, i, j, compatible);
-                        stats.pairs_cone_enumerated += 1;
-                        false
-                    }
-                    None => true,
-                },
-            );
+            left -= stats.pairs_cone_enumerated;
         }
         stats.tier2_nanos = tier2_start.elapsed().as_nanos() as u64;
 
-        // ── Tier 3: probing and sweeping (funnel), else SAT per pair. ──────
+        // ── Tier 3: implication probing, then SAT sweeping. ────────────────
         let tier3_start = Instant::now();
-        if let Some(supports) = supports.as_ref().filter(|_| !unresolved.is_empty()) {
+        if let Some(supports) = supports.as_ref().filter(|_| left > 0) {
             // The refutation rows are dropped, with the probe oracle, before
             // the sweep's lanes grow their own.
             let refuted = probe_refutations(netlist, &rare_nets, funnel.solver, &mut stats.solver);
-            unresolved.retain(|&(i, j)| {
-                let struck = refuted.get(i, j) || refuted.get(j, i);
-                stats.pairs_probe_struck += u64::from(struck);
-                !struck
-            });
+            stats.pairs_probe_struck = decide_pending(
+                &mut pending,
+                &mut adjacency,
+                None,
+                || (),
+                |(), i, j| (refuted.get(i, j) || refuted.get(j, i)).then_some(false),
+            );
             drop(refuted);
             stats.tier3_probe_nanos = tier3_start.elapsed().as_nanos() as u64;
             let sweep_start = Instant::now();
@@ -681,68 +807,16 @@ impl CompatibilityGraph {
                 supports,
                 config: funnel.solver,
             };
-            sweep.run(
-                std::mem::take(&mut unresolved),
-                exec,
-                &mut adjacency,
-                &mut stats,
-            );
+            sweep.run(&mut pending, exec, &mut adjacency, &mut stats);
             stats.tier3_sweep_nanos = sweep_start.elapsed().as_nanos() as u64;
-        }
-        // All-SAT, the reference: one query per pair.
-        stats.pairs_sat_resolved += unresolved.len() as u64;
-        let results: Vec<(usize, usize, bool)> = if unresolved.is_empty() {
-            Vec::new()
-        } else if exec.threads() <= 1 || unresolved.len() < 64 {
-            // Reuse the singleton-stage oracle when one was built: its
-            // encoding work and learned clauses carry over into the pairwise
-            // queries.
-            let oracle = singleton_oracle.get_or_insert_with(|| strategy_oracle(netlist, strategy));
-            unresolved
-                .iter()
-                .map(|&(i, j)| {
-                    let compatible = oracle.is_compatible(&[
-                        (rare_nets[i].net, rare_nets[i].rare_value),
-                        (rare_nets[j].net, rare_nets[j].rare_value),
-                    ]);
-                    (i, j, compatible)
-                })
-                .collect()
-        } else {
-            // One worker's tier-3 output: pair verdicts plus its oracle's
-            // aggregate CDCL counters.
-            type RangeVerdicts = (Vec<(usize, usize, bool)>, SolverStats);
-            let rare_nets = &rare_nets;
-            let unresolved = &unresolved;
-            let per_range: Vec<RangeVerdicts> = exec.par_ranges(unresolved.len(), move |range| {
-                let mut oracle = strategy_oracle(netlist, strategy);
-                let verdicts = range
-                    .map(|idx| {
-                        let (i, j) = unresolved[idx];
-                        let compatible = oracle.is_compatible(&[
-                            (rare_nets[i].net, rare_nets[i].rare_value),
-                            (rare_nets[j].net, rare_nets[j].rare_value),
-                        ]);
-                        (i, j, compatible)
-                    })
-                    .collect::<Vec<_>>();
-                (verdicts, oracle.solver_stats())
-            });
-            let mut flat = Vec::with_capacity(unresolved.len());
-            for (verdicts, solver) in per_range {
-                flat.extend(verdicts);
-                stats.solver.merge(&solver);
-            }
-            flat
-        };
-        for (i, j, compatible) in results {
-            set_pair(&mut adjacency, i, j, compatible);
         }
         stats.tier3_nanos = tier3_start.elapsed().as_nanos() as u64;
         if let Some(oracle) = &singleton_oracle {
             stats.solver.merge(&oracle.solver_stats());
         }
-
+        adjacency.mirror_upper();
+        // Retained for downstream witness-pattern reuse.
+        let witnesses = analysis.witnesses().cloned();
         Self::from_raw_parts(rare_nets, adjacency, stats, witnesses, kept_candidate_idx)
     }
 
@@ -904,6 +978,17 @@ mod tests {
     use netlist::samples;
     use netlist::synth::BenchmarkProfile;
 
+    /// `analysis` without its witness bank: tier 1 and the bank's
+    /// singleton witnesses then have nothing to read.
+    fn bankless(analysis: &RareNetAnalysis) -> RareNetAnalysis {
+        RareNetAnalysis::from_raw_parts(
+            analysis.threshold(),
+            analysis.rare_nets().to_vec(),
+            analysis.probabilities().clone(),
+            None,
+        )
+    }
+
     /// The six pair tiers, summed.
     fn pairs_partitioned(s: &CompatStats) -> u64 {
         s.pairs_sim_witnessed
@@ -924,8 +1009,8 @@ mod tests {
         let reference =
             CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
         // Without witnesses or enumeration, tier 3 sees most pairs.
+        let analysis = bankless(&analysis);
         let strategy = CompatStrategy::Funnel(FunnelOptions {
-            sim_witnesses: false,
             max_support: 0,
             ..FunnelOptions::default()
         });
@@ -957,6 +1042,120 @@ mod tests {
         }
     }
 
+    /// A verdict that decides two pairs in three: compatible, incompatible
+    /// or left pending by `(i + 2j) mod 3`.
+    fn sample_verdict(i: usize, j: usize) -> Option<bool> {
+        match (i + 2 * j) % 3 {
+            0 => None,
+            r => Some(r == 1),
+        }
+    }
+
+    /// Runs [`decide_pending`] with [`sample_verdict`] over `n` nets whose
+    /// pairs with `j` a multiple of 5 were decided before, recording every
+    /// pair the verdict was asked about. Returns the decided count, the
+    /// pending and upper matrices and the asked pairs.
+    fn run_sample(
+        n: usize,
+        blocks: Option<(&Exec, usize)>,
+    ) -> (u64, BitMatrix, BitMatrix, Vec<(usize, usize)>) {
+        let mut pending = all_pairs_pending(n);
+        for i in 0..n {
+            for j in ((i + 1)..n).filter(|j| j % 5 == 0) {
+                pending.set(i, j, false);
+            }
+        }
+        let mut upper = BitMatrix::new(n, n);
+        let asked = Mutex::new(Vec::new());
+        let decided = decide_pending(
+            &mut pending,
+            &mut upper,
+            blocks,
+            || 0u64,
+            |calls, i, j| {
+                // Scratch history must not leak into a verdict.
+                *calls += 1;
+                asked.lock().unwrap().push((i, j));
+                sample_verdict(i, j)
+            },
+        );
+        (decided, pending, upper, asked.into_inner().unwrap())
+    }
+
+    #[test]
+    fn decide_pending_applies_verdicts_in_row_major_order() {
+        let n = 12;
+        let before: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .filter(|&(_, j)| j % 5 != 0)
+            .collect();
+        let serial = Exec::new(1);
+        // Blocks of 1, ending mid-row (7, 10), spanning several rows (25)
+        // and holding everything (1000), plus the in-place pass.
+        for blocks in [
+            None,
+            Some((&serial, 1)),
+            Some((&serial, 7)),
+            Some((&serial, 10)),
+            Some((&serial, 25)),
+            Some((&serial, 1000)),
+        ] {
+            let block = blocks.map(|(_, block)| block);
+            let (decided, pending, upper, asked) = run_sample(n, blocks);
+            assert_eq!(asked, before, "block {block:?}: asked in row-major order");
+            let expected = before
+                .iter()
+                .filter(|&&(i, j)| sample_verdict(i, j).is_some());
+            assert_eq!(decided, expected.count() as u64, "block {block:?}");
+            for i in 0..n {
+                for j in 0..n {
+                    let verdict = (i < j && j % 5 != 0)
+                        .then(|| sample_verdict(i, j))
+                        .flatten();
+                    let was_pending = i < j && j % 5 != 0;
+                    assert_eq!(
+                        pending.get(i, j),
+                        was_pending && verdict.is_none(),
+                        "block {block:?}: pending ({i}, {j})"
+                    );
+                    assert_eq!(
+                        upper.get(i, j),
+                        verdict == Some(true),
+                        "block {block:?}: ({i}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decide_pending_is_thread_independent() {
+        // 5,760 pending pairs over two words a row: a first block of 4,500
+        // goes to the executor, the rest of the last rows stays on the
+        // caller.
+        let n = 120;
+        let reference = run_sample(n, None);
+        assert!(reference.0 > 0);
+        for threads in [1, 4] {
+            let exec = Exec::new(threads);
+            let (decided, pending, upper, mut asked) = run_sample(n, Some((&exec, 4500)));
+            assert_eq!(
+                exec.stats().calls,
+                1,
+                "{threads} threads: one dispatched block"
+            );
+            asked.sort_unstable();
+            assert_eq!(
+                asked, reference.3,
+                "{threads} threads: every pending pair asked once"
+            );
+            assert_eq!(
+                (decided, pending, upper),
+                (reference.0, reference.1.clone(), reference.2.clone())
+            );
+        }
+    }
+
     #[test]
     fn graph_is_symmetric_and_irreflexive() {
         let nl = BenchmarkProfile::c2670().scaled(20).generate(7);
@@ -981,7 +1180,8 @@ mod tests {
     }
 
     /// The acceptance property of the funnel: every strategy and every tier
-    /// combination produces the identical adjacency matrix.
+    /// combination produces the identical adjacency matrix, with and
+    /// without a witness bank.
     #[test]
     fn all_strategies_produce_identical_adjacency() {
         for (profile, seed) in [
@@ -992,16 +1192,18 @@ mod tests {
             let analysis = RareNetAnalysis::estimate(&nl, 0.2, 2048, 5);
             let reference =
                 CompatibilityGraph::build_on(&nl, &analysis, CompatStrategy::AllSat, &Exec::new(1));
+            let without_bank = bankless(&analysis);
+            let graph = CompatibilityGraph::build_on(
+                &nl,
+                &without_bank,
+                CompatStrategy::default(),
+                &Exec::new(2),
+            );
+            assert_eq!(graph.stats().pairs_sim_witnessed, 0);
+            assert_eq!(graph.adjacency, reference.adjacency, "bank-less analysis");
+            assert_eq!(graph.rare_nets, reference.rare_nets);
             let variants = [
                 FunnelOptions::default(),
-                FunnelOptions {
-                    sim_witnesses: false,
-                    ..FunnelOptions::default()
-                },
-                FunnelOptions {
-                    structural_pruning: false,
-                    ..FunnelOptions::default()
-                },
                 FunnelOptions {
                     max_support: 18,
                     ..FunnelOptions::default()

@@ -275,9 +275,6 @@ impl<'a> DeterrentSession<'a> {
         span.vary_u64("store_written_bytes", io.written_bytes);
         span.vary_u64("store_read_ns", io.read_nanos);
         span.vary_u64("store_decode_ns", io.decode_nanos);
-        self.telemetry
-            .histogram("stage.wall_nanos")
-            .observe_nanos(wall_ns);
         trace.span.close();
         artifact
     }

@@ -4,7 +4,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use telemetry::{Counter, Histogram, SpanContext, Telemetry};
+use telemetry::{Counter, SpanContext, Telemetry};
 
 use crate::stats::StatsCell;
 use crate::task::{catch_task, payload_message};
@@ -26,7 +26,6 @@ struct ExecTelemetry {
     parent: Option<SpanContext>,
     calls: Counter,
     tasks: Counter,
-    call_wall: Histogram,
 }
 
 /// A deterministic parallel executor with a fixed worker count.
@@ -94,16 +93,16 @@ impl Exec {
 
     /// Attaches a telemetry handle. Every parallel dispatch then emits one
     /// `exec.call` span (child of `parent` when given) and maintains the
-    /// `exec.calls` / `exec.tasks` counters and the `exec.call_wall_nanos`
-    /// histogram, mirroring [`ExecStats`] exactly. Telemetry is strictly
-    /// out-of-band: chunking, ordering, and results are unaffected.
+    /// `exec.calls` / `exec.tasks` counters, mirroring [`ExecStats`]
+    /// exactly; the call's wall time is the span's `wall_ns` vary key.
+    /// Telemetry is strictly out-of-band: chunking, ordering, and results
+    /// are unaffected.
     /// A disabled handle detaches.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, parent: Option<SpanContext>) {
         self.telemetry = telemetry.is_enabled().then(|| {
             Box::new(ExecTelemetry {
                 calls: telemetry.counter("exec.calls"),
                 tasks: telemetry.counter("exec.tasks"),
-                call_wall: telemetry.histogram("exec.call_wall_nanos"),
                 parent,
                 telemetry,
             })
@@ -206,7 +205,6 @@ impl Exec {
         if let Some(t) = &self.telemetry {
             t.calls.inc(1);
             t.tasks.inc(n as u64);
-            t.call_wall.observe_nanos(wall_ns);
             if let Some(mut span) = span {
                 span.vary_u64("wall_ns", wall_ns);
                 if let Some(before) = busy_before {

@@ -140,6 +140,34 @@ impl BitMatrix {
         ones
     }
 
+    /// The columns set in row `i`, ascending.
+    pub fn ones(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(i).iter().enumerate().flat_map(|(block, &word)| {
+            std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)))
+                .take_while(|&w| w != 0)
+                .map(move |w| block * 64 + w.trailing_zeros() as usize)
+        })
+    }
+
+    /// Sets bit `i` of row `j` for every set bit `j` of row `i` with
+    /// `i < j`: a square matrix whose verdicts were written to its upper
+    /// triangle becomes symmetric.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the matrix is square.
+    pub fn mirror_upper(&mut self) {
+        assert_eq!(self.rows, self.cols, "only a square matrix mirrors");
+        let mut above = Vec::new();
+        for i in 0..self.rows {
+            above.clear();
+            above.extend(self.ones(i).filter(|&j| j > i));
+            for &j in &above {
+                self.set(j, i, true);
+            }
+        }
+    }
+
     /// Overwrites row `i` with row `k` of `src`.
     pub fn copy_row(&mut self, i: usize, src: &BitMatrix, k: usize) {
         assert_eq!(self.cols, src.cols, "column counts differ");
@@ -307,6 +335,49 @@ mod tests {
         acc.set(0, 99, true);
         acc.set(0, 99, false);
         assert!(!acc.get(0, 99));
+    }
+
+    #[test]
+    fn ones_lists_the_set_columns_across_words() {
+        // 130 columns: three words, the last with 62 padding bits.
+        let mut m = sample(5, 130, 11);
+        for j in [0, 63, 64, 127, 128, 129] {
+            m.set(4, j, true);
+        }
+        for i in 0..5 {
+            let expected: Vec<usize> = (0..130).filter(|&j| m.get(i, j)).collect();
+            assert_eq!(m.ones(i).collect::<Vec<_>>(), expected, "row {i}");
+        }
+        assert!(m.ones(4).any(|j| j == 63) && m.ones(4).any(|j| j == 64));
+        assert_eq!(m.ones(4).last(), Some(129), "no column past the padding");
+        assert_eq!(BitMatrix::new(2, 130).ones(1).count(), 0);
+        assert_eq!(BitMatrix::new(2, 0).ones(1).count(), 0);
+    }
+
+    #[test]
+    fn mirror_upper_copies_the_upper_triangle_below_the_diagonal() {
+        for n in [0, 1, 5, 64, 70] {
+            let full = sample(n, n, n as u64 + 7);
+            let mut m = BitMatrix::new(n, n);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    m.set(i, j, full.get(i, j));
+                }
+            }
+            m.mirror_upper();
+            for i in 0..n {
+                assert!(!m.get(i, i), "{n}: diagonal stays clear");
+                for j in (i + 1)..n {
+                    assert_eq!(m.get(i, j), full.get(i, j), "{n}: ({i}, {j})");
+                    assert_eq!(m.get(j, i), full.get(i, j), "{n}: ({j}, {i})");
+                }
+            }
+            assert_eq!(
+                BitMatrix::from_words(n, n, m.words().to_vec()),
+                m,
+                "{n}: padding stays zero"
+            );
+        }
     }
 
     #[test]

@@ -654,7 +654,6 @@ impl Solver {
                 self.order.insert(v as u32, &self.activity);
             }
         }
-        self.propagate_head = self.trail.len().min(self.propagate_head);
         self.propagate_head = self.trail.len();
     }
 

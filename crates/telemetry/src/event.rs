@@ -54,8 +54,8 @@ pub enum EventKind {
     Span,
     /// An instantaneous point event (`dur_ns` = 0).
     Mark,
-    /// A metric-registry flush; counters land in `attrs`,
-    /// histograms in `vary`.
+    /// A metric-registry flush; counters land in `attrs` and `vary` is
+    /// empty.
     Metrics,
 }
 

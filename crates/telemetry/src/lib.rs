@@ -16,8 +16,8 @@
 //! every operation a no-op so instrumented code never branches on an
 //! `Option`. An enabled handle fans each closed [`Span`] out to its
 //! [`TraceSink`]s ([`JsonlSink`] for `--trace-out`, adapters for stderr
-//! rendering) and shares one [`MetricRegistry`] whose [`Counter`] and
-//! [`Histogram`] handles are lock-free atomics.
+//! rendering) and shares one [`MetricRegistry`] whose [`Counter`] handles
+//! are lock-free atomics.
 //!
 //! ```
 //! use telemetry::{MemorySink, Telemetry};
@@ -56,9 +56,7 @@ pub use event::{
     canonicalize_trace, parse_trace, EventKind, TraceEvent, NONDET_VARY_KEY, TRACE_SCHEMA_VERSION,
 };
 pub use json::{obj, Value};
-pub use metrics::{
-    Counter, Histogram, HistogramSnapshot, MetricRegistry, LATENCY_BUCKET_BOUNDS_NS,
-};
+pub use metrics::{Counter, MetricRegistry};
 pub use sink::{JsonlSink, MemorySink, TraceSink};
 
 /// Environment variable naming a JSONL trace output file; binaries honor
@@ -127,13 +125,6 @@ impl Telemetry {
             .map_or_else(Counter::noop, |m| m.counter(name))
     }
 
-    /// The histogram named `name` (a no-op handle when disabled).
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.metrics()
-            .map_or_else(Histogram::noop, |m| m.histogram(name))
-    }
-
     /// Opens a root span named `name`.
     #[must_use]
     pub fn span(&self, name: &str) -> Span {
@@ -169,28 +160,13 @@ impl Telemetry {
         }
     }
 
-    /// Emits a `metrics` event carrying a snapshot of the registry
-    /// (counters in `attrs`, histograms in `vary`), then
-    /// flushes the sinks. A no-op when disabled.
+    /// Emits a `metrics` event carrying a snapshot of the registry's
+    /// counters in `attrs`, then flushes the sinks. A no-op when disabled.
     pub fn flush_metrics(&self) {
         let Some(shared) = &self.shared else { return };
         let mut attrs = BTreeMap::new();
         for (name, value) in shared.metrics.counter_snapshot() {
             attrs.insert(name, Value::u64(value));
-        }
-        let mut vary = BTreeMap::new();
-        for (name, snap) in shared.metrics.histogram_snapshot() {
-            vary.insert(
-                name,
-                json::obj([
-                    ("count", Value::u64(snap.count)),
-                    ("sum_ns", Value::u64(snap.sum_nanos)),
-                    (
-                        "buckets",
-                        Value::Arr(snap.buckets.iter().copied().map(Value::u64).collect()),
-                    ),
-                ]),
-            );
         }
         let event = TraceEvent {
             kind: EventKind::Metrics,
@@ -201,7 +177,7 @@ impl Telemetry {
             start_ns: shared.epoch.elapsed().as_nanos() as u64,
             dur_ns: 0,
             attrs,
-            vary,
+            vary: BTreeMap::new(),
         };
         self.emit(&event);
         self.flush();
@@ -432,14 +408,15 @@ mod tests {
         let sink = MemorySink::new();
         let telemetry = Telemetry::new(vec![Box::new(sink.clone())]);
         telemetry.counter("exec.calls").inc(3);
-        telemetry.histogram("stage.wall_nanos").observe_nanos(500);
         telemetry.flush_metrics();
         let events = sink.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::Metrics);
         assert_eq!(events[0].attr_u64("exec.calls"), Some(3));
-        let histo = events[0].vary.get("stage.wall_nanos").unwrap();
-        assert_eq!(histo.as_obj().unwrap().get("count"), Some(&Value::u64(1)));
+        assert!(
+            events[0].vary.is_empty(),
+            "a counter snapshot has no wall times"
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! The default funnel resolves both workloads without a single SAT query,
 //! so its tier verdicts are pinned (any routing drift fails) and a second
-//! pass turns off witnesses and enumeration to force every singleton and
-//! every pair into tier 3, where the solver probes, sweeps and decides the
-//! whole graph. That pass pins its SAT queries, its strikes and the
+//! pass drops the analysis's witness bank and turns off enumeration to
+//! force every singleton and every pair into tier 3, where the solver
+//! probes, sweeps and decides the whole graph. That pass pins its SAT queries, its strikes and the
 //! solver's (decisions, conflicts, propagations), so any change to the
 //! solver's search shows up here as a counter drift.
 
@@ -125,13 +125,18 @@ fn assert_equivalent_on(
 
     // Without witnesses or enumeration every singleton is a SAT query and
     // every pair reaches tier 3, so the solver decides the whole graph.
+    let bankless = RareNetAnalysis::from_raw_parts(
+        analysis.threshold(),
+        analysis.rare_nets().to_vec(),
+        analysis.probabilities().clone(),
+        None,
+    );
     let forced = FunnelOptions {
-        sim_witnesses: false,
         max_support: 0,
         ..FunnelOptions::default()
     };
     let sat_label = format!("{label}, forced SAT");
-    let s = *assert_thread_independent(netlist, &analysis, forced, &reference, &sat_label).stats();
+    let s = *assert_thread_independent(netlist, &bankless, forced, &reference, &sat_label).stats();
     assert_eq!(
         (s.singleton_sat_queries, s.pairs_sat_resolved),
         forced_queries,
