@@ -38,7 +38,9 @@
 //!      pair's union support ([`sat::CircuitOracle::justify_within`]), as
 //!      PODEM (Goel 1981) branches only on inputs: fixing them propagates
 //!      every gate of both cones, so the verdict is exact without assigning
-//!      the rest of the lane's encoding. Each SAT model, its inputs outside
+//!      the rest of the lane's encoding. A lane's consecutive queries of
+//!      one row share their first assumption, which its solver keeps
+//!      propagated between them. Each SAT model, its inputs outside
 //!      that support filled pseudo-randomly, is resimulated 64 to a word —
 //!      an always-on assert checks that it drives its own pair — and every
 //!      still-pending pair whose two rare values one model drives is
@@ -53,9 +55,9 @@
 //! set while pair `i < j` is open), and every tier decides pairs through
 //! [`decide_pending`], which writes each verdict into the adjacency's upper
 //! triangle; the triangle is mirrored once at the end. Tier 1 runs when the
-//! analysis carries a witness bank. Beyond those two `n × n` matrices (and
-//! the probe's `n × n` refutation rows, dropped before the sweep) the
-//! funnel holds at most one block of [`DECIDE_BLOCK`] pairs.
+//! analysis carries a witness bank. Beyond those two `n × n` matrices the
+//! funnel holds at most one block of [`DECIDE_BLOCK`] pairs: probing strikes
+//! `pending` as each net's probe returns.
 
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -363,16 +365,18 @@ where
 }
 
 /// Tier 3, step 1 — implication probing. Propagates every rare net's rare
-/// value on one fresh oracle with every cone encoded, and returns the
-/// refutations: bit `j` of row `i` is set when `i`'s rare value forces `j`
-/// to its non-rare value, so no pattern drives both. The probe oracle's
-/// counters are merged into `solver_stats`.
-fn probe_refutations(
+/// value on one fresh oracle with every cone encoded; when `i`'s rare value
+/// forces `j` to its non-rare value, no pattern drives both, and a pending
+/// pair `(i, j)` is struck incompatible as `i`'s probe returns (its
+/// adjacency bit stays clear). Returns the number of pairs struck; the
+/// probe oracle's counters are merged into `solver_stats`.
+fn probe_strikes(
     netlist: &Netlist,
     rare_nets: &[RareNet],
     config: SolverConfig,
+    pending: &mut BitMatrix,
     solver_stats: &mut SolverStats,
-) -> BitMatrix {
+) -> u64 {
     let mut oracle = CircuitOracle::lazy(netlist, config);
     for r in rare_nets {
         oracle.encode_cone(r.net);
@@ -387,7 +391,7 @@ fn probe_refutations(
         })
         .collect();
     non_rare.sort_unstable();
-    let mut refuted = BitMatrix::new(rare_nets.len(), rare_nets.len());
+    let mut struck = 0;
     for (i, r) in rare_nets.iter().enumerate() {
         // A kept net is justifiable, so its probe is never refuted.
         let Some(implied) = oracle.probe(&[(r.net, r.rare_value)]) else {
@@ -399,12 +403,16 @@ fn probe_refutations(
                 .iter()
                 .take_while(|&&(c, _)| c == lit.code())
             {
-                refuted.set(i, j, true);
+                let pair = (i.min(j), i.max(j));
+                if pending.get(pair.0, pair.1) {
+                    pending.set(pair.0, pair.1, false);
+                    struck += 1;
+                }
             }
         }
     }
     solver_stats.merge(&oracle.solver_stats());
-    refuted
+    struck
 }
 
 /// The all-SAT reference's pairs (the paper's offline phase): one query
@@ -788,17 +796,15 @@ impl CompatibilityGraph {
         // ── Tier 3: implication probing, then SAT sweeping. ────────────────
         let tier3_start = Instant::now();
         if let Some(supports) = supports.as_ref().filter(|_| left > 0) {
-            // The refutation rows are dropped, with the probe oracle, before
-            // the sweep's lanes grow their own.
-            let refuted = probe_refutations(netlist, &rare_nets, funnel.solver, &mut stats.solver);
-            stats.pairs_probe_struck = decide_pending(
+            // The probe oracle is dropped before the sweep's lanes grow their
+            // own.
+            stats.pairs_probe_struck = probe_strikes(
+                netlist,
+                &rare_nets,
+                funnel.solver,
                 &mut pending,
-                &mut adjacency,
-                None,
-                || (),
-                |(), i, j| (refuted.get(i, j) || refuted.get(j, i)).then_some(false),
+                &mut stats.solver,
             );
-            drop(refuted);
             stats.tier3_probe_nanos = tier3_start.elapsed().as_nanos() as u64;
             let sweep_start = Instant::now();
             let sweep = Sweep {

@@ -13,7 +13,8 @@
 //!   assumptions, propagation-only probes) configured through
 //!   [`SolverConfig`]. [`Solver::solve_within`] runs the same search but
 //!   branches only on a given variable set — a circuit query's cone inputs
-//!   — and stops once those are assigned.
+//!   — and stops once those are assigned; consecutive calls that share
+//!   their first assumption propagate it once.
 //! * [`dimacs`] — DIMACS CNF reading/writing for interoperability.
 //! * [`CircuitOracle`] — the high-level interface used by the rest of the
 //!   workspace: "give me an input pattern that justifies these `(net, value)`

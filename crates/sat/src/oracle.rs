@@ -192,7 +192,9 @@ impl<'a> CircuitOracle<'a> {
     /// [`netlist::input_supports`] rows): fixing those inputs then
     /// propagates every cone gate, so the verdict is exact. A returned
     /// pattern drives the targets through its bits at `inputs`, whatever
-    /// the bits outside them are.
+    /// the bits outside them are. Consecutive calls with the same first
+    /// target reuse its propagation (see [`Solver::solve_within`]) until a
+    /// call encodes a new cone or another kind of query intervenes.
     pub fn justify_within(
         &mut self,
         targets: &[(NetId, bool)],

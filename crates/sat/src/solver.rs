@@ -26,7 +26,10 @@
 //!
 //! [`Solver::solve_within`] is the same search branching only on a given
 //! variable set (a circuit query's cone inputs, as in PODEM), returning SAT
-//! once those are assigned without conflict.
+//! once those are assigned without conflict. It keeps its first
+//! assumption's decision level across calls, so a run of queries that share
+//! their first assumption propagates it once (the assumption-trail reuse of
+//! Hickey & Bacchus, SAT 2019).
 
 use crate::order::{before, VarOrder};
 use crate::types::{Clause, Cnf, Lit, Var};
@@ -222,6 +225,10 @@ pub struct Solver {
     learnt_cap: u64,
     /// Assumption subset responsible for the last assumption-level UNSAT.
     conflict_assumptions: Vec<Lit>,
+    /// The first assumption of the last [`Solver::solve_within`] while the
+    /// solver rests at decision level 1 holding its decision (and the unit
+    /// propagation closure of it); `None` whenever it rests at level 0.
+    held: Option<Lit>,
     stats: SolverStats,
 }
 
@@ -263,6 +270,7 @@ impl Solver {
             original_clauses: 0,
             learnt_cap: 0,
             conflict_assumptions: Vec::new(),
+            held: None,
             stats: SolverStats::default(),
         }
     }
@@ -369,13 +377,10 @@ impl Solver {
 
     /// Adds a clause. Duplicate literals are removed and tautological clauses
     /// are ignored. Adding the empty clause makes the solver permanently
-    /// unsatisfiable.
+    /// unsatisfiable. A level held by [`Solver::solve_within`] is dropped
+    /// first: clauses are added at decision level 0.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        assert_eq!(
-            self.decision_level(),
-            0,
-            "clauses may only be added at decision level 0"
-        );
+        self.backtrack_to(0);
         let mut clause: Clause = lits.into_iter().collect();
         for lit in &clause {
             self.reserve_vars(lit.var().index() + 1);
@@ -643,7 +648,11 @@ impl Solver {
         out
     }
 
+    /// Backtracks to `level`; below level 1 the held level goes with it.
     fn backtrack_to(&mut self, level: usize) {
+        if level == 0 {
+            self.held = None;
+        }
         while self.decision_level() > level {
             let lim = self.trail_lim.pop().expect("non-root level");
             while self.trail.len() > lim {
@@ -843,6 +852,17 @@ impl Solver {
     /// formula, so they never exclude one. Both verdicts are exact, and SAT
     /// is reached without deciding the variables the assumptions do not
     /// reach.
+    ///
+    /// The call ends at decision level 1 instead of 0 when level 1 holds the
+    /// decision of its first assumption, and the next `solve_within` whose
+    /// first assumption is the same literal starts from that level: it
+    /// neither re-decides nor re-propagates it (one decision fewer). The
+    /// held level is the unit-propagation closure of that literal under the
+    /// current clauses — a backjump to level 1 asserts and propagates there
+    /// — so both verdicts stay exact. Every other entry drops it first:
+    /// [`Solver::solve`], [`Solver::probe`], [`Solver::add_clause`], a
+    /// `solve_within` with another first assumption, and within a call a
+    /// restart or a backjump to level 0.
     pub fn solve_within(&mut self, assumptions: &[Lit], decide: &[Var]) -> SolveResult {
         for var in decide {
             self.reserve_vars(var.index() + 1);
@@ -853,7 +873,11 @@ impl Solver {
     /// The loop behind [`Solver::solve`] (`decide = None`: branch on every
     /// variable) and [`Solver::solve_within`].
     fn solve_deciding(&mut self, assumptions: &[Lit], decide: Option<&[Var]>) -> SolveResult {
-        if !self.enter_root(assumptions) {
+        let reuse = decide.is_some()
+            && self
+                .held
+                .is_some_and(|held| assumptions.first() == Some(&held));
+        if !self.enter_root(assumptions, reuse) {
             return SolveResult::Unsat;
         }
 
@@ -862,11 +886,11 @@ impl Solver {
             let budget = self.config.restart_budget(episode);
             match self.search(assumptions, decide, budget) {
                 SearchOutcome::Sat(model) => {
-                    self.backtrack_to(0);
+                    self.finish(assumptions, decide.is_some());
                     return SolveResult::Sat(model);
                 }
                 SearchOutcome::Unsat => {
-                    self.backtrack_to(0);
+                    self.finish(assumptions, decide.is_some());
                     return SolveResult::Unsat;
                 }
                 SearchOutcome::Restart => {
@@ -880,9 +904,10 @@ impl Solver {
 
     /// The common start of [`Solver::solve`] and [`Solver::probe`]: clears
     /// the last unsat core, allocates the assumptions' variables, and
-    /// propagates at level 0. Returns `false` when the formula is UNSAT
-    /// whatever the assumptions.
-    fn enter_root(&mut self, assumptions: &[Lit]) -> bool {
+    /// propagates at level 0 — or, with `reuse_held`, backtracks only to the
+    /// held level 1, which is already at fixpoint. Returns `false` when the
+    /// formula is UNSAT whatever the assumptions.
+    fn enter_root(&mut self, assumptions: &[Lit], reuse_held: bool) -> bool {
         self.conflict_assumptions.clear();
         if self.unsat {
             return false;
@@ -890,12 +915,53 @@ impl Solver {
         for lit in assumptions {
             self.reserve_vars(lit.var().index() + 1);
         }
+        if reuse_held {
+            self.backtrack_to(1);
+            #[cfg(debug_assertions)]
+            self.check_held_level();
+            return true;
+        }
         self.backtrack_to(0);
         if self.propagate().is_some() {
             self.unsat = true;
             return false;
         }
         true
+    }
+
+    /// The end of a solve call: back to level 0, or, after a
+    /// [`Solver::solve_within`] (`within`) whose level 1 holds the decision
+    /// of its first assumption, to level 1, which is then held.
+    fn finish(&mut self, assumptions: &[Lit], within: bool) {
+        let held = assumptions.first().copied().filter(|&first| {
+            within
+                && self
+                    .trail_lim
+                    .first()
+                    .is_some_and(|&start| self.trail.get(start) == Some(&first))
+        });
+        self.backtrack_to(usize::from(held.is_some()));
+        self.held = held;
+    }
+
+    /// Checks the held level against a fresh propagation of its literal from
+    /// level 0, run on a clone so that the solver's own state (watch order
+    /// included) is the same as in a release build: the two literal sets
+    /// must be equal.
+    #[cfg(debug_assertions)]
+    fn check_held_level(&self) {
+        let held = self.held.expect("a held level");
+        let mut kept = self.trail[self.trail_lim[0]..].to_vec();
+        let mut fresh = self
+            .clone()
+            .probe(&[held])
+            .expect("a held level is consistent");
+        kept.sort_unstable_by_key(|l| l.code());
+        fresh.sort_unstable_by_key(|l| l.code());
+        assert_eq!(
+            kept, fresh,
+            "held level must equal the propagation closure of {held:?}"
+        );
     }
 
     /// Unit propagation under `assumptions`, without search: the
@@ -909,7 +975,7 @@ impl Solver {
     /// the static-learning probe of SOCRATES: cheap, sound, and incomplete
     /// (a `Some` does not mean the assumptions are satisfiable).
     pub fn probe(&mut self, assumptions: &[Lit]) -> Option<Vec<Lit>> {
-        if !self.enter_root(assumptions) {
+        if !self.enter_root(assumptions, false) {
             return None;
         }
         self.trail_lim.push(self.trail.len());
@@ -1356,15 +1422,180 @@ mod tests {
             .to_vec();
         assert!(model[0] && model[1]);
         assert_eq!(s.stats().decisions, 4);
-        // ¬1 is refuted at its assumption level, so it is never enqueued.
+        // The same first assumption starts from its held level, where ¬1 is
+        // already refuted: no decision at all.
         assert_eq!(
             s.solve_within(&[lit(3), lit(-1)], &cone_inputs),
             SolveResult::Unsat
         );
-        assert_eq!(s.stats().decisions, 5);
-        // A full solve afterwards decides outside the cone too: 3, then ¬4.
+        assert_eq!(s.stats().decisions, 4);
+        // A full solve afterwards drops the held level and decides outside
+        // the cone too: 3, then ¬4.
         assert!(s.solve(&[lit(3)]).is_sat());
-        assert_eq!(s.stats().decisions, 7);
+        assert_eq!(s.stats().decisions, 6);
+    }
+
+    /// Adds `out = AND(a, b)` (`or: false`) or `out = OR(a, b)` (`or: true`)
+    /// in DIMACS numbering.
+    fn gate(s: &mut Solver, or: bool, out: i64, a: i64, b: i64) {
+        let (o, x, y) = if or { (-out, -a, -b) } else { (out, a, b) };
+        s.add_clause([lit(-o), lit(x)]);
+        s.add_clause([lit(-o), lit(y)]);
+        s.add_clause([lit(o), lit(-x), lit(-y)]);
+    }
+
+    /// Three cones, 3 = AND(1, 2), 6 = OR(4, 5) and 9 = AND(7, 8), and
+    /// their six inputs.
+    fn three_cones() -> (Solver, [Var; 6]) {
+        let mut s = Solver::new();
+        gate(&mut s, false, 3, 1, 2);
+        gate(&mut s, true, 6, 4, 5);
+        gate(&mut s, false, 9, 7, 8);
+        (s, [1, 2, 4, 5, 7, 8].map(|v| Var(v - 1)))
+    }
+
+    #[test]
+    fn solve_within_reuses_a_shared_first_assumption() {
+        let (mut s, inputs) = three_cones();
+        assert!(s.solve_within(&[lit(3), lit(-6)], &inputs).is_sat());
+        assert_eq!((s.decision_level(), s.held), (1, Some(lit(3))));
+        let before = s.stats();
+        let model = s.solve_within(&[lit(3), lit(9)], &inputs);
+        let after = s.stats();
+        // A fresh solver answering only the second query finds the same
+        // model, deciding 3 and propagating 3, 1 and 2 on the way.
+        let (mut fresh, _) = three_cones();
+        assert_eq!(fresh.solve_within(&[lit(3), lit(9)], &inputs), model);
+        assert_eq!(
+            model.model().unwrap(),
+            [true, true, true, false, false, false, true, true, true]
+        );
+        assert_eq!(
+            after.decisions - before.decisions + 1,
+            fresh.stats().decisions
+        );
+        assert_eq!(
+            after.propagations - before.propagations + 3,
+            fresh.stats().propagations
+        );
+        assert_eq!(s.held, Some(lit(3)));
+    }
+
+    #[test]
+    fn add_clause_solve_and_probe_drop_the_held_level() {
+        let (mut s, inputs) = three_cones();
+        let by_code = |lits: Option<Vec<Lit>>| {
+            let mut lits = lits.expect("consistent");
+            lits.sort_by_key(|l| l.code());
+            lits
+        };
+        // Under the held 3, ¬1 would be refuted; from level 0 it forces ¬3.
+        assert!(s.solve_within(&[lit(3), lit(9)], &inputs).is_sat());
+        assert_eq!(by_code(s.probe(&[lit(-1)])), [lit(-1), lit(-3)]);
+        assert_eq!((s.decision_level(), s.held), (0, None));
+        assert!(s.solve_within(&[lit(3), lit(9)], &inputs).is_sat());
+        assert!(s.solve(&[lit(-3)]).is_sat());
+        assert_eq!((s.decision_level(), s.held), (0, None));
+        // The unit ¬1 is added at level 0, under which 3 is refuted.
+        assert!(s.solve_within(&[lit(3), lit(9)], &inputs).is_sat());
+        s.add_clause([lit(-1)]);
+        assert_eq!((s.decision_level(), s.held), (0, None));
+        assert_eq!(
+            s.solve_within(&[lit(3), lit(9)], &inputs),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.unsat_assumptions(), [lit(3)]);
+        assert_eq!((s.decision_level(), s.held), (0, None));
+    }
+
+    #[test]
+    fn unsat_at_the_second_assumption_keeps_the_held_level() {
+        let (mut s, inputs) = three_cones();
+        assert_eq!(
+            s.solve_within(&[lit(3), lit(-1)], &inputs),
+            SolveResult::Unsat
+        );
+        let mut core = s.unsat_assumptions().to_vec();
+        core.sort_by_key(|l| l.code());
+        assert_eq!(core, [lit(-1), lit(3)]);
+        assert_eq!((s.decision_level(), s.held), (1, Some(lit(3))));
+        // 3 is not decided again: 9, then ¬4 and ¬5.
+        assert!(s.solve_within(&[lit(3), lit(9)], &inputs).is_sat());
+        assert_eq!(s.stats().decisions, 1 + 3);
+    }
+
+    #[test]
+    fn a_new_first_assumption_or_a_learned_unit_drops_the_held_level() {
+        let (mut s, inputs) = three_cones();
+        // 10 forces both 11 and ¬11: only a conflict refutes it.
+        s.add_clause([lit(-10), lit(11)]);
+        s.add_clause([lit(-10), lit(-11)]);
+        assert!(s.solve_within(&[lit(3), lit(9)], &inputs).is_sat());
+        // Another first assumption decides both assumptions afresh (then ¬4
+        // and ¬5) and holds its own level.
+        let decisions = s.stats().decisions;
+        assert!(s.solve_within(&[lit(9), lit(3)], &inputs).is_sat());
+        assert_eq!(s.stats().decisions, decisions + 4);
+        assert_eq!(s.held, Some(lit(9)));
+        // Deciding 10 on the held level conflicts; the learned unit ¬10
+        // backjumps to level 0, so 9 is decided again before 10 is found
+        // false, and its level is held anew.
+        let decisions = s.stats().decisions;
+        assert_eq!(
+            s.solve_within(&[lit(9), lit(10)], &inputs),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.stats().decisions, decisions + 2);
+        assert_eq!(s.stats().conflicts, 1);
+        assert_eq!(s.unsat_assumptions(), [lit(10)]);
+        assert_eq!((s.decision_level(), s.held), (1, Some(lit(9))));
+    }
+
+    /// The held level's debug check compares it with a fresh propagation:
+    /// a level that is not its literal's closure trips it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "held level must equal")]
+    fn a_held_level_that_is_not_its_closure_trips_the_debug_check() {
+        let (mut s, inputs) = three_cones();
+        assert!(s.solve_within(&[lit(3), lit(9)], &inputs).is_sat());
+        // Level 1 holds 3, 1 and 2, not the closure of 9.
+        s.held = Some(lit(9));
+        let _ = s.solve_within(&[lit(9), lit(3)], &inputs);
+    }
+
+    /// `solve` never holds a level, so a sequence of `solve` calls does the
+    /// same work as before held levels existed (counters pinned from that
+    /// solver), restarts and clause-database reductions included.
+    #[test]
+    fn solve_sequences_keep_their_counters() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(77);
+        let num_vars = 14;
+        let cnf = random_3sat(&mut rng, num_vars, 58);
+        let config = SolverConfig {
+            restart_unit: 1,
+            ..tiny_cap_config()
+        };
+        let mut s = Solver::from_cnf_with_config(&cnf, config);
+        for _ in 0..40 {
+            let assumptions: Vec<Lit> = (0..2)
+                .map(|_| Var(rng.gen_range(0..num_vars) as u32).lit(rng.gen_bool(0.5)))
+                .collect();
+            let _ = s.solve(&assumptions);
+        }
+        let st = s.stats();
+        assert_eq!(
+            (
+                st.decisions,
+                st.conflicts,
+                st.propagations,
+                st.restarts,
+                st.reduces
+            ),
+            (141, 9, 456, 2, 1)
+        );
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn clean_netlist_adjacency_is_solver_and_thread_independent() {
         [19, 17, 19, 0, 50, 0, 86, 0, 0, 0],
         (19, 59),
         (77, 0),
-        (413, 11, 3299),
+        (388, 11, 2745),
     );
 }
 
@@ -203,6 +203,6 @@ fn infected_netlist_adjacency_is_solver_and_thread_independent() {
         [21, 18, 21, 0, 57, 0, 96, 0, 0, 0],
         (21, 65),
         (87, 1),
-        (446, 15, 3725),
+        (417, 15, 3038),
     );
 }

@@ -21,7 +21,9 @@
 //! - on random gate DAGs, `CircuitOracle::justify_within` — deciding only
 //!   the scan inputs of a target pair's union support — agrees with a
 //!   brute-force simulation of every input pattern, and a returned pattern
-//!   drives both targets whatever the bits outside that support are;
+//!   drives both targets whatever the bits outside that support are, also
+//!   in the sweep's call order (rows of pairs sharing their first target,
+//!   answered from the solver's held level);
 //! - a failing case dumps a `dimacs::write_repro` file to the temp dir and
 //!   names it in the failure message, so the instance replays offline.
 //!
@@ -357,6 +359,69 @@ proptest! {
                     name,
                     targets
                 );
+            }
+        }
+    }
+
+    /// The sweep's call order against brute force, on both solver
+    /// configurations: one lazy oracle answers rows of `justify_within`
+    /// pairs that share their first target, with no `justify` in between,
+    /// so each row after its first pair starts from the solver's held level
+    /// (which the debug build checks against a fresh propagation on every
+    /// reuse), and a second target's new cone is encoded between calls.
+    #[test]
+    fn justify_within_rows_sharing_a_first_target_match_brute_force(
+        inputs in 1usize..=6,
+        flops in 0usize..=2,
+        gate_specs in prop::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                prop::collection::vec(any::<prop::sample::Index>(), 1..4),
+            ),
+            1..24,
+        ),
+        row_specs in prop::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                any::<bool>(),
+                prop::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 1..6),
+            ),
+            1..4,
+        ),
+    ) {
+        let nl = random_dag(inputs, flops, &gate_specs);
+        let nets: Vec<NetId> = nl.iter().map(|(id, _)| id).collect();
+        let width = nl.num_scan_inputs();
+        let sim = Simulator::new(&nl);
+        let pattern = |mask: u32| TestPattern::new((0..width).map(|p| mask >> p & 1 == 1).collect());
+        let every_pattern: Vec<TestPattern> = (0..1u32 << width).map(pattern).collect();
+        let net = |idx: &prop::sample::Index| nets[idx.index(nets.len())];
+        let pairs: Vec<[(NetId, bool); 2]> = row_specs
+            .iter()
+            .flat_map(|(a, va, row)| row.iter().map(move |(b, vb)| [(net(a), *va), (net(b), *vb)]))
+            .collect();
+        for (name, config) in [("default", SolverConfig::default()), ("stress", stress_config())] {
+            let mut oracle = CircuitOracle::lazy(&nl, config);
+            for targets in &pairs {
+                let expected = every_pattern.iter().any(|p| sim.activates(p, targets));
+                let support = netlist::input_supports(&nl, &[targets[0].0, targets[1].0])
+                    .union_ones(0, 1);
+                let got = oracle.justify_within(targets, &support);
+                prop_assert_eq!(got.is_some(), expected, "{}: verdict on {:?}", name, targets);
+                if let Some(bits) = got {
+                    for fill in [false, true] {
+                        let filled: Vec<bool> = (0..width)
+                            .map(|p| if support.contains(&p) { bits[p] } else { fill })
+                            .collect();
+                        prop_assert!(
+                            sim.activates(&TestPattern::new(filled), targets),
+                            "{}: support bits of {:?} miss the targets with fill {}",
+                            name,
+                            targets,
+                            fill
+                        );
+                    }
+                }
             }
         }
     }
