@@ -30,7 +30,8 @@
 //! bytes twice. Each stage has exactly one payload layout: what is written
 //! is every result the stage produced, each stored once, so a warm run
 //! restores it bit for bit. Wall clocks are not results and are not stored —
-//! the graph's tier times read 0 after a decode — with one exception: the
+//! the graph's tier times and the training report's PPO update time read 0
+//! after a decode — with one exception: the
 //! training report's `wall_seconds`, from which Table 1's rates are printed
 //! identically on a warm rerun. Every other payload is the same bytes on
 //! every run and at any thread count (an all-SAT graph's CDCL counters,
@@ -776,6 +777,8 @@ pub(crate) fn decode_policy(key: u64, payload: &[u8]) -> Decode<PolicyArtifact> 
         episode_lengths: r.usize_vec()?,
         losses: snapshot.loss_history.clone(),
         wall_seconds: r.f64()?,
+        // Measured by the training run only, like the graph's tier times.
+        ppo_update_ns: 0,
     };
     let harvested_sets = r_sets(&mut r)?;
     let env_sat_checks = r.u64()?;
@@ -1937,6 +1940,7 @@ mod tests {
             episode_lengths: vec![3, 4],
             losses: trainer.loss_history().to_vec(),
             wall_seconds: 0.25,
+            ppo_update_ns: 0,
         };
         PolicyArtifact::new(
             key,

@@ -409,7 +409,17 @@ impl<'a> DeterrentSession<'a> {
                 },
             )
         };
-        self.run_stage(key, compute, |_, _, _| {})
+        let vary = |span: &mut Span, artifact: &PolicyArtifact, cache_hit: bool| {
+            // The work counts follow from the persisted trainer, so a disk
+            // hit reports them too; the update time only a training run has.
+            let trained = artifact.policy();
+            span.attr_u64("ppo_updates", trained.trainer.total_updates());
+            span.attr_u64("ppo_sample_passes", trained.trainer.sample_passes());
+            if !cache_hit {
+                span.vary_u64("ppo_update_ns", trained.report.ppo_update_ns);
+            }
+        };
+        self.run_stage(key, compute, vary)
     }
 
     /// Stage ❺ — greedy evaluation rollouts from the trained policy plus
@@ -849,6 +859,21 @@ mod tests {
             if stage == "build_graph" {
                 let ns = |key| cold.vary_u64(key).expect("tier time");
                 assert!(ns("tier3_probe_ns") + ns("tier3_sweep_ns") <= ns("tier3_ns"));
+            }
+            // Only a training run has an update time; the work counts come
+            // from the persisted trainer, so a disk hit reports them too.
+            assert_eq!(cold.vary.contains_key("ppo_update_ns"), stage == "train");
+            assert!(!warm.vary.contains_key("ppo_update_ns"), "{stage}");
+            for key in ["ppo_updates", "ppo_sample_passes"] {
+                assert_eq!(cold.attrs.contains_key(key), stage == "train", "{key}");
+                assert_eq!(cold.attr_u64(key), warm.attr_u64(key), "{key}");
+            }
+            if stage == "train" {
+                let updates = cold.attr_u64("ppo_updates").expect("update count");
+                let passes = cold.attr_u64("ppo_sample_passes").expect("pass count");
+                assert!(updates > 0, "the session must train");
+                assert!(passes >= updates * fast_config().train.ppo.epochs as u64);
+                assert!(cold.vary_u64("ppo_update_ns").expect("update time") > 0);
             }
         }
         let _ = std::fs::remove_dir_all(&root);

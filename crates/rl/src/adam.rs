@@ -2,8 +2,10 @@
 
 /// Adam optimizer state for a flat parameter vector.
 ///
-/// Operates on the flat parameter/gradient vectors exposed by
-/// [`crate::Mlp::parameters`] and [`crate::Mlp::gradients`].
+/// The update is elementwise, so the optimizer needs no layout: its moment
+/// vectors follow the order of the parameter vector it steps. Inside the
+/// crate that is an [`crate::Mlp`]'s storage layout, stepped in place;
+/// a [`crate::PolicySnapshot`] holds the moments in public order.
 #[derive(Debug, Clone)]
 pub struct Adam {
     learning_rate: f64,
@@ -69,8 +71,9 @@ impl Adam {
         self.t
     }
 
-    /// The first- and second-moment vectors (`m`, `v`), for persisting the
-    /// optimizer state alongside the parameters it drives.
+    /// The first- and second-moment vectors (`m`, `v`), in the order of the
+    /// parameters the optimizer steps, for persisting its state alongside
+    /// them.
     #[must_use]
     pub fn moments(&self) -> (&[f64], &[f64]) {
         (&self.m, &self.v)
@@ -86,11 +89,13 @@ impl Adam {
     #[must_use]
     pub fn from_raw_state(learning_rate: f64, m: Vec<f64>, v: Vec<f64>, t: u64) -> Self {
         assert_eq!(m.len(), v.len(), "moment vectors must match in length");
-        let mut adam = Self::new(m.len(), learning_rate);
-        adam.m = m;
-        adam.v = v;
-        adam.t = t;
-        adam
+        Self {
+            m,
+            v,
+            t,
+            // The β/ε defaults; the empty vectors allocate nothing.
+            ..Self::new(0, learning_rate)
+        }
     }
 }
 

@@ -9,15 +9,39 @@ use rand::Rng;
 /// action-masking architecture where nets that are incompatible with the
 /// current state are removed from the agent's choices (Theorem 3.1 of the
 /// paper shows this loses nothing).
-#[derive(Debug, Clone)]
+///
+/// The distribution keeps only the allowed actions, in index order, and
+/// walks only them: the softmax, the entropy, sampling and both gradients.
+/// [`MaskedCategorical::set`] rebuilds it in place, reusing its buffers.
+/// The default value has no actions until it is set.
+#[derive(Debug, Clone, Default)]
 pub struct MaskedCategorical {
+    /// The allowed actions, in index order.
+    actions: Vec<usize>,
+    /// `probs[j]` is the probability of `actions[j]`.
     probs: Vec<f64>,
+    /// `log_probs[j]` is `ln probs[j]`, `-inf` where that is zero.
     log_probs: Vec<f64>,
 }
 
+/// Appends the actions `mask` allows to `out`, in index order: all of
+/// `0..n` for an empty mask.
+///
+/// # Panics
+///
+/// Panics if a non-empty `mask` does not hold `n` entries.
+pub(crate) fn allowed_actions(mask: &[bool], n: usize, out: &mut Vec<usize>) {
+    if mask.is_empty() {
+        out.extend(0..n);
+    } else {
+        assert_eq!(mask.len(), n, "mask length mismatch");
+        out.extend((0..n).filter(|&i| mask[i]));
+    }
+}
+
 impl MaskedCategorical {
-    /// Builds the distribution from `logits`, keeping only actions whose mask
-    /// entry is `true`. Pass `None` to allow every action.
+    /// Builds the distribution from one logit per action, keeping only
+    /// actions whose mask entry is `true`. Pass `None` to allow every action.
     ///
     /// # Panics
     ///
@@ -25,77 +49,75 @@ impl MaskedCategorical {
     /// is allowed.
     #[must_use]
     pub fn new(logits: &[f64], mask: Option<&[bool]>) -> Self {
-        if let Some(m) = mask {
-            assert_eq!(m.len(), logits.len(), "mask length mismatch");
-            assert!(
-                m.iter().any(|&allowed| allowed),
-                "at least one action must be allowed"
-            );
-        }
-        let allowed = |i: usize| mask.is_none_or(|m| m[i]);
-        // Numerically stable masked softmax.
-        let max_logit = logits
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| allowed(i))
-            .map(|(_, &l)| l)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut probs = vec![0.0; logits.len()];
-        let mut total = 0.0;
-        for (i, &l) in logits.iter().enumerate() {
-            if allowed(i) {
-                let e = (l - max_logit).exp();
-                probs[i] = e;
-                total += e;
+        let actions: Vec<usize> = match mask {
+            Some(m) => {
+                assert_eq!(m.len(), logits.len(), "mask length mismatch");
+                (0..m.len()).filter(|&i| m[i]).collect()
             }
-        }
-        for p in &mut probs {
-            *p /= total;
-        }
-        let log_probs = probs
-            .iter()
-            .map(|&p| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY })
-            .collect();
-        Self { probs, log_probs }
+            None => (0..logits.len()).collect(),
+        };
+        let allowed: Vec<f64> = actions.iter().map(|&a| logits[a]).collect();
+        let mut dist = Self::default();
+        dist.set(&allowed, &actions);
+        dist
     }
 
-    /// Number of actions (masked ones included).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// Returns `true` if the distribution has no actions (never the case for
-    /// a successfully constructed value).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
-    }
-
-    /// Probability of `action`.
+    /// Rebuilds the distribution in place over `actions`, the allowed
+    /// actions in index order, with `logits[j]` the logit of `actions[j]`.
     ///
     /// # Panics
     ///
-    /// Panics if `action` is out of range.
+    /// Panics if `logits` and `actions` differ in length or no action is
+    /// allowed.
+    pub fn set(&mut self, logits: &[f64], actions: &[usize]) {
+        assert_eq!(logits.len(), actions.len(), "one logit per allowed action");
+        assert!(!actions.is_empty(), "at least one action must be allowed");
+        self.actions.clear();
+        self.actions.extend_from_slice(actions);
+        // Numerically stable softmax over the allowed logits.
+        let max_logit = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        self.probs.clear();
+        let mut total = 0.0;
+        for &l in logits {
+            let e = (l - max_logit).exp();
+            self.probs.push(e);
+            total += e;
+        }
+        for p in &mut self.probs {
+            *p /= total;
+        }
+        self.log_probs.clear();
+        self.log_probs.extend(self.probs.iter().map(|&p| {
+            if p > 0.0 {
+                p.ln()
+            } else {
+                f64::NEG_INFINITY
+            }
+        }));
+    }
+
+    /// The allowed actions, in index order: the order of
+    /// [`MaskedCategorical::grad_log_prob`] and
+    /// [`MaskedCategorical::grad_entropy`].
+    #[must_use]
+    pub fn actions(&self) -> &[usize] {
+        &self.actions
+    }
+
+    /// Probability of `action` (`0.0` for masked actions).
     #[must_use]
     pub fn prob(&self, action: usize) -> f64 {
-        self.probs[action]
+        self.actions
+            .binary_search(&action)
+            .map_or(0.0, |j| self.probs[j])
     }
 
     /// Natural log-probability of `action` (`-inf` for masked actions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `action` is out of range.
     #[must_use]
     pub fn log_prob(&self, action: usize) -> f64 {
-        self.log_probs[action]
-    }
-
-    /// All probabilities.
-    #[must_use]
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
+        self.actions
+            .binary_search(&action)
+            .map_or(f64::NEG_INFINITY, |j| self.log_probs[j])
     }
 
     /// Shannon entropy (natural log) of the distribution.
@@ -115,72 +137,71 @@ impl MaskedCategorical {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
         let mut last_allowed = 0;
-        for (i, &p) in self.probs.iter().enumerate() {
+        for (&a, &p) in self.actions.iter().zip(&self.probs) {
             if p > 0.0 {
-                last_allowed = i;
+                last_allowed = a;
                 acc += p;
                 if u < acc {
-                    return i;
+                    return a;
                 }
             }
         }
         last_allowed
     }
 
-    /// The most probable action.
+    /// The most probable action (the last one among ties).
     #[must_use]
     pub fn argmax(&self) -> usize {
-        self.probs
+        self.actions
             .iter()
-            .enumerate()
+            .zip(&self.probs)
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+            .map_or(0, |(&a, _)| a)
     }
 
-    /// Gradient of `log π(action)` with respect to the (unmasked) logits:
-    /// `onehot(action) - probs`, with zeros at masked positions.
+    /// Gradient of `log π(action)` with respect to the allowed logits, in
+    /// the order of [`MaskedCategorical::actions`]: `onehot(action) - probs`.
     ///
     /// # Panics
     ///
-    /// Panics if `action` is out of range or masked.
+    /// Panics if `action` is masked or has probability zero.
     #[must_use]
     pub fn grad_log_prob(&self, action: usize) -> Vec<f64> {
         assert!(
-            self.probs[action] > 0.0,
+            self.prob(action) > 0.0,
             "cannot take gradient of a masked action"
         );
-        (0..self.len())
-            .map(|k| self.grad_log_prob_at(action, k))
+        (0..self.actions.len())
+            .map(|j| self.grad_log_prob_at(action, j))
             .collect()
     }
 
-    /// Gradient of the entropy with respect to the logits:
-    /// `dH/dz_k = -p_k (ln p_k + H)`, zeros at masked positions.
+    /// Gradient of the entropy with respect to the allowed logits, in the
+    /// order of [`MaskedCategorical::actions`]: `dH/dz_k = -p_k (ln p_k + H)`.
     #[must_use]
     pub fn grad_entropy(&self) -> Vec<f64> {
         let h = self.entropy();
-        (0..self.len())
-            .map(|k| self.grad_entropy_at(k, h))
+        (0..self.actions.len())
+            .map(|j| self.grad_entropy_at(j, h))
             .collect()
     }
 
-    /// Component `k` of [`MaskedCategorical::grad_log_prob`].
-    pub(crate) fn grad_log_prob_at(&self, action: usize, k: usize) -> f64 {
-        let p = self.probs[k];
-        if k == action {
+    /// Entry `j` of [`MaskedCategorical::grad_log_prob`].
+    pub(crate) fn grad_log_prob_at(&self, action: usize, j: usize) -> f64 {
+        let p = self.probs[j];
+        if self.actions[j] == action {
             1.0 - p
         } else {
             -p
         }
     }
 
-    /// Component `k` of [`MaskedCategorical::grad_entropy`], given the
-    /// entropy `h`.
-    pub(crate) fn grad_entropy_at(&self, k: usize, h: f64) -> f64 {
-        let p = self.probs[k];
+    /// Entry `j` of [`MaskedCategorical::grad_entropy`], given the entropy
+    /// `h`.
+    pub(crate) fn grad_entropy_at(&self, j: usize, h: f64) -> f64 {
+        let p = self.probs[j];
         if p > 0.0 {
-            -p * (self.log_probs[k] + h)
+            -p * (self.log_probs[j] + h)
         } else {
             0.0
         }
@@ -200,7 +221,7 @@ mod tests {
             assert!((d.prob(i) - 0.25).abs() < 1e-12);
         }
         assert!((d.entropy() - 4.0f64.ln()).abs() < 1e-12);
-        assert_eq!(d.len(), 4);
+        assert_eq!(d.actions(), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub struct TrainReport {
     pub losses: Vec<(u64, PpoLosses)>,
     /// Wall-clock duration of the run in seconds.
     pub wall_seconds: f64,
+    /// Nanoseconds the run spent in PPO updates. Measured by the run that
+    /// trains; a report restored from storage reads `0`.
+    pub ppo_update_ns: u64,
 }
 
 impl TrainReport {

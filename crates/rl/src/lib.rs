@@ -6,20 +6,28 @@
 //!
 //! * [`Mlp`] — a multi-layer perceptron with tanh hidden activations and
 //!   exact-sparse manual backpropagation: the first layer visits only the
-//!   input's nonzero columns, the output layer only the rows an action mask
-//!   allows, and backpropagation only rows with a nonzero gradient. Each
-//!   skipped term is an exact zero, so results are bit-identical to dense
-//!   loops (see [`Mlp`] for the argument).
-//! * [`Adam`] — the Adam optimizer.
+//!   input's nonzero columns, reading one contiguous row of its input-major
+//!   weights per column; the output layer only the rows an action mask
+//!   allows; and the later layers' backpropagation only rows with a nonzero
+//!   gradient. Each skipped term is an exact zero, so results are
+//!   bit-identical to dense loops (see [`Mlp`] for the argument and the
+//!   storage layout; [`Mlp::parameters`] restores the public row-major
+//!   order).
+//! * [`Adam`] — the Adam optimizer, stepping a network's flat parameter
+//!   vector in place.
 //! * [`MaskedCategorical`] — a categorical action distribution with invalid
 //!   actions masked out, as used by DETERRENT's action-masking architecture.
+//!   It keeps and walks only the allowed actions.
 //! * [`PpoTrainer`] — clipped-surrogate PPO with entropy and value losses
 //!   and GAE(λ) advantages, exposing the knobs the paper tunes (entropy
 //!   coefficient `c_ε`, value coefficient `c_v`, smoothing parameter `λ`).
 //!   It holds no RNG: [`PpoTrainer::policy_step`] samples with the caller's,
 //!   and [`PpoTrainer::best_action`] is the greedy choice.
-//!   [`PpoTrainer::update_on`] runs the policy and value networks' passes
-//!   as two tasks on an `exec::Exec`, bit-identical at any thread count.
+//!   [`PpoTrainer::update_on`] lists each buffered transition's nonzero
+//!   input columns and allowed actions once, then runs the policy and value
+//!   networks' epochs over those lists as two tasks on an `exec::Exec`,
+//!   bit-identical at any thread count. A [`PolicySnapshot`] holds the
+//!   parameters and Adam moments in public order.
 //! * [`Environment`] — the environment interface implemented by
 //!   `deterrent-core`'s compatible-set MDP.
 //! * [`collect_episodes`] / [`train_parallel`] — the episode loop:

@@ -3,6 +3,8 @@
 use exec::Exec;
 use rand::Rng;
 
+use crate::distribution::allowed_actions;
+use crate::mlp::nonzero_columns;
 use crate::{Activations, Adam, MaskedCategorical, Mlp};
 
 /// Hyper-parameters of the PPO trainer.
@@ -183,18 +185,32 @@ pub struct AdamSnapshot {
 }
 
 impl AdamSnapshot {
-    fn of(adam: &Adam) -> Self {
+    /// The state of `adam`, which steps `net`, with its moments in `net`'s
+    /// public parameter order.
+    fn of(adam: &Adam, net: &Mlp) -> Self {
         let (m, v) = adam.moments();
         Self {
             learning_rate: adam.learning_rate(),
-            m: m.to_vec(),
-            v: v.to_vec(),
+            m: net.public_order(m),
+            v: net.public_order(v),
             steps: adam.steps(),
         }
     }
 
-    fn restore(self) -> Adam {
-        Adam::from_raw_state(self.learning_rate, self.m, self.v, self.steps)
+    /// The optimizer that steps `net` (the `which` network), its moments
+    /// moved into `net`'s storage layout in place.
+    fn restore(self, net: &Mlp, which: &str) -> Adam {
+        let (mut m, mut v) = (self.m, self.v);
+        for moments in [&m, &v] {
+            assert_eq!(
+                moments.len(),
+                net.num_parameters(),
+                "{which} optimizer moments do not match the network's parameter count"
+            );
+        }
+        net.storage_order(&mut m);
+        net.storage_order(&mut v);
+        Adam::from_raw_state(self.learning_rate, m, v, self.steps)
     }
 }
 
@@ -223,15 +239,15 @@ pub struct PolicySnapshot {
     pub loss_history: Vec<(u64, PpoLosses)>,
     /// Layer sizes of the policy network (input first).
     pub policy_layer_sizes: Vec<usize>,
-    /// Flat policy parameters ([`crate::Mlp::parameters`] order).
+    /// Flat policy parameters (public [`crate::Mlp::parameters`] order).
     pub policy_params: Vec<f64>,
     /// Layer sizes of the value network (input first).
     pub value_layer_sizes: Vec<usize>,
-    /// Flat value parameters ([`crate::Mlp::parameters`] order).
+    /// Flat value parameters (public [`crate::Mlp::parameters`] order).
     pub value_params: Vec<f64>,
-    /// Policy optimizer state.
+    /// Policy optimizer state, its moments in the order of `policy_params`.
     pub policy_opt: AdamSnapshot,
-    /// Value optimizer state.
+    /// Value optimizer state, its moments in the order of `value_params`.
     pub value_opt: AdamSnapshot,
 }
 
@@ -311,6 +327,16 @@ impl PpoTrainer {
         &self.loss_history
     }
 
+    /// Per-sample forward/backward passes all updates so far have run on
+    /// each network: every update passes over its whole buffer once per
+    /// epoch, and the buffers add up to the steps recorded at the last
+    /// update.
+    #[must_use]
+    pub fn sample_passes(&self) -> u64 {
+        let steps = self.loss_history.last().map_or(0, |&(steps, _)| steps);
+        steps * self.config.epochs as u64
+    }
+
     /// Captures a [`PolicySnapshot`] of the trained agent (see its docs for
     /// what is and is not included).
     #[must_use]
@@ -325,28 +351,33 @@ impl PpoTrainer {
             policy_params: self.policy.parameters(),
             value_layer_sizes: self.value.layer_sizes().to_vec(),
             value_params: self.value.parameters(),
-            policy_opt: AdamSnapshot::of(&self.policy_opt),
-            value_opt: AdamSnapshot::of(&self.value_opt),
+            policy_opt: AdamSnapshot::of(&self.policy_opt, &self.policy),
+            value_opt: AdamSnapshot::of(&self.value_opt, &self.value),
         }
     }
 
     /// Reconstructs a trainer from a [`PolicySnapshot`], moving its vectors
-    /// in and drawing no network initialization. The rollout buffer starts
-    /// empty; frozen policy/value evaluation is bit-identical to the
-    /// snapshotted trainer.
+    /// in and drawing no network initialization: the first layer's block of
+    /// the parameters and of both optimizer moments is rearranged in place
+    /// into the networks' storage layout. The rollout buffer starts empty;
+    /// frozen policy/value evaluation is bit-identical to the snapshotted
+    /// trainer.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's parameter vectors do not match its layer
-    /// sizes.
+    /// sizes, or an optimizer's moments do not match its network's
+    /// parameter count.
     #[must_use]
     pub fn from_snapshot(snapshot: PolicySnapshot) -> Self {
+        let policy = Mlp::from_parameters(&snapshot.policy_layer_sizes, snapshot.policy_params);
+        let value = Mlp::from_parameters(&snapshot.value_layer_sizes, snapshot.value_params);
         Self {
-            policy: Mlp::from_parameters(&snapshot.policy_layer_sizes, &snapshot.policy_params),
-            value: Mlp::from_parameters(&snapshot.value_layer_sizes, &snapshot.value_params),
+            policy_opt: snapshot.policy_opt.restore(&policy, "policy"),
+            value_opt: snapshot.value_opt.restore(&value, "value"),
+            policy,
+            value,
             config: snapshot.config,
-            policy_opt: snapshot.policy_opt.restore(),
-            value_opt: snapshot.value_opt.restore(),
             buffer: RolloutBuffer::new(),
             num_actions: snapshot.num_actions,
             total_steps: snapshot.total_steps,
@@ -385,8 +416,11 @@ impl PpoTrainer {
     /// The policy's action distribution at `state`, computing only the
     /// logits `mask` allows.
     fn distribution(&self, state: &[f64], mask: &[bool]) -> MaskedCategorical {
-        let logits = self.policy.forward(state, mask);
-        MaskedCategorical::new(&logits, (!mask.is_empty()).then_some(mask))
+        let mut acts = Activations::default();
+        self.policy.forward_into(state, mask, &mut acts);
+        let mut dist = MaskedCategorical::default();
+        dist.set(acts.output(), acts.rows());
+        dist
     }
 
     /// Stores a transition collected from the environment.
@@ -455,6 +489,7 @@ impl PpoTrainer {
         }
 
         let transitions = self.buffer.transitions();
+        let batch = SparseBatch::new(transitions, self.policy.input_dim(), self.num_actions);
         let config = &self.config;
         let ((policy_loss, entropy_loss), value_loss) = exec.join(
             || {
@@ -462,6 +497,7 @@ impl PpoTrainer {
                     &mut self.policy,
                     &mut self.policy_opt,
                     transitions,
+                    &batch,
                     &advantages,
                     config,
                 )
@@ -470,7 +506,7 @@ impl PpoTrainer {
                 value_epochs(
                     &mut self.value,
                     &mut self.value_opt,
-                    transitions,
+                    &batch,
                     &returns,
                     config,
                 )
@@ -492,31 +528,86 @@ impl PpoTrainer {
     }
 }
 
+/// Every buffered transition's nonzero input columns and allowed actions,
+/// listed once per update: every epoch of both networks reads these lists
+/// instead of rescanning the dense state and mask.
+struct SparseBatch {
+    /// Each transition's nonzero input columns, one after the other.
+    columns: Vec<(usize, f64)>,
+    /// Transition `j`'s columns are `columns[column_bounds[j]..column_bounds[j + 1]]`.
+    column_bounds: Vec<usize>,
+    /// Each transition's allowed actions, one after the other.
+    actions: Vec<usize>,
+    /// Transition `j`'s actions are `actions[action_bounds[j]..action_bounds[j + 1]]`.
+    action_bounds: Vec<usize>,
+}
+
+impl SparseBatch {
+    /// Lists `transitions` of a trainer with `state_dim` inputs and
+    /// `num_actions` actions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state or a non-empty mask has the wrong length.
+    fn new(transitions: &[Transition], state_dim: usize, num_actions: usize) -> Self {
+        let mut batch = Self {
+            columns: Vec::new(),
+            column_bounds: vec![0],
+            actions: Vec::new(),
+            action_bounds: vec![0],
+        };
+        for t in transitions {
+            assert_eq!(t.state.len(), state_dim, "input dimension mismatch");
+            nonzero_columns(&t.state, &mut batch.columns);
+            batch.column_bounds.push(batch.columns.len());
+            allowed_actions(&t.mask, num_actions, &mut batch.actions);
+            batch.action_bounds.push(batch.actions.len());
+        }
+        batch
+    }
+
+    /// Each transition's `(columns, allowed actions)`, in buffer order.
+    fn samples(&self) -> impl Iterator<Item = (&[(usize, f64)], &[usize])> {
+        let columns = self
+            .column_bounds
+            .windows(2)
+            .map(|w| &self.columns[w[0]..w[1]]);
+        let actions = self
+            .action_bounds
+            .windows(2)
+            .map(|w| &self.actions[w[0]..w[1]]);
+        columns.zip(actions)
+    }
+}
+
 /// Runs every epoch of one update on the policy network and returns the
 /// last epoch's `(policy_loss, entropy_loss)` (zeros for zero epochs).
 ///
-/// Only the logits the transition's mask allows are computed and
-/// backpropagated: a masked action has probability zero, so its gradient
-/// is exactly zero and [`Mlp::backward`] would skip it anyway.
+/// Only the logits of the allowed actions are computed, and the softmax,
+/// the entropy and the logit gradient walk only them: a masked action has
+/// probability zero, so its gradient is exactly zero.
 fn policy_epochs(
     net: &mut Mlp,
     opt: &mut Adam,
     transitions: &[Transition],
+    batch: &SparseBatch,
     advantages: &[f64],
     config: &PpoConfig,
 ) -> (f64, f64) {
     let n = transitions.len() as f64;
     let mut acts = Activations::default();
-    let mut grad_logits = vec![0.0; net.output_dim()];
+    let mut dist = MaskedCategorical::default();
+    let mut grad_logits = Vec::new();
     let mut last = (0.0, 0.0);
     for _ in 0..config.epochs {
         net.zero_grad();
         let mut policy_loss = 0.0;
         let mut entropy_loss = 0.0;
-        for (t, &adv) in transitions.iter().zip(advantages) {
-            net.forward_into(&t.state, &t.mask, &mut acts);
-            let mask = (!t.mask.is_empty()).then_some(&t.mask[..]);
-            let dist = MaskedCategorical::new(acts.output(), mask);
+        for ((t, &adv), (columns, actions)) in
+            transitions.iter().zip(advantages).zip(batch.samples())
+        {
+            net.forward_sparse(columns, actions, &mut acts);
+            dist.set(acts.output(), actions);
             let new_log_prob = dist.log_prob(t.action);
             let ratio = (new_log_prob - t.log_prob).exp();
             let clipped = ratio.clamp(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon);
@@ -526,22 +617,22 @@ fn policy_epochs(
             let entropy = dist.entropy();
             entropy_loss += -entropy;
 
-            // Gradient of the per-sample loss w.r.t. the logits. Masked
-            // actions come out as exact zeros, which `backward` skips.
-            for (k, g) in grad_logits.iter_mut().enumerate() {
-                *g = 0.0;
+            // Gradient of the per-sample loss w.r.t. the allowed logits.
+            grad_logits.clear();
+            grad_logits.extend((0..actions.len()).map(|j| {
+                let mut g = 0.0;
                 if surr1 <= surr2 {
                     // Unclipped branch is active: d(-ratio·adv)/dlogits.
-                    *g += -ratio * adv * dist.grad_log_prob_at(t.action, k);
+                    g += -ratio * adv * dist.grad_log_prob_at(t.action, j);
                 }
                 // Entropy term: c_ε · d(-H)/dlogits.
-                *g += config.entropy_coef * (-dist.grad_entropy_at(k, entropy));
+                g += config.entropy_coef * (-dist.grad_entropy_at(j, entropy));
                 // Scale by 1/n for the batch mean.
-                *g /= n;
-            }
-            net.backward(&acts, &grad_logits);
+                g / n
+            }));
+            net.backward(&mut acts, &grad_logits);
         }
-        adam_step(net, opt);
+        net.adam_step(opt);
         last = (policy_loss / n, entropy_loss / n);
     }
     last
@@ -552,33 +643,26 @@ fn policy_epochs(
 fn value_epochs(
     net: &mut Mlp,
     opt: &mut Adam,
-    transitions: &[Transition],
+    batch: &SparseBatch,
     returns: &[f64],
     config: &PpoConfig,
 ) -> f64 {
-    let n = transitions.len() as f64;
+    let n = returns.len() as f64;
     let mut acts = Activations::default();
     let mut last = 0.0;
     for _ in 0..config.epochs {
         net.zero_grad();
         let mut value_loss = 0.0;
-        for (t, &ret) in transitions.iter().zip(returns) {
-            net.forward_into(&t.state, &[], &mut acts);
+        for (&ret, (columns, _)) in returns.iter().zip(batch.samples()) {
+            net.forward_sparse(columns, &[0], &mut acts);
             let err = acts.output()[0] - ret;
             value_loss += 0.5 * err * err;
-            net.backward(&acts, &[config.value_coef * err / n]);
+            net.backward(&mut acts, &[config.value_coef * err / n]);
         }
-        adam_step(net, opt);
+        net.adam_step(opt);
         last = value_loss / n;
     }
     last
-}
-
-/// Applies one optimizer step with the network's accumulated gradients.
-fn adam_step(net: &mut Mlp, opt: &mut Adam) {
-    let mut params = net.parameters();
-    opt.step(&mut params, &net.gradients());
-    net.set_parameters(&params);
 }
 
 #[cfg(test)]
@@ -676,8 +760,10 @@ mod tests {
             mean > 0.85,
             "agent should prefer the rewarding arm, got {mean}"
         );
-        assert!(trainer.total_updates() > 0);
+        assert_eq!(trainer.total_updates(), 25);
         assert!(!trainer.loss_history().is_empty());
+        // 400 one-step episodes, all learned from, four epochs each.
+        assert_eq!(trainer.sample_passes(), 400 * 4);
     }
 
     #[test]
@@ -780,6 +866,16 @@ mod tests {
             "frozen sampling must match given the same RNG stream"
         );
         assert_eq!(restored.pending_transitions(), 0, "buffer not captured");
+        assert_eq!(restored.sample_passes(), trainer.sample_passes());
+    }
+
+    #[test]
+    #[should_panic(expected = "value optimizer moments do not match")]
+    fn from_snapshot_rejects_mismatched_optimizer_moments() {
+        let mut snapshot = PpoTrainer::new(3, 2, &PpoConfig::default(), 1).snapshot();
+        snapshot.value_opt.m.pop();
+        snapshot.value_opt.v.pop();
+        let _ = PpoTrainer::from_snapshot(snapshot);
     }
 
     #[test]

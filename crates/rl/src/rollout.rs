@@ -190,7 +190,9 @@ where
             for transition in episode.transitions {
                 trainer.record(transition);
             }
+            let update = Instant::now();
             if let Some(losses) = trainer.update_if_ready_on(exec) {
+                report.ppo_update_ns += update.elapsed().as_nanos() as u64;
                 report.losses.push((trainer.total_steps(), losses));
             }
             report.episode_rewards.push(episode.total_reward);
